@@ -55,6 +55,16 @@ class BasedAlgebra:
             return self.enumerate_degree(degree)
         return self.labels()
 
+    def degrees(self, cap=None):
+        """Degrees 0..cap of a graded algebra (cap None means 2); [None] if finite."""
+        if not self.graded:
+            return [None]
+        return range((2 if cap is None else cap) + 1)
+
+    def labels_up_to(self, cap=None):
+        """Basis labels of all degrees up to ``cap``; every label if finite."""
+        return [l for d in self.degrees(cap) for l in self.basis_labels(d)]
+
     # -- products -----------------------------------------------------------
 
     def product_on_basis(self, l1, l2) -> dict:
@@ -491,31 +501,6 @@ def scalar_algebra(field) -> StructureConstantAlgebra:
     )
 
 
-# functional aliases matching the operation names used elsewhere
-def algebra_group(field, K):
-    return GroupAlgebra(field, K)
-
-
-def algebra_functions(field, G):
-    return FunctionAlgebra(field, G)
-
-
-def algebra_polynomial(field, nvars, degree_cap):
-    return PolynomialAlgebra(field, nvars, degree_cap)
-
-
-def algebra_matrix(field, n):
-    return MatrixAlgebra(field, n)
-
-
-def algebra_tensor(A, B):
-    return TensorAlgebra(A, B)
-
-
-def algebra_opposite(A):
-    return OppositeAlgebra(A)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -525,13 +510,7 @@ def check_associativity(A: BasedAlgebra, degree_cap=None, max_triples=None, rng=
 
     Returns a list of violation witnesses (empty = pass).
     """
-    if A.graded:
-        cap = degree_cap if degree_cap is not None else 2
-        labels = []
-        for d in range(cap + 1):
-            labels.extend(A.enumerate_degree(d))
-    else:
-        labels = A.labels()
+    labels = A.labels_up_to(degree_cap)
     one = A.one()
     failures = []
     for l in labels:
@@ -595,13 +574,7 @@ class GroupAction:
 
     def verify(self, degree_cap=None) -> ActionReport:
         A, G = self.A, self.G
-        if A.graded:
-            cap = degree_cap if degree_cap is not None else 2
-            labels = []
-            for d in range(cap + 1):
-                labels.extend(A.enumerate_degree(d))
-        else:
-            labels = A.labels()
+        labels = A.labels_up_to(degree_cap)
         failures = []
         for l in labels:
             if self.on_label(0, l) != A.basis_element(l):
@@ -640,6 +613,8 @@ def trivial_action(G, A) -> GroupAction:
 
 def permutation_variable_action(G, A: PolynomialAlgebra) -> GroupAction:
     """Variable-permuting action of a permutation group on R[x_1..x_n]."""
+    if not isinstance(A, PolynomialAlgebra):
+        raise ValueError("permuting variables needs a polynomial algebra")
     if G.perms is None:
         raise ValueError("group carries no permutation data")
     if len(G.perms[0]) != A.nvars:
@@ -657,8 +632,8 @@ def permutation_variable_action(G, A: PolynomialAlgebra) -> GroupAction:
 
 def left_translation_action(G, A: FunctionAlgebra) -> GroupAction:
     """alpha_g delta_k = delta_{gk} on the function algebra of G."""
-    if A.G is not G:
-        raise ValueError("function algebra must live on the acting group")
+    if not isinstance(A, FunctionAlgebra) or A.G is not G:
+        raise ValueError("left translation needs the function algebra of the acting group")
     return GroupAction(
         G, A, lambda g, k: A.basis_element(G.mul(g, k)), name="left_translation"
     )
@@ -673,7 +648,7 @@ def group_automorphism_action(G, A: GroupAlgebra, phi) -> GroupAction:
 
 
 def conjugation_action(G, A: GroupAlgebra) -> GroupAction:
-    if A.K is not G:
+    if not isinstance(A, GroupAlgebra) or A.K is not G:
         raise ValueError("conjugation action needs A = R[G]")
     return group_automorphism_action(G, A, lambda g, n: G.conjugate(g, n))
 
@@ -699,14 +674,6 @@ def restricted_action(K, embed, act: GroupAction) -> GroupAction:
     return GroupAction(
         K, act.A, lambda k, l: act.on_label(embed[k], l), name=f"{act.name}|K"
     )
-
-
-def quotient_lift_action(Q, section, act: GroupAction, A) -> GroupAction:
-    """Action of a quotient group via a section (list: Q element -> G element).
-
-    Only valid when the kernel acts trivially on A; verified by the caller.
-    """
-    return GroupAction(Q, A, lambda q, l: act.on_label(section[q], l), name=f"{act.name}^N")
 
 
 def element_inverse(a: AlgebraElement) -> AlgebraElement:
@@ -750,10 +717,6 @@ def action_make(spec: str, G, A) -> GroupAction:
     if s == "conjugation":
         return conjugation_action(G, A)
     raise ValueError(f"unknown action spec {spec!r}")
-
-
-def action_verify(action: GroupAction, degree_cap=None) -> ActionReport:
-    return action.verify(degree_cap=degree_cap)
 
 
 # ---------------------------------------------------------------------------

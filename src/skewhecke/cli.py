@@ -31,15 +31,13 @@ from .algebras import (
     MatrixAlgebra,
     PolynomialAlgebra,
     StructureConstantAlgebra,
-    conjugation_action,
+    action_make,
+    invariants_compute,
     left_translation_action,
-    permutation_variable_action,
     scalar_algebra,
     trivial_action,
-    trivial_action as _trivial_action,
 )
 from .groups import (
-    Subgroup,
     cyclic_group,
     full_subgroup,
     group_make,
@@ -52,7 +50,6 @@ from .hecke import (
     HeckeContext,
     HeckeElement,
     classical_context,
-    classical_structure_constants_counting,
     structure_constants,
 )
 from .scalars import NotAUnitError, field_make
@@ -160,17 +157,10 @@ def build_context(cfg: JobConfig) -> BuiltContext:
         A = PolynomialAlgebra(field, nvars, 2 * cfg.degree_cap)
     else:
         raise ConfigError(f"unknown algebra spec {cfg.algebra!r}")
-    act = cfg.action.strip().lower()
-    if act == "trivial":
-        action = trivial_action(G, A)
-    elif act in ("permute_variables", "permutation"):
-        action = permutation_variable_action(G, A)
-    elif act == "left_translation":
-        action = left_translation_action(G, A)
-    elif act == "conjugation":
-        action = conjugation_action(G, A)
-    else:
-        raise ConfigError(f"unknown action spec {cfg.action!r}")
+    try:
+        action = action_make(cfg.action, G, A)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ctx = HeckeContext(G, H, A, action, degree_cap=cfg.degree_cap)
     return BuiltContext(cfg=cfg, ctx=ctx)
 
@@ -383,7 +373,7 @@ def suite_assoc(run: SuiteRun, ctx, rng):
 
 
 def suite_decomp(run: SuiteRun, ctx, rng):
-    degree = 1 if ctx.graded else None
+    degree = min(1, ctx.degree_cap) if ctx.graded else None
     basis = ctx.module_basis(degree)
     run.record("decomp.basis_nonempty", len(basis) > 0, f"dim {len(basis)}")
     # bijection: coordinates of a random element round-trip
@@ -410,18 +400,11 @@ def suite_decomp(run: SuiteRun, ctx, rng):
                "" if bad is None else f"witness orbit {bad}")
 
 
-def _random_invariant(ctx, rng, degree=None):
-    from .algebras import invariants_compute
-
-    if ctx.graded:
-        out = ctx.A.zero()
-        for d in range(ctx.degree_cap + 1):
-            for b in invariants_compute(ctx.A, ctx.H.generators(), ctx.action, degree=d):
-                out = out + b.scale(ctx.field.from_int(rng.randint(-2, 2)))
-        return out
+def _random_invariant(ctx, rng):
     out = ctx.A.zero()
-    for b in invariants_compute(ctx.A, ctx.H.generators(), ctx.action):
-        out = out + b.scale(ctx.field.from_int(rng.randint(-2, 2)))
+    for d in ctx.A.degrees(ctx.degree_cap):
+        for b in invariants_compute(ctx.A, ctx.H.generators(), ctx.action, degree=d):
+            out = out + b.scale(ctx.field.from_int(rng.randint(-2, 2)))
     return out
 
 
@@ -669,7 +652,6 @@ def suite_s3(run: SuiteRun, ctx, rng):
     t23 = G.element_by_name("(2 3)")
     t13 = G.element_by_name("(1 3)")
     act = ctx.action
-    degree = 1 if ctx.graded else None
     ok = True
     for _ in range(30):
         a, ap = _random_invariant(ctx, rng), _random_invariant(ctx, rng)
@@ -696,15 +678,8 @@ def suite_s3(run: SuiteRun, ctx, rng):
 
 
 def _random_free(ctx, rng):
-    if ctx.graded:
-        out = ctx.A.zero()
-        for d in range(ctx.degree_cap + 1):
-            for l in ctx.A.enumerate_degree(d):
-                out = out + ctx.A.basis_element(l).scale(
-                    ctx.field.from_int(rng.randint(-2, 2)))
-        return out
     out = ctx.A.zero()
-    for l in ctx.A.labels():
+    for l in ctx.A.labels_up_to(ctx.degree_cap):
         out = out + ctx.A.basis_element(l).scale(
             ctx.field.from_int(rng.randint(-2, 2)))
     return out
@@ -771,20 +746,19 @@ def main(argv=None):
     degree_cap = getattr(args, "degree_cap", None)
     out_path = getattr(args, "out", None)
 
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = JobConfig()
-    if degree_cap is not None:
-        cfg.degree_cap = degree_cap
-
     lines = []
 
     def write(s):
         lines.append(s)
 
     try:
+        if config_path:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+        else:
+            cfg = JobConfig()
+        if degree_cap is not None:
+            cfg.degree_cap = degree_cap
         built = build_context(cfg)
         if args.command == "dims":
             code = cmd_dims(built, write)
@@ -794,7 +768,7 @@ def main(argv=None):
             code = cmd_sc(built, write)
         else:
             code = cmd_verify(built, args.suite, seed, write)
-    except (ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

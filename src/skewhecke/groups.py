@@ -66,6 +66,9 @@ def parse_cycles(s: str, n: int):
                 pts = [int(t) - 1 for t in body.split()]
             else:
                 pts = [int(ch) - 1 for ch in body.strip()]
+            for pt in pts:
+                if not 0 <= pt < n:
+                    raise ValueError(f"point {pt + 1} out of range in {s!r}")
             depth_items.append(pts)
             i = j + 1
         elif s[i].isspace():
@@ -76,8 +79,6 @@ def parse_cycles(s: str, n: int):
     for pts in reversed(depth_items):
         new = list(perm)
         for k, pt in enumerate(pts):
-            if pt < 0 or pt >= n:
-                raise ValueError(f"point {pt + 1} out of range in {s!r}")
             new[pt] = perm[pts[(k + 1) % len(pts)]]
         perm = new
     return tuple(perm)
@@ -143,7 +144,7 @@ class FiniteGroup:
         if self.perms is not None:
             p = parse_cycles(name, len(self.perms[0]))
             return self.perms.index(p)
-        if name.startswith("g") and name[1:].isdigit():
+        if name.startswith("g") and name[1:].isdigit() and int(name[1:]) < self.order:
             return int(name[1:])
         raise ValueError(f"unknown element {name!r}")
 
@@ -152,10 +153,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
-
-
-def group_from_table(table, names=None) -> FiniteGroup:
-    return FiniteGroup(table, names=names)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -169,6 +166,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("n >= 1 required")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["id"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     return FiniteGroup(table, names=names, check=False)
@@ -529,9 +528,6 @@ class CosetSpace:
                 seen[m] = True
         orbits.sort(key=lambda dc: self.reps[dc.rep_coset])
         return orbits
-
-    def coset_index_of_element(self, g: int) -> int:
-        return self.coset_of[g]
 
     def __repr__(self):
         return (

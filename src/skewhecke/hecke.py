@@ -13,7 +13,6 @@ from .algebras import (
     AlgebraElement,
     BasedAlgebra,
     GroupAction,
-    element_from_vector,
     scalar_algebra,
     trivial_action,
 )
@@ -58,9 +57,6 @@ class HeckeContext:
     @property
     def graded(self):
         return self.A.graded
-
-    def n_cosets(self):
-        return self.cosets.n
 
     def orbit_invariant_basis(self, oi, degree=None):
         return self._orbit_data(oi, degree)[0]
@@ -170,16 +166,12 @@ class HeckeContext:
 
     def random_element(self, rng, degree=None, coeff_range=(-3, 3)) -> "HeckeElement":
         lo, hi = coeff_range
+        degrees = [degree] if degree is not None else self.A.degrees(self.degree_cap)
         vals = {}
         for oi in range(len(self.orbits)):
-            if self.graded and degree is None:
-                v = self.A.zero()
-                for d in range(self.degree_cap + 1 if self.degree_cap else 3):
-                    for b in self.orbit_invariant_basis(oi, d):
-                        v = v + b.scale(self.field.from_int(rng.randint(lo, hi)))
-            else:
-                v = self.A.zero()
-                for b in self.orbit_invariant_basis(oi, degree):
+            v = self.A.zero()
+            for d in degrees:
+                for b in self.orbit_invariant_basis(oi, d):
                     v = v + b.scale(self.field.from_int(rng.randint(lo, hi)))
             if not v.is_zero:
                 vals[oi] = v
@@ -322,42 +314,6 @@ class HeckeElement:
         return f"<Hecke {self}>"
 
 
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def hecke_from_values(ctx, values):
-    return ctx.from_values(values)
-
-
-def hecke_expand(phi: HeckeElement):
-    return phi.expand()
-
-
-def convolve(phi: HeckeElement, psi: HeckeElement):
-    return phi.convolve(psi)
-
-
-def hecke_identity(ctx):
-    return ctx.identity()
-
-
-def embed_invariant(ctx, a):
-    return ctx.embed_invariant(a)
-
-
-def embed_scalar_hecke(ctx, rho):
-    return ctx.embed_scalar_hecke(rho)
-
-
-def expectation(phi: HeckeElement):
-    return phi.expectation()
-
-
-def graded_degree(phi: HeckeElement):
-    return phi.homogeneous_degree()
-
-
 def classical_context(field, G, H) -> HeckeContext:
     """H_R(G,H): the A = R, trivial-action context."""
     A = scalar_algebra(field)
@@ -397,42 +353,24 @@ def structure_constants(ctx: HeckeContext, degree_cap=None):
     For graded contexts the basis covers degrees 0..degree_cap and outputs are
     expressed in the degree-(d_i + d_j) basis.
     """
-    if ctx.graded:
-        if degree_cap is None:
-            degree_cap = ctx.degree_cap
-            if degree_cap is None:
-                raise ValueError("graded context needs a degree cap")
-        basis = []
-        index_ranges = {}
-        for d in range(degree_cap + 1):
-            mb = ctx.module_basis(d)
-            index_ranges[d] = (len(basis), len(mb))
-            basis.extend((oi, v, d) for oi, v in mb)
-        rows = []
-        for i, (oi, vi, di) in enumerate(basis):
-            for j, (oj, vj, dj) in enumerate(basis):
-                phi = HeckeElement(ctx, {oi: vi})
-                psi = HeckeElement(ctx, {oj: vj})
-                prod = phi.convolve(psi)
-                dk = di + dj
-                coords = ctx.module_coordinates(prod, degree=dk)
-                if dk <= degree_cap:
-                    start, _ = index_ranges[dk]
-                else:
-                    start = None
-                for t, c in enumerate(coords):
-                    if not ctx.field.is_zero(c):
-                        k = (start + t) if start is not None else ("deg", dk, t)
-                        rows.append((i, j, k, c))
-        return basis, rows
-    basis = [(oi, v, 0) for oi, v in ctx.module_basis()]
+    if degree_cap is None:
+        degree_cap = ctx.degree_cap
+    if ctx.graded and degree_cap is None:
+        raise ValueError("graded context needs a degree cap")
+    basis = []
+    start_of = {}
+    for d in ctx.A.degrees(degree_cap):
+        start_of[d] = len(basis)
+        basis.extend((oi, v, d or 0) for oi, v in ctx.module_basis(d))
     rows = []
-    for i, (oi, vi, _) in enumerate(basis):
-        for j, (oj, vj, _) in enumerate(basis):
+    for i, (oi, vi, di) in enumerate(basis):
+        for j, (oj, vj, dj) in enumerate(basis):
             prod = HeckeElement(ctx, {oi: vi}).convolve(HeckeElement(ctx, {oj: vj}))
-            coords = ctx.module_coordinates(prod)
-            for k, c in enumerate(coords):
+            dk = di + dj if ctx.graded else None
+            start = start_of.get(dk)
+            for t, c in enumerate(ctx.module_coordinates(prod, degree=dk)):
                 if not ctx.field.is_zero(c):
+                    k = ("deg", dk, t) if start is None else start + t
                     rows.append((i, j, k, c))
     return basis, rows
 

@@ -409,6 +409,38 @@ def stone_model(field, G, H: Subgroup) -> StoneModel:
 # transports along group operations
 
 
+def pull_map(source: HeckeContext, target: HeckeContext, value_at):
+    """The map phi |-> psi with psi(xH') = value_at(at, x) at each target orbit rep x.
+
+    ``at(y)`` is phi(yH) in the source.  Images go through ``from_values``, so
+    every value is checked against its orbit stabilizer.
+    """
+    coset_of = source.cosets.coset_of
+
+    def apply(phi: HeckeElement) -> HeckeElement:
+        exp = phi.expand()
+
+        def at(y):
+            return exp[coset_of[y]]
+
+        return target.from_values(
+            {oi: value_at(at, orbit.rep_element)
+             for oi, orbit in enumerate(target.orbits)}
+        )
+
+    return apply
+
+
+def _quotient_with_section(G, N: Subgroup):
+    """(G/N, projection list, section list: least element of each coset)."""
+    Q, proj = quotient_group(G, N)
+    section = [None] * Q.order
+    for g in range(G.order):
+        if section[proj[g]] is None:
+            section[proj[g]] = g
+    return Q, proj, section
+
+
 def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
     """For N normal in G with N <= H: pass to (G/N, H/N, A^N)."""
     G, H, A = ctx.G, ctx.H, ctx.A
@@ -416,38 +448,24 @@ def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
         raise ValueError("subgroup is not normal")
     if not set(N.elements) <= set(H.elements):
         raise ValueError("normal subgroup is not contained in H")
-    Q, proj = quotient_group(G, N)
-    section = [None] * Q.order
-    for g in range(G.order):
-        q = proj[g]
-        if section[q] is None or g < section[q]:
-            section[q] = g
+    Q, proj, section = _quotient_with_section(G, N)
     HQ = Subgroup(Q, {proj[h] for h in H.elements}, check=False)
     AN = InvariantSubalgebra(A, N.generators(), ctx.action)
     actQ = AN.induced_action(Q, section)
     target = HeckeContext(Q, HQ, AN, actQ, verify_action=False)
 
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            g = section[target.cosets.reps[orbit.rep_coset]]
-            v = AN.express(exp[ctx.cosets.coset_of[g]])
-            if v is None:
-                raise ValueError("value is not N-invariant (bug)")
-            values[oi] = v
-        return target.from_values(values)
+    def express(at, q):
+        v = AN.express(at(section[q]))
+        if v is None:
+            raise ValueError("value is not N-invariant (bug)")
+        return v
 
-    def backward(psi: HeckeElement) -> HeckeElement:
-        exp = psi.expand()
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            g = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = AN.include(exp[target.cosets.coset_of[proj[g]]])
-        return ctx.from_values(values)
-
-    return Transport(source=ctx, target=target, forward=forward,
-                     backward=backward, info={"quotient_order": Q.order})
+    return Transport(
+        source=ctx, target=target,
+        forward=pull_map(ctx, target, express),
+        backward=pull_map(target, ctx, lambda at, g: AN.include(at(proj[g]))),
+        info={"quotient_order": Q.order},
+    )
 
 
 def product_transport(ctx1: HeckeContext, ctx2: HeckeContext) -> Transport:
@@ -509,18 +527,13 @@ def intermediate_embed(ctx: HeckeContext, K: Subgroup) -> Transport:
     actK = restricted_action(Kgrp, embed, ctx.action)
     source = HeckeContext(Kgrp, HK, ctx.A, actK, verify_action=False,
                           degree_cap=ctx.degree_cap)
-    kset = set(embed)
+    zero = ctx.A.zero()
 
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            g = ctx.cosets.reps[orbit.rep_coset]
-            if g in kset:
-                values[oi] = exp[source.cosets.coset_of[pos[g]]]
-        return ctx.from_values(values)
+    def extend_by_zero(at, g):
+        return at(pos[g]) if g in pos else zero
 
-    return Transport(source=source, target=ctx, forward=forward,
+    return Transport(source=source, target=ctx,
+                     forward=pull_map(source, ctx, extend_by_zero),
                      info={"index": ctx.cosets.n, "sub_index": source.cosets.n})
 
 
@@ -532,28 +545,14 @@ def conjugate_transport(ctx: HeckeContext, s: int) -> Transport:
                           degree_cap=ctx.degree_cap)
     si = G.inverse(s)
 
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            x = target.cosets.reps[orbit.rep_coset]
-            values[oi] = ctx.action.apply(
-                s, exp[ctx.cosets.coset_of[G.mul(G.mul(si, x), s)]]
-            )
-        return target.from_values(values)
+    def conjugated_by(t):
+        ti = G.inverse(t)
+        return lambda at, x: ctx.action.apply(t, at(G.mul(G.mul(ti, x), t)))
 
-    def backward(psi: HeckeElement) -> HeckeElement:
-        exp = psi.expand()
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            x = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = ctx.action.apply(
-                si, exp[target.cosets.coset_of[G.mul(G.mul(s, x), si)]]
-            )
-        return ctx.from_values(values)
-
-    return Transport(source=ctx, target=target, forward=forward,
-                     backward=backward, info={"conjugator": G.name(s)})
+    return Transport(source=ctx, target=target,
+                     forward=pull_map(ctx, target, conjugated_by(s)),
+                     backward=pull_map(target, ctx, conjugated_by(si)),
+                     info={"conjugator": G.name(s)})
 
 
 def semidirect_transport(field, N, K, act, H: Subgroup) -> Transport:
@@ -572,35 +571,19 @@ def semidirect_transport(field, N, K, act, H: Subgroup) -> Transport:
     target = classical_context(field, Gt, Ht)
     scalars = target.A
 
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        f = field
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            g = target.cosets.reps[orbit.rep_coset]
-            n, k = sd.normal_part[g], sd.project_k[g]
-            c = exp[source.cosets.coset_of[k]].coeffs.get(n, f.zero)
-            if not f.is_zero(c):
-                values[oi] = scalars.from_scalar(c)
-        return target.from_values(values)
+    def coefficient(at, g):
+        c = at(sd.project_k[g]).coeffs.get(sd.normal_part[g], field.zero)
+        return scalars.from_scalar(c)
 
-    def backward(psi: HeckeElement) -> HeckeElement:
-        exp = psi.expand()
-        f = field
-        values = {}
-        for oi, orbit in enumerate(source.orbits):
-            k = source.cosets.reps[orbit.rep_coset]
-            coeffs = {}
-            for n in range(N.order):
-                g = Gt.mul(sd.embed_n[n], sd.embed_k[k])
-                c = exp[target.cosets.coset_of[g]].coeffs.get(0, f.zero)
-                if not f.is_zero(c):
-                    coeffs[n] = c
-            values[oi] = A.element(coeffs)
-        return source.from_values(values)
+    def group_element(at, k):
+        return A.element({
+            n: at(Gt.mul(sd.embed_n[n], sd.embed_k[k])).coeffs.get(0, field.zero)
+            for n in range(N.order)
+        })
 
-    return Transport(source=source, target=target, forward=forward,
-                     backward=backward,
+    return Transport(source=source, target=target,
+                     forward=pull_map(source, target, coefficient),
+                     backward=pull_map(target, source, group_element),
                      info={"dim": source.dimension(),
                            "classical_dim": target.dimension()})
 
@@ -666,25 +649,11 @@ def cocycle_transport(ctx: HeckeContext, chi: dict, check=True) -> Transport:
     target = HeckeContext(ctx.G, ctx.H, ctx.A, beta, verify_action=False,
                           degree_cap=ctx.degree_cap)
     inv_chi = {g: element_inverse(u) for g, u in chi.items()}
-
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            g = target.cosets.reps[orbit.rep_coset]
-            values[oi] = exp[ctx.cosets.coset_of[g]] * inv_chi[g]
-        return target.from_values(values)
-
-    def backward(psi: HeckeElement) -> HeckeElement:
-        exp = psi.expand()
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            g = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = exp[target.cosets.coset_of[g]] * chi[g]
-        return ctx.from_values(values)
-
-    return Transport(source=ctx, target=target, forward=forward,
-                     backward=backward)
+    return Transport(
+        source=ctx, target=target,
+        forward=pull_map(ctx, target, lambda at, g: at(g) * inv_chi[g]),
+        backward=pull_map(target, ctx, lambda at, g: at(g) * chi[g]),
+    )
 
 
 def coboundary_from_unit(ctx: HeckeContext, u) -> dict:
@@ -710,28 +679,15 @@ def opposite_transport(ctx: HeckeContext) -> Transport:
                           degree_cap=ctx.degree_cap)
     G = ctx.G
 
-    def forward(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            x = target.cosets.reps[orbit.rep_coset]
-            values[oi] = Aop.to_op(
-                ctx.action.apply(x, exp[ctx.cosets.coset_of[G.inverse(x)]])
-            )
-        return target.from_values(values)
+    def forward(at, x):
+        return Aop.to_op(ctx.action.apply(x, at(G.inverse(x))))
 
-    def backward(psi: HeckeElement) -> HeckeElement:
-        exp = psi.expand()
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            x = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = Aop.from_op(
-                actop.apply(x, exp[target.cosets.coset_of[G.inverse(x)]])
-            )
-        return ctx.from_values(values)
+    def backward(at, x):
+        return Aop.from_op(actop.apply(x, at(G.inverse(x))))
 
-    return Transport(source=ctx, target=target, forward=forward,
-                     backward=backward)
+    return Transport(source=ctx, target=target,
+                     forward=pull_map(ctx, target, forward),
+                     backward=pull_map(target, ctx, backward))
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +770,7 @@ def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
 
     if not is_normal(ctx.G, ctx.H):
         raise ValueError("requires H normal in G")
-    Q, proj = quotient_group(ctx.G, ctx.H)
-    section = [None] * Q.order
-    for g in range(ctx.G.order):
-        q = proj[g]
-        if section[q] is None or g < section[q]:
-            section[q] = g
+    Q, proj, section = _quotient_with_section(ctx.G, ctx.H)
     AH = InvariantSubalgebra(ctx.A, ctx.H.generators(), ctx.action)
     actQ = AH.induced_action(Q, section)
     sga = SkewGroupAlgebra(AH, Q, actQ)

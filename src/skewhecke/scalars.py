@@ -174,8 +174,3 @@ def field_make(spec):
     if s.startswith("gf(") and s.endswith(")"):
         return PrimeField(int(s[3:-1]))
     raise ValueError(f"unknown field descriptor {spec!r}")
-
-
-def scalar_inverse(x, field):
-    """Inverse of x in the field; raises NotAUnitError for non-units."""
-    return field.inv(x)

@@ -141,12 +141,6 @@ class SkewGroupElement:
         return f"<{self}>"
 
 
-def skew_multiply(x: SkewGroupElement, y: SkewGroupElement) -> SkewGroupElement:
-    if x.parent is not y.parent:
-        raise ValueError("elements live in different skew group algebras")
-    return x * y
-
-
 def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
     """e_H = (1/|H|) sum_h 1_A . h; requires |H| a unit in the field."""
     f = sga.field

@@ -173,6 +173,14 @@ def test_verify_deterministic(capsys, cfg_file):
     assert "seed = 3" in out1
 
 
+def test_verify_all_graded_degree_cap_zero(capsys, cfg_file):
+    path = cfg_file(POLY.replace("degree_cap = 2", "degree_cap = 0"))
+    code, out = run_cli(capsys, "verify", "all", "--config", path, "--seed", "0")
+    assert code == 0
+    assert "FAIL" not in out
+    assert "failed = 0" in out
+
+
 def test_verify_stone_runs_on_function_config(capsys, cfg_file):
     code, out = run_cli(capsys, "verify", "stone", "--config", cfg_file(STONE))
     assert code == 0
@@ -210,10 +218,40 @@ def test_flags_accepted_before_subcommand(capsys, cfg_file):
     assert "|G| = 6" in out
 
 
-def test_bad_config_exits_2(capsys, cfg_file):
-    code = main(["dims", "--config", cfg_file("group = monster(1)\n")])
-    capsys.readouterr()
+def _config(group, subgroup, algebra, action):
+    return (f"group = {group}\nsubgroup = {subgroup}\n"
+            f"algebra = {algebra}\naction = {action}\n")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("group = monster(1)\n", id="unknown_group"),
+    pytest.param("colour = blue\n", id="unknown_key"),
+    pytest.param(_config("symmetric(3)", "(1 2)", "scalar", "left_translation"),
+                 id="left_translation_on_scalar"),
+    pytest.param(_config("symmetric(3)", "(1 2)", "functions", "permute_variables"),
+                 id="permute_variables_on_functions"),
+    pytest.param(_config("symmetric(3)", "(1 2)", "matrix(2)", "conjugation"),
+                 id="conjugation_on_matrix"),
+    pytest.param(_config("symmetric(3)", "(1 2)", "polynomial(3)", "conjugation"),
+                 id="conjugation_on_polynomial"),
+    pytest.param(_config("cyclic(4)", "g9", "scalar", "trivial"), id="generator_g9"),
+    pytest.param(_config("symmetric(3)", "(1 4)", "scalar", "trivial"),
+                 id="cycle_point_out_of_range"),
+    pytest.param(_config("cyclic(0)", "trivial", "scalar", "trivial"), id="cyclic_0"),
+    pytest.param(_config("cyclic(-2)", "trivial", "scalar", "trivial"), id="cyclic_negative"),
+])
+def test_bad_config_exits_2(capsys, cfg_file, text):
+    code = main(["dims", "--config", cfg_file(text)])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    code = main(["dims", "--config", str(tmp_path / "missing.cfg")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bad_literal_exits_2(capsys, cfg_file):
