@@ -12,9 +12,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from . import linalg
+from .groups import full_subgroup
 from .scalars import NotAUnitError
+
+
+def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
+    """out += c * coeffs in place (c None means 1), dropping entries that cancel."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    for l, x in coeffs.items():
+        if c is not None:
+            x = mul(c, x)
+        if l in out:
+            x = add(out[l], x)
+        if is_zero(x):
+            out.pop(l, None)
+        else:
+            out[l] = x
+    return out
 
 
 class BasedAlgebra:
@@ -22,6 +39,9 @@ class BasedAlgebra:
 
     graded = False
     commutative = False
+    # (left_key, right_key): the basis product l1 * l2 can be nonzero only if
+    # left_key(l1) == right_key(l2).  None means any pair may multiply.
+    product_keys = None
 
     def __init__(self, field):
         self.field = field
@@ -117,14 +137,7 @@ class AlgebraElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        f = self.alg.field
-        out = dict(self.coeffs)
-        for l, c in other.coeffs.items():
-            s = f.add(out.get(l, f.zero), c)
-            if f.is_zero(s):
-                out.pop(l, None)
-            else:
-                out[l] = s
+        out = add_into(self.alg.field, dict(self.coeffs), other.coeffs)
         return AlgebraElement(self.alg, out)
 
     def __sub__(self, other):
@@ -141,20 +154,24 @@ class AlgebraElement:
         return AlgebraElement(self.alg, {l: f.mul(c, x) for l, x in self.coeffs.items()})
 
     def __mul__(self, other):
+        """Sum of c1 c2 (l1 * l2), visiting only the pairs product_keys allows."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        f = self.alg.field
+        alg = self.alg
+        f = alg.field
+        right = list(other.coeffs.items())
+        keys = alg.product_keys
+        if keys is not None:
+            left_key, right_key = keys
+            buckets: dict = {}
+            for l2, c2 in right:
+                buckets.setdefault(right_key(l2), []).append((l2, c2))
         out: dict = {}
         for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                c12 = f.mul(c1, c2)
-                for l3, c3 in self.alg.product_cached(l1, l2).items():
-                    s = f.add(out.get(l3, f.zero), f.mul(c12, c3))
-                    if f.is_zero(s):
-                        out.pop(l3, None)
-                    else:
-                        out[l3] = s
-        return AlgebraElement(self.alg, out)
+            partners = right if keys is None else buckets.get(left_key(l1), ())
+            for l2, c2 in partners:
+                add_into(f, out, alg.product_cached(l1, l2), f.mul(c1, c2))
+        return AlgebraElement(alg, out)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
@@ -238,6 +255,7 @@ class FunctionAlgebra(BasedAlgebra):
     """R^G: indicator functions delta_g under the pointwise product."""
 
     commutative = True
+    product_keys = (lambda l: l, lambda l: l)
 
     def __init__(self, field, G):
         super().__init__(field)
@@ -339,6 +357,8 @@ class PolynomialAlgebra(BasedAlgebra):
 class MatrixAlgebra(BasedAlgebra):
     """M_n(R) on matrix units E[i,j] (labels are 0-indexed (i, j) pairs)."""
 
+    product_keys = (itemgetter(1), itemgetter(0))
+
     def __init__(self, field, n):
         super().__init__(field)
         if n < 1:
@@ -436,6 +456,8 @@ class OppositeAlgebra(BasedAlgebra):
         self.A = A
         self.graded = A.graded
         self.commutative = A.commutative
+        if A.product_keys is not None:
+            self.product_keys = A.product_keys[::-1]
 
     def labels(self):
         return self.A.labels()
@@ -567,42 +589,61 @@ class GroupAction:
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
         if g == 0:
             return x
-        out = self.A.zero()
+        f = self.A.field
+        out: dict = {}
         for l, c in x.coeffs.items():
-            out = out + self.on_label(g, l).scale(c)
-        return out
+            add_into(f, out, self.on_label(g, l).coeffs, c)
+        return AlgebraElement(self.A, out)
 
     def verify(self, degree_cap=None) -> ActionReport:
+        """Check that alpha is an action by unital, degree-preserving algebra maps.
+
+        Only generators s of G are checked, against every k in G: alpha_e = id
+        on labels, alpha_s alpha_k = alpha_{sk}, alpha_s(1) = 1, alpha_s
+        multiplicative on label pairs and degree-preserving.  That suffices: by
+        induction on a word g = s_1 ... s_m, alpha_g = alpha_{s_1} ... alpha_{s_m}
+        (composition law with k = s_2 ... s_m, down to alpha_e = id), so every
+        alpha_g is a composite of multiplicative, unital, degree-preserving
+        maps, and alpha_g alpha_k = alpha_{gk} follows the same way.  In a
+        graded algebra the labels up to ``degree_cap`` are checked, and the
+        identity and composition checks also cover the labels of their pairwise
+        products, the degrees that multiplicativity of a composite passes
+        through.  Witnesses name the generator s.
+        """
         A, G = self.A, self.G
         labels = A.labels_up_to(degree_cap)
+        gens = full_subgroup(G).generators()
+        checked = labels
+        if A.graded:
+            products = [l for l1 in labels for l2 in labels for l in A.product_cached(l1, l2)]
+            checked = list(dict.fromkeys(labels + products))
         failures = []
-        for l in labels:
+        for l in checked:
             if self.on_label(0, l) != A.basis_element(l):
                 failures.append(("identity", l))
-        for g in range(G.order):
+        for s in gens:
             for k in range(G.order):
-                gk = G.mul(g, k)
-                for l in labels:
-                    if self.apply(g, self.on_label(k, l)) != self.on_label(gk, l):
-                        failures.append(("composition", (g, k, l)))
+                sk = G.mul(s, k)
+                for l in checked:
+                    if self.apply(s, self.on_label(k, l)) != self.on_label(sk, l):
+                        failures.append(("composition", (s, k, l)))
                         break
         one = A.one()
-        for g in range(G.order):
-            if self.apply(g, one) != one:
-                failures.append(("unit", g))
+        for s in gens:
+            if self.apply(s, one) != one:
+                failures.append(("unit", s))
             for l1 in labels:
                 for l2 in labels:
-                    lhs = self.apply(g, A.basis_element(l1) * A.basis_element(l2))
-                    rhs = self.on_label(g, l1) * self.on_label(g, l2)
+                    lhs = self.apply(s, A.basis_element(l1) * A.basis_element(l2))
+                    rhs = self.on_label(s, l1) * self.on_label(s, l2)
                     if lhs != rhs:
-                        failures.append(("multiplicativity", (g, l1, l2)))
+                        failures.append(("multiplicativity", (s, l1, l2)))
                         break
-        if A.graded:
-            for g in range(G.order):
+            if A.graded:
                 for l in labels:
-                    img = self.on_label(g, l)
+                    img = self.on_label(s, l)
                     if not img.is_zero and img.homogeneous_degree() != A.degree(l):
-                        failures.append(("degree", (g, l)))
+                        failures.append(("degree", (s, l)))
         self.verified = not failures
         return ActionReport(ok=not failures, failures=failures)
 
@@ -829,10 +870,10 @@ class InvariantSubalgebra(BasedAlgebra):
         return self._finite_basis[label]
 
     def include(self, x: AlgebraElement) -> AlgebraElement:
-        out = self.A.zero()
+        out: dict = {}
         for l, c in x.coeffs.items():
-            out = out + self.include_label(l).scale(c)
-        return out
+            add_into(self.field, out, self.include_label(l).coeffs, c)
+        return AlgebraElement(self.A, out)
 
     def express(self, a: AlgebraElement):
         """Express an invariant element of A in this basis; None if not invariant."""

@@ -341,6 +341,7 @@ class SuiteRun:
         self.write = write
         self.failed = 0
         self.executed = 0
+        self.unavailable = 0
 
     def record(self, name, ok, detail=""):
         self.executed += 1
@@ -350,7 +351,10 @@ class SuiteRun:
         suffix = f" ({detail})" if detail else ""
         self.write(f"{name}: {status}{suffix}")
 
-    def skip(self, name, reason):
+    def skip(self, name, reason, unavailable=False):
+        """unavailable: the suite applies to this config, but its model cannot
+        be built."""
+        self.unavailable += unavailable
         self.write(f"{name}: SKIP ({reason})")
 
 
@@ -434,7 +438,7 @@ def suite_corner(run: SuiteRun, ctx, rng):
     try:
         e = hecke_idempotent(sga, ctx.H)
     except NotAUnitError as exc:
-        run.skip("corner", f"unavailable: {exc}")
+        run.skip("corner", f"unavailable: {exc}", unavailable=True)
         return
     run.record("corner.idempotent", e * e == e)
     xs = _random_elements(ctx, rng, 5)
@@ -712,6 +716,11 @@ def cmd_verify(built: BuiltContext, suite: str, seed: int, write):
         rng = random.Random(seed)
         SUITES[name](run, ctx, rng)
     write(f"checks executed = {run.executed}, failed = {run.failed}")
+    # a suite that does not apply passes vacuously; one whose model could not
+    # be built has checked nothing and must not read as a pass
+    if run.executed == 0 and run.unavailable:
+        print("error: no verification check executed", file=sys.stderr)
+        return 2
     return 0 if run.failed == 0 else 1
 
 

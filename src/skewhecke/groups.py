@@ -11,9 +11,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+# Largest group order built from a name: the multiplication table has
+# order**2 entries (S6 = 720 fits; S7 would need 2.5e7 entries).
+MAX_GROUP_ORDER = 1000
+
 
 class GroupAxiomError(ValueError):
     """A purported multiplication table fails the group axioms."""
+
+
+def _check_order(spec: str, order: int):
+    """Refuse a group before its order**2-entry table is allocated."""
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"{spec} has order over {MAX_GROUP_ORDER}; larger tables are not built"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +155,10 @@ class FiniteGroup:
             return self.names.index(name)
         if self.perms is not None:
             p = parse_cycles(name, len(self.perms[0]))
+            if p not in self.perms:
+                raise ValueError(
+                    f"element {name!r} is not in this group of order {self.order}"
+                )
             return self.perms.index(p)
         if name.startswith("g") and name[1:].isdigit() and int(name[1:]) < self.order:
             return int(name[1:])
@@ -157,6 +173,12 @@ class FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on n points; identity first, remaining permutations in lex order."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > MAX_GROUP_ORDER:
+            break
+    _check_order(f"symmetric({n})", order)
     perms = sorted(itertools.permutations(range(n)))
     # lex order already puts the identity first
     index = {p: i for i, p in enumerate(perms)}
@@ -168,6 +190,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n >= 1 required")
+    _check_order(f"cyclic({n})", n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["id"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     return FiniteGroup(table, names=names, check=False)
@@ -177,6 +200,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n as permutations of n vertices."""
     if n < 1:
         raise ValueError("n >= 1 required")
+    _check_order(f"dihedral({n})", 2 * n)
     if n <= 2:
         # degenerate cases where the vertex permutation action is unfaithful
         if n == 1:

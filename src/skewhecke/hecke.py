@@ -13,6 +13,7 @@ from .algebras import (
     AlgebraElement,
     BasedAlgebra,
     GroupAction,
+    add_into,
     scalar_algebra,
     trivial_action,
 )
@@ -107,7 +108,11 @@ class HeckeContext:
                 )
             c = solver.coordinates(v.to_vector(labels))
             if c is None:
-                raise StabilizerInvarianceError(oi, "?")
+                # raises, naming the stabilizer generator that moves v
+                self.validate_value(oi, v)
+                raise ArithmeticError(
+                    f"fixed value at orbit {oi} outside its basis (bug)"
+                )
             coords.extend(c)
         return coords
 
@@ -169,12 +174,13 @@ class HeckeContext:
         degrees = [degree] if degree is not None else self.A.degrees(self.degree_cap)
         vals = {}
         for oi in range(len(self.orbits)):
-            v = self.A.zero()
+            v: dict = {}
             for d in degrees:
                 for b in self.orbit_invariant_basis(oi, d):
-                    v = v + b.scale(self.field.from_int(rng.randint(lo, hi)))
-            if not v.is_zero:
-                vals[oi] = v
+                    c = self.field.from_int(rng.randint(lo, hi))
+                    add_into(self.field, v, b.coeffs, c)
+            if v:
+                vals[oi] = AlgebraElement(self.A, v)
         return HeckeElement(self, vals)
 
     def __repr__(self):
@@ -258,7 +264,7 @@ class HeckeElement:
         vals = {}
         for oi, orbit in enumerate(ctx.orbits):
             g = cs.reps[orbit.rep_coset]
-            total = ctx.A.zero()
+            total: dict = {}
             for ci in range(cs.n):
                 a = phi_exp[ci]
                 if a.is_zero:
@@ -268,11 +274,12 @@ class HeckeElement:
                 b = psi_exp[target]
                 if b.is_zero:
                     continue
-                total = total + a * ctx.action.apply(k, b)
-            if not total.is_zero:
+                add_into(ctx.field, total, (a * ctx.action.apply(k, b)).coeffs)
+            if total:
+                value = AlgebraElement(ctx.A, total)
                 if validate:
-                    ctx.validate_value(oi, total)
-                vals[oi] = total
+                    ctx.validate_value(oi, value)
+                vals[oi] = value
         return HeckeElement(ctx, vals)
 
     def __mul__(self, other):

@@ -154,8 +154,8 @@ class CoordinateSolver:
         if n is None:
             n = len(self.vectors[0]) if self.vectors else 0
         self.n = n
-        # rref of [B^T-as-columns | I] laid out as rows of the augmented
-        # (n x (m+n)) matrix [B | I]; then T @ B = R with R in rref.
+        # rref of the augmented (n x (m+n)) matrix [B | I], B with columns
+        # b_1..b_m; then T @ B = R with R in rref, T the right-hand block.
         aug = []
         for i in range(n):
             row = [self.vectors[j][i] for j in range(self.m)]
@@ -165,28 +165,28 @@ class CoordinateSolver:
         self.pivots = [p for p in pivots if p < self.m]
         if len(self.pivots) != self.m:
             raise ValueError("spanning vectors are linearly dependent")
-        self.transform = [row[self.m :] for row in red]
-        self.reduced = [row[: self.m] for row in red]
+        # column j of T as its nonzero (row, entry) pairs
+        self.columns = [
+            [(i, row[self.m + j]) for i, row in enumerate(red)
+             if not field.is_zero(row[self.m + j])]
+            for j in range(n)
+        ]
 
     def coordinates(self, v):
+        """w = T v over the nonzero entries of v: rows of T below the pivot rows
+        must give 0 (else v is outside the span), pivot rows give coordinates."""
         f = self.field
-        w = [
-            self._dot(self.transform[i], v) for i in range(len(self.transform))
-        ]
+        w: dict = {}
+        for j, x in enumerate(v):
+            if f.is_zero(x):
+                continue
+            for i, t in self.columns[j]:
+                w[i] = f.add(w[i], f.mul(t, x)) if i in w else f.mul(t, x)
+        npiv = len(self.pivots)
         coords = [f.zero] * self.m
-        for i, pc in enumerate(self.pivots):
-            coords[pc] = w[i]
-        # consistency: rows beyond the pivot rows must vanish
-        for i in range(len(self.pivots), len(w)):
-            if not f.is_zero(w[i]):
+        for i, x in w.items():
+            if i < npiv:
+                coords[self.pivots[i]] = x
+            elif not f.is_zero(x):
                 return None
-        # also rows whose reduced part is zero but transform part may hit v
         return coords
-
-    def _dot(self, row, v):
-        f = self.field
-        acc = f.zero
-        for a, b in zip(row, v):
-            if not (f.is_zero(a) or f.is_zero(b)):
-                acc = f.add(acc, f.mul(a, b))
-        return acc

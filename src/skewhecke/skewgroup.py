@@ -7,7 +7,7 @@ twisted product (a.g)(b.k) = a (alpha_g b) . (gk).
 from __future__ import annotations
 
 from . import linalg
-from .algebras import AlgebraElement, BasedAlgebra, GroupAction
+from .algebras import AlgebraElement, BasedAlgebra, GroupAction, add_into
 from .scalars import NotAUnitError
 
 
@@ -42,11 +42,16 @@ class SkewGroupAlgebra:
     def dim(self):
         return self.A.dim * self.G.order
 
+    def components(self, x: "SkewGroupElement") -> dict:
+        """x as {g: its A-coefficient}; group elements absent from x are omitted."""
+        out: dict = {}
+        for (l, g), c in x.coeffs.items():
+            out.setdefault(g, {})[l] = c
+        return {g: AlgebraElement(self.A, coeffs) for g, coeffs in out.items()}
+
     def coefficient_function(self, x: "SkewGroupElement", g: int) -> AlgebraElement:
         """The A-coefficient of the group element g in x."""
-        return self.A.element(
-            {l: c for (l, gg), c in x.coeffs.items() if gg == g}
-        )
+        return self.components(x).get(g, self.A.zero())
 
 
 class SkewGroupElement:
@@ -57,15 +62,9 @@ class SkewGroupElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        f = self.parent.field
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = f.add(out.get(k, f.zero), c)
-            if f.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SkewGroupElement(self.parent, out)
+        return SkewGroupElement(
+            self.parent, add_into(self.parent.field, dict(self.coeffs), other.coeffs)
+        )
 
     def __neg__(self):
         f = self.parent.field
@@ -85,26 +84,20 @@ class SkewGroupElement:
         )
 
     def __mul__(self, other):
+        """(sum_g a_g.g)(sum_k b_k.k) = sum over g, k of (a_g alpha_g(b_k)) . gk."""
         if not isinstance(other, SkewGroupElement) or other.parent is not self.parent:
             return NotImplemented
         p = self.parent
-        f = p.field
-        A, G, act = p.A, p.G, p.action
-        out: dict = {}
-        for (l1, g), c1 in self.coeffs.items():
-            for (l2, k), c2 in other.coeffs.items():
-                gk = G.mul(g, k)
-                c12 = f.mul(c1, c2)
-                twisted = act.on_label(g, l2)
-                for lt, ct in twisted.coeffs.items():
-                    for l3, c3 in A.product_cached(l1, lt).items():
-                        key = (l3, gk)
-                        s = f.add(out.get(key, f.zero), f.mul(c12, f.mul(ct, c3)))
-                        if f.is_zero(s):
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-        return SkewGroupElement(p, out)
+        G, act = p.G, p.action
+        right = p.components(other)
+        by_group: dict = {}
+        for g, a in p.components(self).items():
+            for k, b in right.items():
+                add_into(p.field, by_group.setdefault(G.mul(g, k), {}),
+                         (a * act.apply(g, b)).coeffs)
+        return SkewGroupElement(
+            p, {(l, gk): c for gk, coeffs in by_group.items() for l, c in coeffs.items()}
+        )
 
     def __eq__(self, other):
         return (

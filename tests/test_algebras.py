@@ -22,7 +22,12 @@ from skewhecke.algebras import (
     scalar_algebra,
     trivial_action,
 )
-from skewhecke.groups import subgroup_from_generators, symmetric_group
+from skewhecke.groups import (
+    cyclic_group,
+    full_subgroup,
+    subgroup_from_generators,
+    symmetric_group,
+)
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
 
 Q = Rationals()
@@ -232,3 +237,125 @@ def test_matrix_inverse_two_sided(entries):
     else:
         inv = element_inverse(m)
         assert m * inv == A.one() == inv * m
+
+
+# -- fast paths against plain references ----------------------------------------
+
+
+def reference_mul(x, y):
+    """All-pairs product: every (l1, l2) through product_cached, keys ignored."""
+    A = x.alg
+    f = A.field
+    out = {}
+    for l1, c1 in x.coeffs.items():
+        for l2, c2 in y.coeffs.items():
+            for l3, c3 in A.product_cached(l1, l2).items():
+                s = f.add(out.get(l3, f.zero), f.mul(f.mul(c1, c2), c3))
+                if f.is_zero(s):
+                    out.pop(l3, None)
+                else:
+                    out[l3] = s
+    return A.element(out)
+
+
+def random_algebra_element(A, labels, rng, density=0.6):
+    f = A.field
+    return A.element({
+        l: f.from_int(rng.randint(-3, 3)) for l in labels if rng.random() < density
+    })
+
+
+def keyed_algebras(field):
+    C2 = cyclic_group(2)
+    return {
+        "functions": (FunctionAlgebra(field, S3), None),
+        "matrix": (MatrixAlgebra(field, 3), None),
+        "group": (GroupAlgebra(field, S3), None),
+        "polynomial": (PolynomialAlgebra(field, 2, 4), 2),
+        "tensor": (TensorAlgebra(MatrixAlgebra(field, 2), FunctionAlgebra(field, C2)), None),
+        "opposite_matrix": (OppositeAlgebra(MatrixAlgebra(field, 3)), None),
+    }
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("name", list(keyed_algebras(Q)))
+def test_keyed_product_matches_all_pairs(field, name):
+    A, cap = keyed_algebras(field)[name]
+    labels = A.labels_up_to(cap)
+    if A.product_keys is not None:
+        left_key, right_key = A.product_keys
+        for l1 in labels:
+            for l2 in labels:
+                if A.product_on_basis(l1, l2):
+                    assert left_key(l1) == right_key(l2), (l1, l2)
+    rng = random.Random(11)
+    for _ in range(40):
+        x = random_algebra_element(A, labels, rng, rng.choice([0.2, 0.6, 1.0]))
+        y = random_algebra_element(A, labels, rng, rng.choice([0.2, 0.6, 1.0]))
+        assert x * y == reference_mul(x, y)
+
+
+def test_declared_product_keys():
+    assert FunctionAlgebra(Q, S3).product_keys is not None
+    assert MatrixAlgebra(Q, 2).product_keys is not None
+    assert OppositeAlgebra(MatrixAlgebra(Q, 2)).product_keys is not None
+    assert GroupAlgebra(Q, S3).product_keys is None
+
+
+def reference_apply(act, g, x):
+    out = act.A.zero()
+    for l, c in x.coeffs.items():
+        out = out + act.on_label(g, l).scale(c)
+    return out
+
+
+def test_apply_matches_term_by_term_sum():
+    rng = random.Random(5)
+    poly = PolynomialAlgebra(Q, 3, 4)
+    A_fun = FunctionAlgebra(PrimeField(3), S3)
+    A_grp = GroupAlgebra(Q, S3)
+    cases = [
+        (permutation_variable_action(S3, poly), poly.labels_up_to(3)),
+        (left_translation_action(S3, A_fun), A_fun.labels()),
+        (conjugation_action(S3, A_grp), A_grp.labels()),
+    ]
+    for act, labels in cases:
+        for _ in range(20):
+            x = random_algebra_element(act.A, labels, rng)
+            for g in range(S3.order):
+                assert act.apply(g, x) == reference_apply(act, g, x)
+
+
+# -- generator-only action verification ------------------------------------------
+
+
+def test_corruption_off_the_generators_is_detected():
+    A = GroupAlgebra(Q, S3)
+    gens = full_subgroup(S3).generators()
+    bad_g = next(g for g in range(1, S3.order) if g not in gens)
+
+    def on_label(g, n):
+        # alpha_{bad_g} replaced by the identity, still an automorphism
+        return A.basis_element(n if g == bad_g else S3.conjugate(g, n))
+
+    report = GroupAction(S3, A, on_label).verify()
+    assert not report.ok
+    assert any(check == "composition" for check, _ in report.failures)
+    assert all(w[0] in gens for check, w in report.failures if check == "composition")
+
+
+def test_graded_corruption_above_the_cap_is_detected():
+    A = PolynomialAlgebra(Q, 3, 6)
+    good = permutation_variable_action(S3, A)
+    gens = full_subgroup(S3).generators()
+    bad_g = next(g for g in range(1, S3.order) if g not in gens)
+
+    def on_label(g, label):
+        # only degrees above the cap, reached by products of capped labels
+        if g == bad_g and sum(label) > 2:
+            return A.basis_element(label)
+        return good.on_label(g, label)
+
+    report = GroupAction(S3, A, on_label).verify(degree_cap=2)
+    assert not report.ok
+    assert any(check == "composition" for check, _ in report.failures)

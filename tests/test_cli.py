@@ -239,6 +239,11 @@ def _config(group, subgroup, algebra, action):
                  id="cycle_point_out_of_range"),
     pytest.param(_config("cyclic(0)", "trivial", "scalar", "trivial"), id="cyclic_0"),
     pytest.param(_config("cyclic(-2)", "trivial", "scalar", "trivial"), id="cyclic_negative"),
+    pytest.param(_config("dihedral(4)", "(1 2)", "scalar", "trivial"),
+                 id="element_not_in_group"),
+    pytest.param(_config("symmetric(8)", "trivial", "scalar", "trivial"), id="symmetric_8"),
+    pytest.param(_config("cyclic(1000000000)", "trivial", "scalar", "trivial"),
+                 id="cyclic_1e9"),
 ])
 def test_bad_config_exits_2(capsys, cfg_file, text):
     code = main(["dims", "--config", cfg_file(text)])
@@ -246,6 +251,35 @@ def test_bad_config_exits_2(capsys, cfg_file, text):
     assert code == 2
     assert err.startswith("error:")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_element_not_in_group_is_named(capsys, cfg_file):
+    code = main(["dims", "--config",
+                 cfg_file(_config("dihedral(4)", "(1 2)", "scalar", "trivial"))])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: element '(1 2)' is not in this group of order 8\n")
+
+
+CORNER_GF2 = STONE.replace("rationals", "prime_field(2)")
+
+
+def test_verify_with_no_check_executed_exits_2(capsys, cfg_file):
+    # |H| = 2 is not a unit mod 2, so the corner suite skips everything
+    code = main(["verify", "corner", "--config", cfg_file(CORNER_GF2)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "corner: SKIP" in captured.out
+    assert "checks executed = 0, failed = 0" in captured.out
+    assert captured.err == "error: no verification check executed\n"
+
+
+def test_verify_all_with_skipped_corner_passes(capsys, cfg_file):
+    code = main(["verify", "all", "--config", cfg_file(CORNER_GF2)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "corner: SKIP" in captured.out
+    assert captured.err == ""
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke.groups import (
+    MAX_GROUP_ORDER,
     CosetSpace,
     GroupAxiomError,
     FiniteGroup,
@@ -240,3 +242,26 @@ def test_quotient_requires_normal():
 def test_trivial_and_full():
     assert trivial_subgroup(S3).order == 1
     assert full_subgroup(S3).order == 6
+
+
+@pytest.mark.parametrize("spec", ["symmetric(8)", "cyclic(1000000000)",
+                                  "dihedral(1000000000)", "symmetric(1000000000)"])
+def test_group_order_cap_refuses_before_building(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"order over {MAX_GROUP_ORDER}"):
+            group_make(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no table: S8 alone would need 1.6e9 entries
+
+
+def test_group_order_cap_admits_s6():
+    assert MAX_GROUP_ORDER >= 720
+    assert group_make("symmetric(6)").order == 720
+
+
+def test_element_not_in_permutation_group_is_named():
+    with pytest.raises(ValueError, match=r"'\(1 2\)' is not in this group of order 8"):
+        dihedral_group(4).element_by_name("(1 2)")

@@ -19,6 +19,7 @@ from skewhecke.groups import (
 )
 from skewhecke.hecke import (
     HeckeContext,
+    HeckeElement,
     StabilizerInvarianceError,
     classical_context,
     classical_structure_constants_counting,
@@ -75,6 +76,16 @@ def test_from_values_rejects_non_invariant_value():
     with pytest.raises(StabilizerInvarianceError) as exc:
         ctx.from_values({0: ctx.A.basis_element(0)})
     assert exc.value.orbit == 0
+
+
+def test_module_coordinates_names_the_moving_generator():
+    ctx = function_context()
+    phi = HeckeElement(ctx, {0: ctx.A.basis_element(0)})  # bypasses from_values
+    with pytest.raises(StabilizerInvarianceError) as exc:
+        ctx.module_coordinates(phi)
+    assert exc.value.orbit == 0
+    assert exc.value.witness_h == S3.element_by_name("(1 2)")
+    assert "?" not in str(exc.value)
 
 
 def test_expand_equivariance():

@@ -91,6 +91,58 @@ def test_coordinate_solver_exact():
     assert cs.coordinates([Q.one, Q.zero, Q.zero]) is None
 
 
+def dense_coordinates(field, vectors, n, v):
+    """Reference solve: T from rref([B | I]), then w = T v row by row (dense dots)."""
+    m = len(vectors)
+    aug = [[vectors[j][i] for j in range(m)]
+           + [field.one if k == i else field.zero for k in range(n)] for i in range(n)]
+    red, pivots = linalg.rref(field, aug)
+    pivots = [p for p in pivots if p < m]
+    transform = [row[m:] for row in red]
+    w = []
+    for row in transform:
+        acc = field.zero
+        for a, b in zip(row, v):
+            if not (field.is_zero(a) or field.is_zero(b)):
+                acc = field.add(acc, field.mul(a, b))
+        w.append(acc)
+    if any(not field.is_zero(x) for x in w[len(pivots):]):
+        return None
+    coords = [field.zero] * m
+    for i, pc in enumerate(pivots):
+        coords[pc] = w[i]
+    return coords
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([Q, F7]), st.data())
+def test_sparse_coordinates_match_dense(field, data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(0, n))
+    span = linalg.SpanBasis(field, n)
+    for v in data.draw(small_matrix(field, m, n)):
+        span.insert(v)
+    vectors = span.originals
+    cs = linalg.CoordinateSolver(field, vectors, n=n)
+    inside = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                                max_size=len(vectors)))
+    v_in = [field.zero] * n
+    for c, b in zip(inside, vectors):
+        v_in = [field.add(x, field.mul(field.from_int(c), y)) for x, y in zip(v_in, b)]
+    v_any = data.draw(small_matrix(field, 1, n))[0]
+    for v in (v_in, v_any):
+        assert cs.coordinates(v) == dense_coordinates(field, vectors, n, v)
+    assert cs.coordinates(v_in) == [field.from_int(c) for c in inside]
+    if len(vectors) < n:
+        # some unit vector lies outside a proper subspace
+        units = [[field.one if k == j else field.zero for k in range(n)] for j in range(n)]
+        outside = [u for u in units if not span.contains(u)]
+        assert outside
+        for u in outside:
+            assert cs.coordinates(u) is None
+            assert dense_coordinates(field, vectors, n, u) is None
+
+
 def test_coordinate_solver_rejects_dependent():
     with pytest.raises(ValueError):
         linalg.CoordinateSolver(

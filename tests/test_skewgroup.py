@@ -5,6 +5,8 @@ import pytest
 from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAlgebra,
+    MatrixAlgebra,
+    conjugation_action,
     left_translation_action,
     scalar_algebra,
     trivial_action,
@@ -101,3 +103,45 @@ def test_corner_scalar_coefficients_classical_dimension():
     H = subgroup_from_generators(S3, [S3.element_by_name("(1 2)")])
     e = hecke_idempotent(sga, H)
     assert len(corner_basis(sga, e)) == 2  # one per double coset
+
+
+def reference_skew_mul(x, y):
+    """Definitional product: (a.g)(b.k) = a alpha_g(b) . gk, term by term."""
+    p = x.parent
+    f, G = p.field, p.G
+    out = {}
+    for (l1, g), c1 in x.coeffs.items():
+        for (l2, k), c2 in y.coeffs.items():
+            for lt, ct in p.action.on_label(g, l2).coeffs.items():
+                for l3, c3 in p.A.product_cached(l1, lt).items():
+                    key = (l3, G.mul(g, k))
+                    s = f.add(out.get(key, f.zero), f.mul(f.mul(c1, c2), f.mul(ct, c3)))
+                    if f.is_zero(s):
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+    return p.element(out)
+
+
+def sparse_random_element(sga, rng):
+    f = sga.field
+    return sga.element({
+        pair: f.from_int(rng.randint(-2, 2))
+        for pair in sga.basis_pairs() if rng.random() < 0.3
+    })
+
+
+@pytest.mark.parametrize("family", ["functions", "group_conjugation", "matrix_trivial"])
+def test_grouped_product_matches_definition(family):
+    if family == "functions":
+        sga = make_sga(PrimeField(5))
+    elif family == "group_conjugation":
+        A = GroupAlgebra(Q, S3)
+        sga = SkewGroupAlgebra(A, S3, conjugation_action(S3, A))
+    else:
+        A = MatrixAlgebra(Q, 2)
+        sga = SkewGroupAlgebra(A, S3, trivial_action(S3, A))
+    rng = random.Random(3)
+    for _ in range(30):
+        x, y = sparse_random_element(sga, rng), sparse_random_element(sga, rng)
+        assert x * y == reference_skew_mul(x, y)
