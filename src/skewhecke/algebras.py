@@ -885,17 +885,16 @@ class InvariantSubalgebra(BasedAlgebra):
             for d, coeffs in by_deg.items():
                 basis, labels, solver = self._degree_data(d)
                 vec = [coeffs.get(l, self.field.zero) for l in labels]
-                coords = solver.coordinates(vec)
+                coords = solver.coordinates(enumerate(vec))
                 if coords is None:
                     return None
-                for i, c in enumerate(coords):
-                    if not self.field.is_zero(c):
-                        out[(d, i)] = c
+                for i, c in coords.items():
+                    out[(d, i)] = c
             return AlgebraElement(self, out)
-        coords = self._solver.coordinates(a.to_vector(self._finite_labels))
+        coords = self._solver.coordinates(enumerate(a.to_vector(self._finite_labels)))
         if coords is None:
             return None
-        return self.element({i: c for i, c in enumerate(coords)})
+        return AlgebraElement(self, coords)
 
     # -- algebra structure ---------------------------------------------------
 

@@ -442,10 +442,10 @@ def suite_corner(run: SuiteRun, ctx, rng):
         return
     run.record("corner.idempotent", e * e == e)
     xs = _random_elements(ctx, rng, 5)
+    images = [to_corner(ctx, sga, x) for x in xs]
     run.record("corner.roundtrip",
-               all(from_corner(ctx, sga, to_corner(ctx, sga, x)) == x for x in xs))
-    run.record("corner.image_in_corner",
-               all(e * to_corner(ctx, sga, x) * e == to_corner(ctx, sga, x) for x in xs))
+               all(from_corner(ctx, sga, c) == x for x, c in zip(xs, images)))
+    run.record("corner.image_in_corner", all(e * c * e == c for c in images))
     ok = True
     for _ in range(20):
         x, y = _random_elements(ctx, rng, 2)
@@ -780,6 +780,11 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect of the program, not a failed check (1) or bad input (2)
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
 
     text = "\n".join(lines) + "\n"
     if out_path:

@@ -2,8 +2,8 @@
 
 Elements are indices 0..n-1 with 0 the identity.  Symmetric and dihedral
 groups carry permutation data and cycle-notation names.  Coset spaces record
-left cosets, the H-action on them, and the double-coset orbits together with
-their stabilizers H \\cap gHg^{-1}.
+left cosets, the H-action on them, the double-coset orbits together with
+their stabilizers H \\cap gHg^{-1}, and the product skeleton of convolution.
 """
 
 from __future__ import annotations
@@ -502,6 +502,7 @@ class CosetSpace:
         for oi, dc in enumerate(self.double_cosets):
             for ci in dc.coset_indices:
                 self.orbit_of_coset[ci] = oi
+        self._skeleton = None
 
     def _compute_orbits(self):
         G, H = self.G, self.H
@@ -552,6 +553,28 @@ class CosetSpace:
                 seen[m] = True
         orbits.sort(key=lambda dc: self.reps[dc.rep_coset])
         return orbits
+
+    def product_skeleton(self):
+        """Convolution as group data, built on first use: (oi, oj) -> [(o, [(h, m)])].
+
+        For g the representative of target orbit o, each coset kH of orbit oi
+        with k^{-1}gH in orbit oj gives h, the oi-transversal element at kH,
+        and m = k t, t the oj-transversal element at k^{-1}gH.  Values v at oi
+        and w at oj then convolve to sum alpha_h(v) alpha_m(w) at gH.
+        """
+        if self._skeleton is None:
+            G, orbits = self.G, self.double_cosets
+            by_pair: dict = {}
+            for o, target in enumerate(orbits):
+                for ci in range(self.n):
+                    k = self.reps[ci]
+                    cj = self.coset_of[G.mul(G.inverse(k), target.rep_element)]
+                    oi, oj = self.orbit_of_coset[ci], self.orbit_of_coset[cj]
+                    m = G.mul(k, orbits[oj].transversal[cj])
+                    terms = by_pair.setdefault((oi, oj), {}).setdefault(o, [])
+                    terms.append((orbits[oi].transversal[ci], m))
+            self._skeleton = {key: list(by_o.items()) for key, by_o in by_pair.items()}
+        return self._skeleton
 
     def __repr__(self):
         return (

@@ -3,7 +3,10 @@
 Elements are stored in the double-coset normal form: one value per H-orbit of
 left cosets, each value fixed by the orbit's stabilizer H \\cap gHg^{-1}.  The
 full coset assignment is recovered on demand via the H-transversal of each
-orbit, and the convolution is evaluated over left-coset representatives.
+orbit.  Which coset pairs (kH, k^{-1}gH) meet at each target orbit depends
+on (G, H) alone: the coset space records it once as a product skeleton, and a
+convolution visits only its entries for pairs of nonzero orbit values.  Module
+coordinates are solved only on the orbits an element is carried by.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class HeckeContext:
             solver = linalg.CoordinateSolver(
                 self.field, [v.to_vector(labels) for v in basis], n=len(labels)
             )
-            data = (basis, labels, solver)
+            data = (basis, {l: j for j, l in enumerate(labels)}, solver)
             self._orbit_cache[key] = data
         return data
 
@@ -98,23 +101,33 @@ class HeckeContext:
 
     def module_coordinates(self, phi: "HeckeElement", degree=None):
         """Coordinates of phi in the module basis (same order); exact."""
-        coords = []
-        for oi in range(len(self.orbits)):
-            basis, labels, solver = self._orbit_data(oi, degree)
-            v = phi.values.get(oi, self.A.zero())
-            if degree is not None:
-                v = self.A.element(
-                    {l: c for l, c in v.coeffs.items() if self.A.degree(l) == degree}
-                )
-            c = solver.coordinates(v.to_vector(labels))
-            if c is None:
-                # raises, naming the stabilizer generator that moves v
-                self.validate_value(oi, v)
-                raise ArithmeticError(
-                    f"fixed value at orbit {oi} outside its basis (bug)"
-                )
-            coords.extend(c)
+        coords = [self.field.zero] * self.dimension(degree)
+        for t, c in self.module_coordinate_terms(phi, degree):
+            coords[t] = c
         return coords
+
+    def module_coordinate_terms(self, phi: "HeckeElement", degree=None):
+        """Nonzero coordinates of phi as (position in module_basis(degree), c)
+        pairs, increasing; only the orbits phi is carried by are solved."""
+        terms = []
+        offset = 0
+        for oi in range(len(self.orbits)):
+            basis, index, solver = self._orbit_data(oi, degree)
+            v = phi.values.get(oi)
+            if v is not None:
+                c = solver.coordinates(
+                    (index[l], x) for l, x in v.coeffs.items() if l in index
+                )
+                if c is None:
+                    # raises, naming the stabilizer generator that moves v
+                    self.validate_value(oi, self.A.element(
+                        {l: x for l, x in v.coeffs.items() if l in index}))
+                    raise ArithmeticError(
+                        f"fixed value at orbit {oi} outside its basis (bug)"
+                    )
+                terms.extend((offset + t, x) for t, x in c.items())
+            offset += len(basis)
+        return terms
 
     # -- element constructors -------------------------------------------------
 
@@ -251,35 +264,34 @@ class HeckeElement:
                     out[ci] = ctx.action.apply(h, v)
         return out
 
-    def convolve(self, other: "HeckeElement", reps=None, validate=True) -> "HeckeElement":
-        """(phi * psi)(gH) = sum over coset reps kH of phi(kH) alpha_k psi(k^-1 gH)."""
+    def convolve(self, other: "HeckeElement") -> "HeckeElement":
+        """(phi * psi)(gH) = sum over cosets kH of phi(kH) alpha_k psi(k^-1 gH).
+
+        Values v of phi at orbit oi and w of psi at orbit oj add
+        sum alpha_h(v) alpha_m(w) at each target orbit that the coset space's
+        product skeleton lists for (oi, oj); each alpha_h(v) is formed once per
+        call, and every output value is checked against its orbit stabilizer.
+        """
         self._check(other)
         ctx = self.ctx
-        G = ctx.G
-        cs = ctx.cosets
-        if reps is None:
-            reps = cs.reps
-        phi_exp = self.expand()
-        psi_exp = other.expand()
+        skeleton = ctx.cosets.product_skeleton()
+        apply = ctx.action.apply
+        totals: dict = {}
+        for oi, v in self.values.items():
+            left = {}  # h -> alpha_h(v)
+            for oj, w in other.values.items():
+                for o, terms in skeleton.get((oi, oj), ()):
+                    total = totals.setdefault(o, {})
+                    for h, m in terms:
+                        if h not in left:
+                            left[h] = apply(h, v)
+                        add_into(ctx.field, total, (left[h] * apply(m, w)).coeffs)
         vals = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            g = cs.reps[orbit.rep_coset]
-            total: dict = {}
-            for ci in range(cs.n):
-                a = phi_exp[ci]
-                if a.is_zero:
-                    continue
-                k = reps[ci]
-                target = cs.coset_of[G.mul(G.inverse(k), g)]
-                b = psi_exp[target]
-                if b.is_zero:
-                    continue
-                add_into(ctx.field, total, (a * ctx.action.apply(k, b)).coeffs)
-            if total:
-                value = AlgebraElement(ctx.A, total)
-                if validate:
-                    ctx.validate_value(oi, value)
-                vals[oi] = value
+        for o in sorted(totals):
+            if totals[o]:
+                value = AlgebraElement(ctx.A, totals[o])
+                ctx.validate_value(o, value)
+                vals[o] = value
         return HeckeElement(ctx, vals)
 
     def __mul__(self, other):
@@ -369,16 +381,16 @@ def structure_constants(ctx: HeckeContext, degree_cap=None):
     for d in ctx.A.degrees(degree_cap):
         start_of[d] = len(basis)
         basis.extend((oi, v, d or 0) for oi, v in ctx.module_basis(d))
+    elements = [HeckeElement(ctx, {oi: v}) for oi, v, _ in basis]
     rows = []
-    for i, (oi, vi, di) in enumerate(basis):
-        for j, (oj, vj, dj) in enumerate(basis):
-            prod = HeckeElement(ctx, {oi: vi}).convolve(HeckeElement(ctx, {oj: vj}))
+    for i, (_, _, di) in enumerate(basis):
+        for j, (_, _, dj) in enumerate(basis):
+            prod = elements[i].convolve(elements[j])
             dk = di + dj if ctx.graded else None
             start = start_of.get(dk)
-            for t, c in enumerate(ctx.module_coordinates(prod, degree=dk)):
-                if not ctx.field.is_zero(c):
-                    k = ("deg", dk, t) if start is None else start + t
-                    rows.append((i, j, k, c))
+            for t, c in ctx.module_coordinate_terms(prod, degree=dk):
+                k = ("deg", dk, t) if start is None else start + t
+                rows.append((i, j, k, c))
     return basis, rows
 
 
@@ -394,10 +406,7 @@ def hecke_as_based_algebra(ctx: HeckeContext):
     products: dict = {}
     for i, j, k, c in rows:
         products.setdefault((i, j), {})[k] = c
-    unit_coords = ctx.module_coordinates(ctx.identity())
-    one = {
-        k: c for k, c in enumerate(unit_coords) if not ctx.field.is_zero(c)
-    }
+    one = dict(ctx.module_coordinate_terms(ctx.identity()))
     names = []
     for oi, v, _ in basis:
         rep = ctx.cosets.reps[ctx.orbits[oi].rep_coset]
@@ -412,7 +421,6 @@ def hecke_as_based_algebra(ctx: HeckeContext):
         return out
 
     def from_hecke(phi):
-        coords = ctx.module_coordinates(phi)
-        return B.element({i: c for i, c in enumerate(coords)})
+        return B.element(dict(ctx.module_coordinate_terms(phi)))
 
     return B, to_hecke, from_hecke

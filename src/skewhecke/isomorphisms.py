@@ -387,12 +387,12 @@ class StoneModel:
     def preimage(self, m) -> HeckeElement:
         self._ensure_solver()
         labels = self.matrices.labels()
-        coords = self._solver.coordinates(m.to_vector(labels))
+        coords = self._solver.coordinates(enumerate(m.to_vector(labels)))
         if coords is None:
             raise ValueError("matrix is not in the image (bug: map is onto)")
         out = self.ctx.zero()
-        for b, c in zip(self._basis, coords):
-            out = out + b.scale(c)
+        for i, c in coords.items():
+            out = out + self._basis[i].scale(c)
         return out
 
 

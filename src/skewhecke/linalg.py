@@ -143,8 +143,9 @@ class SpanBasis:
 class CoordinateSolver:
     """Expresses vectors in a fixed independent spanning set.
 
-    Given independent vectors b_1..b_m in F^n, ``coordinates(v)`` returns c
-    with v = sum c_i b_i, or None if v is outside the span.
+    Given independent vectors b_1..b_m in F^n, ``coordinates(terms)`` returns
+    the nonzero c_i of v = sum c_i b_i as {i: c_i} (increasing i), or None if v
+    is outside the span; v is given by its nonzero (column, entry) pairs.
     """
 
     def __init__(self, field, vectors, n=None):
@@ -172,21 +173,23 @@ class CoordinateSolver:
             for j in range(n)
         ]
 
-    def coordinates(self, v):
-        """w = T v over the nonzero entries of v: rows of T below the pivot rows
-        must give 0 (else v is outside the span), pivot rows give coordinates."""
+    def coordinates(self, terms):
+        """w = T v over the (j, v_j) pairs of ``terms`` (zeros skipped; pass a
+        dense v as enumerate(v)): rows of T below the pivot rows must give 0
+        (else v is outside the span), pivot rows give coordinates."""
         f = self.field
         w: dict = {}
-        for j, x in enumerate(v):
+        for j, x in terms:
             if f.is_zero(x):
                 continue
             for i, t in self.columns[j]:
                 w[i] = f.add(w[i], f.mul(t, x)) if i in w else f.mul(t, x)
         npiv = len(self.pivots)
-        coords = [f.zero] * self.m
-        for i, x in w.items():
-            if i < npiv:
-                coords[self.pivots[i]] = x
-            elif not f.is_zero(x):
+        coords = {}
+        for i, x in sorted(w.items()):
+            if f.is_zero(x):
+                continue
+            if i >= npiv:
                 return None
+            coords[self.pivots[i]] = x
         return coords

@@ -294,3 +294,17 @@ def test_bad_literal_exits_2(capsys, cfg_file):
     )
     capsys.readouterr()
     assert code == 2
+
+
+def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
+    # a defect (not bad input, not a failed check) gets its own exit status
+    def broken(ctx, degree_cap=None):
+        raise ArithmeticError("fixed value outside its basis\n(bug)")
+
+    monkeypatch.setattr("skewhecke.cli.structure_constants", broken)
+    code = main(["sc", "--config", cfg_file(CLASSICAL)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: ArithmeticError: fixed value outside its basis (bug)\n")

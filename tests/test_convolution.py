@@ -1,0 +1,216 @@
+"""Differential tests of the skeleton convolution against its definition.
+
+``HeckeElement.convolve`` reads the product skeleton of the coset space; the
+reference loop in ``reference_convolution`` expands both factors and walks
+every coset.  They must agree for any choice of coset representatives, and
+so must every product rebuilt from ``structure_constants`` rows.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewhecke.algebras import (
+    FunctionAlgebra,
+    GroupAlgebra,
+    MatrixAlgebra,
+    PolynomialAlgebra,
+    conjugation_action,
+    left_translation_action,
+    permutation_variable_action,
+    trivial_action,
+)
+from skewhecke.groups import (
+    CosetSpace,
+    cyclic_group,
+    dihedral_group,
+    full_subgroup,
+    subgroup_from_generators,
+    symmetric_group,
+    trivial_subgroup,
+)
+from skewhecke.hecke import (
+    HeckeContext,
+    HeckeElement,
+    classical_context,
+    classical_structure_constants_counting,
+    structure_constants,
+)
+from skewhecke.isomorphisms import to_matrix
+from skewhecke.scalars import PrimeField, Rationals
+
+from reference_convolution import alternative_reps, reference_convolve
+
+Q = Rationals()
+F3 = PrimeField(3)
+F5 = PrimeField(5)
+S3 = symmetric_group(3)
+S4 = symmetric_group(4)
+D4 = dihedral_group(4)
+
+
+def gens(G, *names):
+    return subgroup_from_generators(G, [G.element_by_name(n) for n in names])
+
+
+def functions(field, G, H):
+    A = FunctionAlgebra(field, G)
+    return HeckeContext(G, H, A, left_translation_action(G, A))
+
+
+def conjugation(field, G, H):
+    A = GroupAlgebra(field, G)
+    return HeckeContext(G, H, A, conjugation_action(G, A))
+
+
+def polynomial(field, G, H, cap):
+    A = PolynomialAlgebra(field, len(G.perms[0]), 2 * cap)
+    return HeckeContext(G, H, A, permutation_variable_action(G, A), degree_cap=cap)
+
+
+def matrix_trivial(field, G, H, n=2):
+    A = MatrixAlgebra(field, n)
+    return HeckeContext(G, H, A, trivial_action(G, A))
+
+
+CASES = {
+    "functions_q": lambda: functions(Q, S3, gens(S3, "(1 2)")),
+    "functions_gf5": lambda: functions(F5, S3, gens(S3, "(1 2)")),
+    "group_conjugation": lambda: conjugation(Q, S3, gens(S3, "(1 2)")),
+    "polynomial_graded": lambda: polynomial(Q, S3, gens(S3, "(1 2)"), 2),
+    "matrix_trivial": lambda: matrix_trivial(Q, S3, gens(S3, "(1 2)")),
+    "h_trivial": lambda: functions(Q, S3, trivial_subgroup(S3)),
+    "h_full": lambda: conjugation(Q, S3, full_subgroup(S3)),
+    "h_normal": lambda: functions(Q, S3, gens(S3, "(1 2 3)")),
+    "dihedral4_gf3": lambda: conjugation(F3, D4, gens(D4, "(1 3)")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def case(name):
+    return CASES[name]()
+
+
+def random_pairs(ctx, seed, count):
+    rng = random.Random(seed)
+    return [(ctx.random_element(rng), ctx.random_element(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_convolve_matches_reference(name):
+    ctx = case(name)
+    cs = ctx.cosets
+    alt = alternative_reps(cs)
+    assert (alt != list(cs.reps)) == (ctx.H.order > 1)
+    pairs = random_pairs(ctx, 11, 6)
+    pairs += [(ctx.zero(), pairs[0][1]), (ctx.identity(), pairs[0][1]),
+              (pairs[0][0], ctx.identity())]
+    for x, y in pairs:
+        product = x.convolve(y)
+        assert product == reference_convolve(x, y, cs.reps)
+        assert product == reference_convolve(x, y, alt)
+
+
+def _element_of_key(ctx, basis):
+    """Module-basis element for each row key k of structure_constants."""
+
+    def element(k):
+        if isinstance(k, tuple):  # ("deg", d, t): a degree past the basis
+            _, d, t = k
+            oi, v = ctx.module_basis(d)[t]
+        else:
+            oi, v, _ = basis[k]
+        return HeckeElement(ctx, {oi: v})
+
+    return element
+
+
+@pytest.mark.parametrize("name", ["functions_q", "functions_gf5", "group_conjugation",
+                                  "polynomial_graded", "matrix_trivial", "h_normal",
+                                  "dihedral4_gf3"])
+def test_structure_constant_rows_rebuild_products(name):
+    ctx = case(name)
+    basis, rows = structure_constants(ctx)
+    element = _element_of_key(ctx, basis)
+    rebuilt = {}
+    for i, j, k, c in rows:
+        term = element(k).scale(c)
+        rebuilt[(i, j)] = rebuilt[(i, j)] + term if (i, j) in rebuilt else term
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            expected = reference_convolve(element(i), element(j), ctx.cosets.reps)
+            assert rebuilt.get((i, j), ctx.zero()) == expected, (i, j)
+
+
+@pytest.mark.parametrize("G, H", [
+    (S3, gens(S3, "(1 2)")),
+    (S3, trivial_subgroup(S3)),
+    (S3, gens(S3, "(1 2 3)")),
+    (S4, gens(S4, "(1 2 3 4)", "(1 3)")),
+    (S4, gens(S4, "(1 2)")),
+    (D4, gens(D4, "(1 3)")),
+])
+def test_classical_rows_match_counting(G, H):
+    ctx = classical_context(Q, G, H)
+    _, rows = structure_constants(ctx)
+    assert {(i, j, k): c for i, j, k, c in rows} == \
+        classical_structure_constants_counting(Q, CosetSpace(G, H))
+
+
+def test_skeleton_built_lazily_once():
+    ctx = functions(Q, S3, gens(S3, "(1 2)"))
+    assert ctx.cosets._skeleton is None
+    x, y = random_pairs(ctx, 3, 1)[0]
+    x * y
+    skeleton = ctx.cosets._skeleton
+    assert skeleton is not None
+    x * y
+    assert ctx.cosets.product_skeleton() is skeleton
+    # every (target orbit, coset) pair is listed exactly once
+    n_terms = sum(len(terms) for entries in skeleton.values() for _, terms in entries)
+    assert n_terms == len(ctx.orbits) * ctx.cosets.n
+
+
+# -- random (group, subgroup, algebra, action) tuples -------------------------
+
+GROUPS = {"symmetric(3)": S3, "dihedral(4)": D4, "cyclic(4)": cyclic_group(4)}
+FIELDS = {"rationals": Q, "prime_field(5)": F5}
+FAMILIES = ("functions", "conjugation", "matrix_trivial", "scalar", "polynomial")
+
+
+@functools.lru_cache(maxsize=None)
+def random_context(group, gen_indices, family, field):
+    G, f = GROUPS[group], FIELDS[field]
+    H = subgroup_from_generators(G, list(gen_indices))
+    if family == "functions":
+        return functions(f, G, H)
+    if family == "conjugation":
+        return conjugation(f, G, H)
+    if family == "matrix_trivial":
+        return matrix_trivial(f, G, H)
+    if family == "scalar":
+        return classical_context(f, G, H)
+    return polynomial(f, G, H, 1)
+
+
+@st.composite
+def contexts(draw):
+    group = draw(st.sampled_from(sorted(GROUPS)))
+    G = GROUPS[group]
+    gen_indices = draw(st.lists(st.integers(0, G.order - 1), max_size=2, unique=True))
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "polynomial" and G.perms is None:
+        family = "functions"
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    return random_context(group, tuple(sorted(gen_indices)), family, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts(), st.integers(0, 10**6))
+def test_random_tuples_convolve_and_matrix_model(ctx, seed):
+    (x, y), = random_pairs(ctx, seed, 1)
+    product = x * y
+    assert product == reference_convolve(x, y, alternative_reps(ctx.cosets))
+    assert to_matrix(product) == to_matrix(x) * to_matrix(y)

@@ -86,9 +86,11 @@ def test_coordinate_solver_exact():
         [Q.zero, Q.one, Fraction(2)],
     ]
     cs = linalg.CoordinateSolver(Q, vectors, n=3)
-    coords = cs.coordinates([Fraction(2), Fraction(3), Fraction(8)])
-    assert coords == [Fraction(2), Fraction(3)]
-    assert cs.coordinates([Q.one, Q.zero, Q.zero]) is None
+    coords = cs.coordinates(enumerate([Fraction(2), Fraction(3), Fraction(8)]))
+    assert coords == {0: Fraction(2), 1: Fraction(3)}
+    assert cs.coordinates(enumerate([Q.one, Q.zero, Q.zero])) is None
+    # sparse input: absent columns are zero
+    assert cs.coordinates([(2, Fraction(8)), (0, Fraction(2)), (1, Fraction(3))]) == coords
 
 
 def dense_coordinates(field, vectors, n, v):
@@ -131,15 +133,22 @@ def test_sparse_coordinates_match_dense(field, data):
         v_in = [field.add(x, field.mul(field.from_int(c), y)) for x, y in zip(v_in, b)]
     v_any = data.draw(small_matrix(field, 1, n))[0]
     for v in (v_in, v_any):
-        assert cs.coordinates(v) == dense_coordinates(field, vectors, n, v)
-    assert cs.coordinates(v_in) == [field.from_int(c) for c in inside]
+        expected = dense_coordinates(field, vectors, n, v)
+        if expected is not None:
+            expected = {i: c for i, c in enumerate(expected) if not field.is_zero(c)}
+        assert cs.coordinates(enumerate(v)) == expected
+        nonzero = [(j, x) for j, x in enumerate(v) if not field.is_zero(x)]
+        assert cs.coordinates(reversed(nonzero)) == expected
+    inside = [field.from_int(c) for c in inside]
+    assert cs.coordinates(enumerate(v_in)) == {
+        i: c for i, c in enumerate(inside) if not field.is_zero(c)}
     if len(vectors) < n:
         # some unit vector lies outside a proper subspace
         units = [[field.one if k == j else field.zero for k in range(n)] for j in range(n)]
         outside = [u for u in units if not span.contains(u)]
         assert outside
         for u in outside:
-            assert cs.coordinates(u) is None
+            assert cs.coordinates(enumerate(u)) is None
             assert dense_coordinates(field, vectors, n, u) is None
 
 
