@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebras import (
+    AlgebraElement,
     FunctionAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
     PolynomialAlgebra,
     StructureConstantAlgebra,
     action_make,
+    add_into,
     invariants_compute,
     left_translation_action,
     scalar_algebra,
@@ -196,7 +198,7 @@ def parse_algebra_element(A, s: str):
     s = s.strip()
     if s in ("0", ""):
         return A.zero()
-    out = A.zero()
+    out: dict = {}
     for term in _split_top(s, "+"):
         sign = field.one
         term = term.strip()
@@ -211,12 +213,9 @@ def parse_algebra_element(A, s: str):
             rest = term[m.end():].strip()
             if rest.startswith("*"):
                 rest = rest[1:].strip()
-        coeff = field.mul(sign, coeff)
-        if rest in ("", "1"):
-            out = out + A.one().scale(coeff)
-        else:
-            out = out + A.basis_element(_parse_label(A, rest)).scale(coeff)
-    return out
+        b = A.one() if rest in ("", "1") else A.basis_element(_parse_label(A, rest))
+        add_into(field, out, b.coeffs, field.mul(sign, coeff))
+    return AlgebraElement(A, out)
 
 
 def _parse_label(A, s: str):

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .algebras import (
+    AlgebraElement,
     GroupAlgebra,
     FunctionAlgebra,
     InvariantSubalgebra,
     MatrixAlgebra,
     OppositeAlgebra,
     TensorAlgebra,
+    add_into,
     cocycle_perturbed_action,
     element_inverse,
     group_automorphism_action,
@@ -188,7 +190,7 @@ class HeckeMatrix:
         for s in range(n):
             row = []
             for k in range(n):
-                acc = A.zero()
+                acc: dict = {}
                 for g in range(n):
                     a = self.entries[g][k]
                     if a.is_zero:
@@ -196,8 +198,8 @@ class HeckeMatrix:
                     b = other.entries[s][g]
                     if b.is_zero:
                         continue
-                    acc = acc + a * b
-                row.append(acc)
+                    add_into(A.field, acc, (a * b).coeffs)
+                row.append(AlgebraElement(A, acc))
             out.append(row)
         return HeckeMatrix(self.ctx, out)
 
@@ -323,12 +325,11 @@ def to_corner(ctx: HeckeContext, sga, phi: HeckeElement):
     f = ctx.field
     inv = f.inv(f.from_int(ctx.H.order))
     exp = phi.expand()
-    x = sga.zero()
+    x: dict = {}
     for g in range(ctx.G.order):
         a = exp[ctx.cosets.coset_of[g]]
-        if not a.is_zero:
-            x = x + sga.term(a.scale(inv), g)
-    return x
+        add_into(f, x, {(l, g): c for l, c in a.coeffs.items()}, inv)
+    return sga.element(x)
 
 
 def from_corner(ctx: HeckeContext, sga, x) -> HeckeElement:

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic: arbitrary-precision rationals and prime fields.
 
-Scalar values are plain Python objects in canonical form: ``fractions.Fraction``
-for the rationals, ``int`` in ``[0, p)`` for a prime field.  Field objects
-supply the arithmetic so that the rest of the library is generic over the
-coefficient field.
+Scalar values are plain Python objects in canonical form.  A rational is an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise (an ``int``
+and the equal ``Fraction`` compare equal, hash the same and print the same, so
+the split shows only in speed); a prime-field value is an ``int`` in
+``[0, p)``.  Field objects supply the arithmetic so that the rest of the
+library is generic over the coefficient field.
 """
 
 from __future__ import annotations
@@ -44,26 +46,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _canonical(x):
+    """A rational result as an ``int`` when its denominator is 1."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class Rationals:
-    """The field of rational numbers, values stored as ``Fraction``."""
+    """The field of rational numbers: integral values are ``int``, the rest
+    ``Fraction``.  Nearly every value met in practice is integral, and ``int``
+    arithmetic skips the gcd that every ``Fraction`` operation pays."""
 
     characteristic = 0
     kind = "rationals"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return int(n)
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -71,7 +82,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise NotAUnitError("0 is not a unit")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -79,8 +90,11 @@ class Rationals:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+    def parse(self, s: str):
+        try:
+            return _canonical(Fraction(s.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the literal {s.strip()!r}") from None
 
     def format(self, a) -> str:
         return str(a)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebras import AlgebraElement, BasedAlgebra, GroupAction, add_into
+from .groups import CosetSpace, Subgroup
 from .scalars import NotAUnitError
 
 
@@ -154,14 +155,25 @@ def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
 
 
 def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
-    """Exact basis of e (A x| G) e, spanned by {e.(b,g).e} and rank-reduced."""
+    """Exact basis of e (A x| G) e, spanned by {e.(b,g).e} and rank-reduced.
+
+    For e = e_H, the group elements of e are H, and e.(1,h) = e = (1,h).e for
+    h in H.  Since (b, h g h') = (1,h).(alpha_{h^-1} b, g).(1,h'),
+
+        e.(b, h g h').e = e.(alpha_{h^-1} b, g).e,
+
+    so b over a basis of A and g over representatives of H\\G/H already span
+    the corner: dim(A)|H\\G/H| pairs instead of dim(A)|G|.
+    """
+    H = Subgroup(sga.G, {g for (_, g) in e.coeffs})
+    reps = [dc.rep_element for dc in CosetSpace(sga.G, H).double_cosets]
     pairs = sga.basis_pairs(degree)
     span = linalg.SpanBasis(sga.field, len(pairs))
     basis = []
-    for (l, g) in pairs:
-        x = e * sga.term(sga.A.basis_element(l), g) * e
-        if x.is_zero:
-            continue
-        if span.insert(x.to_vector(pairs)):
-            basis.append(x)
+    for l in sga.A.basis_labels(degree):
+        b = sga.A.basis_element(l)
+        for g in reps:
+            x = e * sga.term(b, g) * e
+            if not x.is_zero and span.insert(x.to_vector(pairs)):
+                basis.append(x)
     return basis

@@ -288,12 +288,16 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_bad_literal_exits_2(capsys, cfg_file):
-    code = main(
-        ["mul", "(0; y1)", "(0; 1)", "--config", cfg_file(POLY)]
-    )
-    capsys.readouterr()
+@pytest.mark.parametrize("config, phi", [
+    pytest.param(POLY, "(0; y1)", id="unknown_variable"),
+    pytest.param(STONE, "(1/0*delta[()]; 0)", id="zero_denominator_coefficient"),
+    pytest.param(CLASSICAL, "(0; 1/0)", id="zero_denominator_scalar"),
+])
+def test_bad_literal_exits_2(capsys, cfg_file, config, phi):
+    code = main(["mul", phi, "(0; 1)", "--config", cfg_file(config)])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):

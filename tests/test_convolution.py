@@ -3,7 +3,9 @@
 ``HeckeElement.convolve`` reads the product skeleton of the coset space; the
 reference loop in ``reference_convolution`` expands both factors and walks
 every coset.  They must agree for any choice of coset representatives, and
-so must every product rebuilt from ``structure_constants`` rows.
+so must every product rebuilt from ``structure_constants`` rows, the matrix
+and corner models, and the same integral product computed over Q and over
+GF(p) (extension of scalars).
 """
 
 import functools
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke.algebras import (
+    AlgebraElement,
     FunctionAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
     PolynomialAlgebra,
+    add_into,
     conjugation_action,
     left_translation_action,
     permutation_variable_action,
@@ -38,8 +42,9 @@ from skewhecke.hecke import (
     classical_structure_constants_counting,
     structure_constants,
 )
-from skewhecke.isomorphisms import to_matrix
-from skewhecke.scalars import PrimeField, Rationals
+from skewhecke.isomorphisms import to_corner, to_matrix
+from skewhecke.scalars import PrimeField, Rationals, field_make
+from skewhecke.skewgroup import SkewGroupAlgebra
 
 from reference_convolution import alternative_reps, reference_convolve
 
@@ -176,13 +181,14 @@ def test_skeleton_built_lazily_once():
 # -- random (group, subgroup, algebra, action) tuples -------------------------
 
 GROUPS = {"symmetric(3)": S3, "dihedral(4)": D4, "cyclic(4)": cyclic_group(4)}
-FIELDS = {"rationals": Q, "prime_field(5)": F5}
+FIELDS = ("prime_field(5)", "rationals")
+PRIMES = (2, 3, 5, 7)
 FAMILIES = ("functions", "conjugation", "matrix_trivial", "scalar", "polynomial")
 
 
 @functools.lru_cache(maxsize=None)
 def random_context(group, gen_indices, family, field):
-    G, f = GROUPS[group], FIELDS[field]
+    G, f = GROUPS[group], field_make(field)
     H = subgroup_from_generators(G, list(gen_indices))
     if family == "functions":
         return functions(f, G, H)
@@ -196,15 +202,21 @@ def random_context(group, gen_indices, family, field):
 
 
 @st.composite
-def contexts(draw):
+def tuples(draw):
     group = draw(st.sampled_from(sorted(GROUPS)))
     G = GROUPS[group]
     gen_indices = draw(st.lists(st.integers(0, G.order - 1), max_size=2, unique=True))
     family = draw(st.sampled_from(FAMILIES))
     if family == "polynomial" and G.perms is None:
         family = "functions"
-    field = draw(st.sampled_from(sorted(FIELDS)))
-    return random_context(group, tuple(sorted(gen_indices)), family, field)
+    return group, tuple(sorted(gen_indices)), family
+
+
+@st.composite
+def contexts(draw):
+    group, gen_indices, family = draw(tuples())
+    field = draw(st.sampled_from(FIELDS))
+    return random_context(group, gen_indices, family, field)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,3 +226,50 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
     product = x * y
     assert product == reference_convolve(x, y, alternative_reps(ctx.cosets))
     assert to_matrix(product) == to_matrix(x) * to_matrix(y)
+    p = ctx.field.characteristic
+    if not ctx.graded and (p == 0 or ctx.H.order % p):
+        # |H| is a unit: the corner model e_H (A x| G) e_H applies too
+        sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
+        assert to_corner(ctx, sga, product) == \
+            to_corner(ctx, sga, x) * to_corner(ctx, sga, y)
+
+
+def integral_element(ctx, rng):
+    """Integer values: at each orbit, the sum over its stabilizer S of
+    alpha_s(v) for a random integer-valued v, which S fixes."""
+    f = ctx.field
+    labels = ctx.A.labels_up_to(ctx.degree_cap)
+    values = {}
+    for oi, orbit in enumerate(ctx.orbits):
+        v = ctx.A.element({l: f.from_int(rng.randint(-3, 3)) for l in labels})
+        total: dict = {}
+        for s in orbit.stabilizer.elements:
+            add_into(f, total, ctx.action.apply(s, v).coeffs)
+        values[oi] = AlgebraElement(ctx.A, total)
+    return ctx.from_values(values)
+
+
+def reduce_mod(x, ctx_p):
+    """The element x of an integral Q-context, its values reduced into ctx_p."""
+    F = ctx_p.field
+    return ctx_p.from_values({
+        oi: ctx_p.A.element({l: F.from_int(c) for l, c in v.coeffs.items()})
+        for oi, v in x.values.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuples(), st.sampled_from(PRIMES), st.integers(0, 10**6))
+def test_extension_of_scalars_from_q_to_gf_p(spec, p, seed):
+    # the convolution is integral, so reducing mod p commutes with products
+    ctx_q = random_context(*spec, "rationals")
+    ctx_p = random_context(*spec, f"prime_field({p})")
+    rng = random.Random(seed)
+    x, y = integral_element(ctx_q, rng), integral_element(ctx_q, rng)
+    over_q = to_matrix(x * y)
+    over_p = to_matrix(reduce_mod(x, ctx_p) * reduce_mod(y, ctx_p))
+    # integral rationals are stored as int
+    assert all(type(c) is int
+               for row in over_q.entries for a in row for c in a.coeffs.values())
+    assert [[{l: c % p for l, c in a.coeffs.items() if c % p} for a in row]
+            for row in over_q.entries] == \
+        [[a.coeffs for a in row] for row in over_p.entries]

@@ -1,12 +1,14 @@
-"""``sc`` and ``dims`` output, byte for byte, against recorded goldens.
+"""``sc``, ``dims`` and ``verify`` output, byte for byte, against recorded goldens.
 
 ``tests/data/golden/<name>.cfg`` holds a job configuration (the six of
 ``scripts/run_verification.py`` and graded polynomials over GF(7) on
-(S4, <(1 2)>)); ``<name>.<command>.txt`` is the output the CLI printed for it
-when the file was recorded.  A change that alters any byte of these outputs,
-reordering rows included, fails here; where a change of output is intended,
-rewrite the file with ``skewhecke <command> --config <name>.cfg --out
-<name>.<command>.txt`` and say why in the change log.
+(S4, <(1 2)>)); ``<name>.<command>.txt`` is the output the CLI printed for it,
+with the arguments in ``ARGS``, when the file was recorded.  The ``verify``
+goldens pin the details of each check (``corner dim N, module dim N``, ranks,
+pair counts) as well as its status.  A change that alters any byte of these
+outputs, reordering rows included, fails here; where a change of output is
+intended, rewrite the file with ``skewhecke <command> <ARGS> --config
+<name>.cfg --out <name>.<command>.txt`` and say why in the change log.
 """
 
 import pathlib
@@ -16,6 +18,8 @@ import pytest
 from skewhecke.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+# command -> the arguments its goldens were recorded with
+ARGS = {"dims": [], "sc": [], "verify": ["all", "--seed", "0"]}
 CASES = sorted(
     (path.name.split(".")[0], path.name.split(".")[1])
     for path in GOLDEN.glob("*.txt")
@@ -26,13 +30,17 @@ def test_goldens_cover_every_config():
     configs = {path.stem for path in GOLDEN.glob("*.cfg")}
     assert len(configs) == 7
     assert {name for name, _ in CASES} == configs
-    assert {name for name, command in CASES if command == "dims"} \
-        == configs - {"polynomial_s4_gf7"}
+    assert {command for _, command in CASES} == set(ARGS)
+    assert {name for name, command in CASES if command == "sc"} == configs
+    for command in ("dims", "verify"):
+        assert {name for name, c in CASES if c == command} \
+            == configs - {"polynomial_s4_gf7"}
 
 
 @pytest.mark.parametrize("name, command", CASES, ids=[f"{n}-{c}" for n, c in CASES])
 def test_cli_output_matches_golden(tmp_path, name, command):
     out = tmp_path / "out.txt"
-    code = main([command, "--config", str(GOLDEN / f"{name}.cfg"), "--out", str(out)])
+    code = main([command, *ARGS[command], "--config", str(GOLDEN / f"{name}.cfg"),
+                 "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.{command}.txt").read_bytes()

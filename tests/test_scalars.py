@@ -51,6 +51,54 @@ def test_prime_field_axioms(a, b, c):
         assert f.mul(a, f.inv(a)) == f.one
 
 
+def canonical(x):
+    """The value Rationals stores for x: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def assert_canonical(x):
+    assert type(x) in (int, Fraction)
+    assert (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+# canonical rationals, integral ones included, and ints past 64 bits
+rational_values = st.one_of(
+    rationals, st.integers(min_value=-(10 ** 30), max_value=10 ** 30)
+).map(canonical)
+
+
+@settings(max_examples=500)
+@given(rational_values, rational_values)
+def test_rationals_match_fraction_and_stay_canonical(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (Q.add(a, b), fa + fb),
+        (Q.sub(a, b), fa - fb),
+        (Q.mul(a, b), fa * fb),
+        (Q.neg(a), -fa),
+        (Q.parse(Q.format(a)), fa),
+        # an unreduced literal, padded with spaces
+        (Q.parse(f" {3 * fa.numerator}/{3 * fa.denominator} "), fa),
+        (Q.from_int(fa.numerator), fa.numerator),
+    ]
+    if fb != 0:
+        results.append((Q.inv(b), 1 / fb))
+    for got, want in results:
+        assert got == want
+        assert hash(got) == hash(want)
+        assert Q.format(got) == str(want)
+        assert_canonical(got)
+    for constant in (Q.zero, Q.one):
+        assert type(constant) is int
+
+
+@pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
+def test_rationals_parse_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match=f"zero denominator in the literal '{text.strip()}'"):
+        Q.parse(text)
+
+
 @given(rationals)
 def test_rationals_parse_format_roundtrip(a):
     assert Q.parse(Q.format(a)) == a

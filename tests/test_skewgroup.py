@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skewhecke import linalg
 from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAlgebra,
@@ -103,6 +104,38 @@ def test_corner_scalar_coefficients_classical_dimension():
     H = subgroup_from_generators(S3, [S3.element_by_name("(1 2)")])
     e = hecke_idempotent(sga, H)
     assert len(corner_basis(sga, e)) == 2  # one per double coset
+
+
+def full_corner_span(sga, e):
+    """Reference: the span of e.(b,g).e over all dim(A)|G| basis pairs."""
+    pairs = sga.basis_pairs()
+    span = linalg.SpanBasis(sga.field, len(pairs))
+    for (l, g) in pairs:
+        span.insert((e * sga.term(sga.A.basis_element(l), g) * e).to_vector(pairs))
+    return span
+
+
+CORNER_FAMILIES = {
+    "matrix_trivial": lambda f: (MatrixAlgebra(f, 2), trivial_action),
+    "group_conjugation": lambda f: (GroupAlgebra(f, S3), conjugation_action),
+    "functions": lambda f: (FunctionAlgebra(f, S3), left_translation_action),
+}
+
+
+@pytest.mark.parametrize("subgroup", ["(1 2)", "(1 2 3)"])
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("family", sorted(CORNER_FAMILIES))
+def test_corner_basis_from_double_cosets_spans_the_full_corner(family, field, subgroup):
+    A, action = CORNER_FAMILIES[family](field)
+    sga = SkewGroupAlgebra(A, S3, action(S3, A))
+    e = hecke_idempotent(sga, subgroup_from_generators(S3, [S3.element_by_name(subgroup)]))
+    pairs = sga.basis_pairs()
+    reduced = corner_basis(sga, e)
+    full = full_corner_span(sga, e)
+    # independent, inside the corner, and as many as the full set's rank
+    assert linalg.rank(field, [x.to_vector(pairs) for x in reduced]) == len(reduced)
+    assert all(e * x * e == x and full.contains(x.to_vector(pairs)) for x in reduced)
+    assert len(reduced) == full.dim
 
 
 def reference_skew_mul(x, y):
