@@ -587,12 +587,26 @@ class GroupAction:
         return out
 
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
+        """alpha_g(x) = sum over labels l of x of c_l alpha_g(l).
+
+        Where alpha_g(l) is a single label l' with coefficient one and l' is
+        not yet in the result (a relabelling, as for permutation actions), c_l
+        is stored at l' with no arithmetic; any other image is accumulated
+        with ``add_into``.
+        """
         if g == 0:
             return x
         f = self.A.field
+        one = f.one
         out: dict = {}
         for l, c in x.coeffs.items():
-            add_into(f, out, self.on_label(g, l).coeffs, c)
+            image = self.on_label(g, l).coeffs
+            if len(image) == 1:
+                (l2, c2), = image.items()
+                if c2 == one and l2 not in out:
+                    out[l2] = c
+                    continue
+            add_into(f, out, image, c)
         return AlgebraElement(self.A, out)
 
     def verify(self, degree_cap=None) -> ActionReport:
@@ -796,10 +810,10 @@ def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=Non
     span = linalg.SpanBasis(f, len(labels))
     out = []
     for l in labels:
-        img = A.zero()
+        img: dict = {}
         for s in S:
-            img = img + action.on_label(s, l)
-        img = img.scale(inv)
+            add_into(f, img, action.on_label(s, l).coeffs)
+        img = AlgebraElement(A, img).scale(inv)
         if span.insert(img.to_vector(labels)):
             out.append(img)
     return out

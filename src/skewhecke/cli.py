@@ -55,12 +55,13 @@ from .hecke import (
     structure_constants,
 )
 from .scalars import NotAUnitError, field_make
-from .skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent
+from .skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent, subgroup_sum
 from .isomorphisms import (
     CocycleConditionError,
     StoneModel,
     cocycle_transport,
     conjugate_transport,
+    corner_lift,
     from_corner,
     from_matrix,
     intermediate_embed,
@@ -382,9 +383,8 @@ def suite_decomp(run: SuiteRun, ctx, rng):
     # bijection: coordinates of a random element round-trip
     x = ctx.random_element(rng, degree=degree)
     coords = ctx.module_coordinates(x, degree=degree)
-    y = ctx.zero()
-    for (oi, v), c in zip(basis, coords):
-        y = y + HeckeElement(ctx, {oi: v}).scale(c)
+    y = ctx.combination(
+        (HeckeElement(ctx, {oi: v}), c) for (oi, v), c in zip(basis, coords))
     run.record("decomp.bijection_roundtrip", y == x)
     # bimodule law: delta_{H,a} * phi * delta_{H,a'} has values a v alpha_g a'
     bad = None
@@ -404,11 +404,12 @@ def suite_decomp(run: SuiteRun, ctx, rng):
 
 
 def _random_invariant(ctx, rng):
-    out = ctx.A.zero()
+    f = ctx.field
+    out: dict = {}
     for d in ctx.A.degrees(ctx.degree_cap):
         for b in invariants_compute(ctx.A, ctx.H.generators(), ctx.action, degree=d):
-            out = out + b.scale(ctx.field.from_int(rng.randint(-2, 2)))
-    return out
+            add_into(f, out, b.coeffs, f.from_int(rng.randint(-2, 2)))
+    return AlgebraElement(ctx.A, out)
 
 
 def suite_matrix(run: SuiteRun, ctx, rng):
@@ -444,11 +445,19 @@ def suite_corner(run: SuiteRun, ctx, rng):
     images = [to_corner(ctx, sga, x) for x in xs]
     run.record("corner.roundtrip",
                all(from_corner(ctx, sga, c) == x for x, c in zip(xs, images)))
-    run.record("corner.image_in_corner", all(e * c * e == c for c in images))
+    # The dense products run on the integral T = |H| to_corner and E = |H| e:
+    # with |H| a unit, E T E = |H|^2 T and T(xy) |H| = T(x) T(y) are the
+    # corner theorem's identities, not weaker ones (see ``corner_lift``).
+    E = subgroup_sum(sga, ctx.H)
+    order = ctx.field.from_int(ctx.H.order)
+    run.record("corner.image_in_corner",
+               all(E * t * E == t.scale(ctx.field.mul(order, order))
+                   for t in (corner_lift(ctx, sga, x) for x in xs)))
     ok = True
     for _ in range(20):
         x, y = _random_elements(ctx, rng, 2)
-        if to_corner(ctx, sga, x * y) != to_corner(ctx, sga, x) * to_corner(ctx, sga, y):
+        if corner_lift(ctx, sga, x * y).scale(order) \
+                != corner_lift(ctx, sga, x) * corner_lift(ctx, sga, y):
             ok = False
             break
     run.record("corner.multiplicativity", ok, "20 pairs")
@@ -681,11 +690,8 @@ def suite_s3(run: SuiteRun, ctx, rng):
 
 
 def _random_free(ctx, rng):
-    out = ctx.A.zero()
-    for l in ctx.A.labels_up_to(ctx.degree_cap):
-        out = out + ctx.A.basis_element(l).scale(
-            ctx.field.from_int(rng.randint(-2, 2)))
-    return out
+    return ctx.A.element({l: ctx.field.from_int(rng.randint(-2, 2))
+                          for l in ctx.A.labels_up_to(ctx.degree_cap)})
 
 
 SUITES = {

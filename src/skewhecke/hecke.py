@@ -154,6 +154,17 @@ class HeckeContext:
     def zero(self) -> "HeckeElement":
         return HeckeElement(self, {})
 
+    def combination(self, terms) -> "HeckeElement":
+        """sum of c * phi over the pairs (phi, c) of ``terms``, accumulated in place."""
+        f = self.field
+        acc: dict = {}
+        for phi, c in terms:
+            for oi, v in phi.values.items():
+                add_into(f, acc.setdefault(oi, {}), v.coeffs, c)
+        return HeckeElement(
+            self, {oi: AlgebraElement(self.A, coeffs) for oi, coeffs in acc.items()}
+        )
+
     def identity(self) -> "HeckeElement":
         """The unit: value 1_A at the identity coset H, zero elsewhere."""
         return HeckeElement(self, {0: self.A.one()})
@@ -415,10 +426,7 @@ def hecke_as_based_algebra(ctx: HeckeContext):
     elements = [HeckeElement(ctx, {oi: v}) for oi, v, _ in basis]
 
     def to_hecke(x):
-        out = ctx.zero()
-        for i, c in x.coeffs.items():
-            out = out + elements[i].scale(c)
-        return out
+        return ctx.combination((elements[i], c) for i, c in x.coeffs.items())
 
     def from_hecke(phi):
         return B.element(dict(ctx.module_coordinate_terms(phi)))

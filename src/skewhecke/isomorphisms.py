@@ -320,16 +320,35 @@ def matrix_multiplicativity_witness(ctx: HeckeContext, pairs):
 # corner model inside the skew group algebra
 
 
-def to_corner(ctx: HeckeContext, sga, phi: HeckeElement):
-    """phi |-> sum_{g in G} (1/|H|) phi(gH) . g in A x| G."""
-    f = ctx.field
-    inv = f.inv(f.from_int(ctx.H.order))
+def corner_lift(ctx: HeckeContext, sga, phi: HeckeElement):
+    """T(phi) = sum_{g in G} phi(gH) . g in A x| G, with no 1/|H|.
+
+    T is integral and defined over any field.  For every phi, psi,
+
+        T(phi) T(psi) = |H| T(phi * psi),   T(1) = sum_{h in H} 1_A . h,
+
+    because the coefficient of m in T(phi) T(psi) is
+    sum_g phi(gH) alpha_g psi(g^-1 mH), a sum over G whose summand is constant
+    on each coset gH.  ``to_corner`` is T/|H|: when |H| is a unit,
+    to_corner(phi psi) = to_corner(phi) to_corner(psi) holds exactly when
+    |H| T(phi psi) = T(phi) T(psi), so checks on T state the corner theorem,
+    not a weaker identity, while integral values stay integral.
+    """
     exp = phi.expand()
-    x: dict = {}
-    for g in range(ctx.G.order):
-        a = exp[ctx.cosets.coset_of[g]]
-        add_into(f, x, {(l, g): c for l, c in a.coeffs.items()}, inv)
-    return sga.element(x)
+    coset_of = ctx.cosets.coset_of
+    return sga.element({(l, g): c for g in range(ctx.G.order)
+                        for l, c in exp[coset_of[g]].coeffs.items()})
+
+
+def to_corner(ctx: HeckeContext, sga, phi: HeckeElement):
+    """phi |-> sum_{g in G} (1/|H|) phi(gH) . g in e_H (A x| G) e_H.
+
+    This is ``corner_lift`` scaled by 1/|H| (|H| must be a unit): a map of
+    algebras with to_corner(1) = e_H, since T(phi) T(psi) = |H| T(phi psi) and
+    T(1) = |H| e_H.
+    """
+    f = ctx.field
+    return corner_lift(ctx, sga, phi).scale(f.inv(f.from_int(ctx.H.order)))
 
 
 def from_corner(ctx: HeckeContext, sga, x) -> HeckeElement:
@@ -391,10 +410,7 @@ class StoneModel:
         coords = self._solver.coordinates(enumerate(m.to_vector(labels)))
         if coords is None:
             raise ValueError("matrix is not in the image (bug: map is onto)")
-        out = self.ctx.zero()
-        for i, c in coords.items():
-            out = out + self._basis[i].scale(c)
-        return out
+        return self.ctx.combination((self._basis[i], c) for i, c in coords.items())
 
 
 def stone_model(field, G, H: Subgroup) -> StoneModel:
@@ -504,15 +520,15 @@ def product_transport(ctx1: HeckeContext, ctx2: HeckeContext) -> Transport:
 
     image_cache = {}
 
+    def image(i, j) -> HeckeElement:
+        im = image_cache.get((i, j))
+        if im is None:
+            im = pair_image(to_h1(B1.basis_element(i)), to_h2(B2.basis_element(j)))
+            image_cache[(i, j)] = im
+        return im
+
     def forward(x) -> HeckeElement:
-        out = target.zero()
-        for (i, j), c in x.coeffs.items():
-            im = image_cache.get((i, j))
-            if im is None:
-                im = pair_image(to_h1(B1.basis_element(i)), to_h2(B2.basis_element(j)))
-                image_cache[(i, j)] = im
-            out = out + im.scale(c)
-        return out
+        return target.combination((image(i, j), c) for (i, j), c in x.coeffs.items())
 
     return Transport(source=BT, target=target, forward=forward,
                      info={"target_dim": target.dimension()})
@@ -704,18 +720,18 @@ def special_case_trivial_action(ctx: HeckeContext) -> Transport:
     T = TensorAlgebra(ctx.A, B)
 
     def forward(phi: HeckeElement):
-        out = T.zero()
+        out: dict = {}
         for oi, v in phi.values.items():
-            out = out + T.pure(v, B.basis_element(oi))
-        return out
+            add_into(T.field, out, T.pure(v, B.basis_element(oi)).coeffs)
+        return AlgebraElement(T, out)
 
     def backward(x):
-        f = ctx.field
-        values = {}
+        values: dict = {}
         for (la, oi), c in x.coeffs.items():
-            acc = values.get(oi, ctx.A.zero())
-            values[oi] = acc + ctx.A.basis_element(la).scale(c)
-        return ctx.from_values(values)
+            values.setdefault(oi, {})[la] = c
+        return ctx.from_values(
+            {oi: AlgebraElement(ctx.A, coeffs) for oi, coeffs in values.items()}
+        )
 
     return Transport(source=ctx, target=T, forward=forward, backward=backward)
 
@@ -747,13 +763,7 @@ def special_case_trivial_subgroup(ctx: HeckeContext) -> Transport:
     sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
 
     def forward(phi: HeckeElement):
-        exp = phi.expand()
-        x = sga.zero()
-        for g in range(ctx.G.order):
-            a = exp[ctx.cosets.coset_of[g]]
-            if not a.is_zero:
-                x = x + sga.term(a, g)
-        return x
+        return corner_lift(ctx, sga, phi)  # |H| = 1, so this is phi |-> sum phi(g).g
 
     def backward(x):
         values = {}
@@ -778,14 +788,13 @@ def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
 
     def forward(phi: HeckeElement):
         exp = phi.expand()
-        x = sga.zero()
+        x: dict = {}
         for q in range(Q.order):
             v = AH.express(exp[ctx.cosets.coset_of[section[q]]])
             if v is None:
                 raise ValueError("value is not H-invariant (bug)")
-            if not v.is_zero:
-                x = x + sga.term(v, q)
-        return x
+            add_into(sga.field, x, sga.term(v, q).coeffs)
+        return sga.element(x)
 
     def backward(x):
         values = {}

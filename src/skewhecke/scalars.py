@@ -152,7 +152,20 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, s: str) -> int:
-        return int(s.strip()) % self.p
+        """An integer literal ``a`` or a fraction ``a/b``, read as a b^-1 mod p."""
+        text = s.strip()
+        num, slash, den = text.partition("/")
+        try:
+            a, b = int(num), int(den) if slash else 1
+        except ValueError:
+            raise ValueError(
+                f"{text!r} is not an integer or a fraction a/b over GF({self.p})"
+            ) from None
+        if b % self.p == 0:
+            raise ValueError(
+                f"the denominator of the literal {text!r} is 0 mod {self.p}"
+            )
+        return a * pow(b, -1, self.p) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

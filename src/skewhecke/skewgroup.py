@@ -135,6 +135,13 @@ class SkewGroupElement:
         return f"<{self}>"
 
 
+def subgroup_sum(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
+    """E = sum_h 1_A . h over h in H: the integral |H| e_H, defined over any field."""
+    return sga.element(
+        {(l, h): c for l, c in sga.A.one_coeffs().items() for h in H.elements}
+    )
+
+
 def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
     """e_H = (1/|H|) sum_h 1_A . h; requires |H| a unit in the field."""
     f = sga.field
@@ -144,18 +151,14 @@ def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
         raise NotAUnitError(
             f"|H| = {H.order} is not a unit; corner-ring model unavailable"
         ) from exc
-    coeffs: dict = {}
-    for l, c in sga.A.one_coeffs().items():
-        for h in H.elements:
-            coeffs[(l, h)] = f.mul(inv, c)
-    e = sga.element(coeffs)
+    e = subgroup_sum(sga, H).scale(inv)
     if e * e != e:
         raise ArithmeticError("e_H is not idempotent (bug)")
     return e
 
 
 def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
-    """Exact basis of e (A x| G) e, spanned by {e.(b,g).e} and rank-reduced.
+    """Exact basis of e (A x| G) e, spanned by {E.(b,g).E} and rank-reduced.
 
     For e = e_H, the group elements of e are H, and e.(1,h) = e = (1,h).e for
     h in H.  Since (b, h g h') = (1,h).(alpha_{h^-1} b, g).(1,h'),
@@ -163,9 +166,13 @@ def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
         e.(b, h g h').e = e.(alpha_{h^-1} b, g).e,
 
     so b over a basis of A and g over representatives of H\\G/H already span
-    the corner: dim(A)|H\\G/H| pairs instead of dim(A)|G|.
+    the corner: dim(A)|H\\G/H| pairs instead of dim(A)|G|.  The products use
+    E = sum_h 1_A . h = |H| e (see ``subgroup_sum``): E.x.E = |H|^2 e.x.e, and
+    |H| is a unit wherever e exists, so both span the same space, and E keeps
+    integral coefficients integral.
     """
     H = Subgroup(sga.G, {g for (_, g) in e.coeffs})
+    E = subgroup_sum(sga, H)
     reps = [dc.rep_element for dc in CosetSpace(sga.G, H).double_cosets]
     pairs = sga.basis_pairs(degree)
     span = linalg.SpanBasis(sga.field, len(pairs))
@@ -173,7 +180,7 @@ def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
     for l in sga.A.basis_labels(degree):
         b = sga.A.basis_element(l)
         for g in reps:
-            x = e * sga.term(b, g) * e
+            x = E * sga.term(b, g) * E
             if not x.is_zero and span.insert(x.to_vector(pairs)):
                 basis.append(x)
     return basis

@@ -14,6 +14,7 @@ from skewhecke.algebras import (
     TensorAlgebra,
     averaging_image,
     check_associativity,
+    cocycle_perturbed_action,
     conjugation_action,
     element_inverse,
     invariants_compute,
@@ -309,21 +310,54 @@ def reference_apply(act, g, x):
     return out
 
 
+def swap_and_negate_action(A):
+    """C2 on Q[x1, x2] by x1 -> -x2, x2 -> -x1: every image is one label times +-1."""
+    C2 = cyclic_group(2)
+
+    def on_label(g, label):
+        if g == 0:
+            return A.basis_element(label)
+        a, b = label
+        return A.basis_element((b, a)).scale(Q.from_int((-1) ** (a + b)))
+
+    return GroupAction(C2, A, on_label, name="swap_and_negate")
+
+
+def unipotent_perturbed_matrix_action():
+    """The trivial action on M_2(Q) conjugated by u = [[1, 1], [0, 1]] off the
+    identity: most images of matrix units have several terms."""
+    A = MatrixAlgebra(Q, 2)
+    u = A.element({(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    chi = {g: (A.one() if g == 0 else u) for g in range(S3.order)}
+    return cocycle_perturbed_action(trivial_action(S3, A), chi)
+
+
 def test_apply_matches_term_by_term_sum():
+    # covers both branches of apply: relabelled images (coefficient one, label
+    # not yet in the result) and the accumulated rest (coefficient -1, images
+    # with several terms, images landing on a label already in the result)
     rng = random.Random(5)
     poly = PolynomialAlgebra(Q, 3, 4)
+    poly2 = PolynomialAlgebra(Q, 2, 4)
     A_fun = FunctionAlgebra(PrimeField(3), S3)
     A_grp = GroupAlgebra(Q, S3)
+    perturbed = unipotent_perturbed_matrix_action()
     cases = [
         (permutation_variable_action(S3, poly), poly.labels_up_to(3)),
         (left_translation_action(S3, A_fun), A_fun.labels()),
         (conjugation_action(S3, A_grp), A_grp.labels()),
+        (swap_and_negate_action(poly2), poly2.labels_up_to(3)),
+        (perturbed, perturbed.A.labels()),
     ]
     for act, labels in cases:
         for _ in range(20):
             x = random_algebra_element(act.A, labels, rng)
-            for g in range(S3.order):
+            for g in range(act.G.order):
                 assert act.apply(g, x) == reference_apply(act, g, x)
+    # the new cases reach the fallback: a -1 single label and multi-term images
+    assert list(swap_and_negate_action(poly2).on_label(1, (1, 0)).coeffs.values()) \
+        == [Q.from_int(-1)]
+    assert any(len(perturbed.on_label(1, l).coeffs) > 1 for l in perturbed.A.labels())
 
 
 # -- generator-only action verification ------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from skewhecke.algebras import add_into
 from skewhecke.cli import (
     ConfigError,
     build_context,
@@ -11,6 +12,7 @@ from skewhecke.cli import (
 from skewhecke.groups import CosetSpace
 from skewhecke.hecke import classical_structure_constants_counting
 from skewhecke.scalars import Rationals
+from skewhecke.skewgroup import SkewGroupElement
 
 CLASSICAL = """\
 field = rationals
@@ -135,6 +137,17 @@ def test_mul_polynomial_square(capsys, cfg_file):
     A = ctx.A
     x1, x2, x3 = (A.variable(i) for i in (1, 2, 3))
     assert result == ctx.from_values({0: x1 * x1 + x2 * x2, 1: x2 * x3})
+
+
+STONE_GF5 = STONE.replace("rationals", "prime_field(5)")
+
+
+def test_mul_reads_fractions_over_gf_p(capsys, cfg_file):
+    # 1/2 is 3 mod 5
+    path = cfg_file(STONE_GF5)
+    code, out = run_cli(capsys, "mul", "(0; 1/2)", "(0; 1)", "--config", path)
+    assert code == 0
+    assert run_cli(capsys, "mul", "(0; 3)", "(0; 1)", "--config", path) == (0, out)
 
 
 def test_sc_matches_counting_oracle(capsys, cfg_file):
@@ -292,6 +305,7 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     pytest.param(POLY, "(0; y1)", id="unknown_variable"),
     pytest.param(STONE, "(1/0*delta[()]; 0)", id="zero_denominator_coefficient"),
     pytest.param(CLASSICAL, "(0; 1/0)", id="zero_denominator_scalar"),
+    pytest.param(STONE_GF5, "(0; 2/5)", id="denominator_zero_mod_p"),
 ])
 def test_bad_literal_exits_2(capsys, cfg_file, config, phi):
     code = main(["mul", phi, "(0; 1)", "--config", cfg_file(config)])
@@ -312,3 +326,45 @@ def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "internal error: ArithmeticError: fixed value outside its basis (bug)\n")
+
+
+# -- the integral corner checks still catch faults ------------------------------
+
+
+def untwisted_skew_mul(self, other):
+    """(a.g)(b.k) = ab.gk: the skew product with alpha_g dropped."""
+    p = self.parent
+    out = {}
+    for g, a in p.components(self).items():
+        for k, b in p.components(other).items():
+            gk = p.G.mul(g, k)
+            add_into(p.field, out, {(l, gk): c for l, c in (a * b).coeffs.items()})
+    return p.element(out)
+
+
+def corner_lift_wrong_coset(ctx, sga, phi):
+    """sum_g phi(g^-1 H).g in place of sum_g phi(gH).g."""
+    exp = phi.expand()
+    coset_of, G = ctx.cosets.coset_of, ctx.G
+    return sga.element({(l, g): c for g in range(G.order)
+                        for l, c in exp[coset_of[G.inverse(g)]].coeffs.items()})
+
+
+@pytest.mark.parametrize("config", [STONE, STONE_GF5], ids=["Q", "GF5"])
+def test_untwisted_skew_product_fails_corner_multiplicativity(capsys, cfg_file,
+                                                              monkeypatch, config):
+    monkeypatch.setattr(SkewGroupElement, "__mul__", untwisted_skew_mul)
+    code, out = run_cli(capsys, "verify", "corner", "--config", cfg_file(config))
+    assert code == 1
+    assert "corner.multiplicativity: FAIL" in out
+
+
+@pytest.mark.parametrize("config", [STONE, STONE_GF5], ids=["Q", "GF5"])
+def test_corner_lift_reading_the_wrong_coset_fails(capsys, cfg_file, monkeypatch,
+                                                   config):
+    # only the integral checks use corner_lift; to_corner is left intact
+    monkeypatch.setattr("skewhecke.cli.corner_lift", corner_lift_wrong_coset)
+    code, out = run_cli(capsys, "verify", "corner", "--config", cfg_file(config))
+    assert code == 1
+    assert "corner.roundtrip: PASS" in out and "corner.unit: PASS" in out
+    assert "corner.multiplicativity: FAIL" in out

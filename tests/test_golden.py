@@ -1,8 +1,9 @@
 """``sc``, ``dims`` and ``verify`` output, byte for byte, against recorded goldens.
 
 ``tests/data/golden/<name>.cfg`` holds a job configuration (the six of
-``scripts/run_verification.py`` and graded polynomials over GF(7) on
-(S4, <(1 2)>)); ``<name>.<command>.txt`` is the output the CLI printed for it,
+``scripts/run_verification.py``, graded polynomials over GF(7) on
+(S4, <(1 2)>) and functions on (S4, <(1 2), (1 2 3)>) under left
+translation); ``<name>.<command>.txt`` is the output the CLI printed for it,
 with the arguments in ``ARGS``, when the file was recorded.  The ``verify``
 goldens pin the details of each check (``corner dim N, module dim N``, ranks,
 pair counts) as well as its status.  A change that alters any byte of these
@@ -28,7 +29,7 @@ CASES = sorted(
 
 def test_goldens_cover_every_config():
     configs = {path.stem for path in GOLDEN.glob("*.cfg")}
-    assert len(configs) == 7
+    assert len(configs) == 8
     assert {name for name, _ in CASES} == configs
     assert {command for _, command in CASES} == set(ARGS)
     assert {name for name, command in CASES if command == "sc"} == configs

@@ -109,6 +109,30 @@ def test_prime_field_parse_format_roundtrip(a):
     assert F5.parse(F5.format(a)) == a
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1/2", 3), (" -3/4 ", 3), ("7/3", 4), ("10/2", 0), ("4", 4), ("-1", 4), ("2/-3", 1),
+])
+def test_prime_field_parses_fractions(text, value):
+    assert F5.parse(text) == value
+
+
+@given(st.integers(-100, 100), st.integers(-100, 100).filter(lambda b: b % 97))
+def test_prime_field_parse_fraction_is_a_times_b_inverse(a, b):
+    assert F97.parse(f"{a}/{b}") == F97.mul(F97.from_int(a), F97.inv(F97.from_int(b)))
+
+
+@pytest.mark.parametrize("text", ["1/5", " 2/10 ", "0/0", "3/-5"])
+def test_prime_field_parse_denominator_zero_mod_p_is_a_value_error(text):
+    with pytest.raises(ValueError, match=f"literal '{text.strip()}' is 0 mod 5$"):
+        F5.parse(text)
+
+
+@pytest.mark.parametrize("text", ["x", "1/2/3", "1.5", "/2"])
+def test_prime_field_parse_names_the_field_on_a_malformed_literal(text):
+    with pytest.raises(ValueError, match=r"over GF\(5\)"):
+        F5.parse(text)
+
+
 def test_prime_field_rejects_composites():
     with pytest.raises(ValueError):
         PrimeField(6)
