@@ -5,7 +5,6 @@ from .groups import (
     CosetSpace,
     FiniteGroup,
     Subgroup,
-    coset_space,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -23,6 +22,7 @@ from .algebras import (
     FunctionAlgebra,
     GroupAction,
     GroupAlgebra,
+    InvariantSpace,
     InvariantSubalgebra,
     MatrixAlgebra,
     OppositeAlgebra,
@@ -64,7 +64,6 @@ from .isomorphisms import (
     quotient_transport,
     relativise,
     semidirect_transport,
-    stone_model,
     to_corner,
     to_matrix,
     verify_algebra_map,

@@ -61,10 +61,6 @@ class BasedAlgebra:
         return []
 
     @property
-    def is_finite(self) -> bool:
-        return not self.graded
-
-    @property
     def dim(self) -> int:
         return len(self.labels())
 
@@ -323,10 +319,6 @@ class PolynomialAlgebra(BasedAlgebra):
     def labels(self):
         raise ValueError("polynomial algebras have no finite basis; use enumerate_degree")
 
-    @property
-    def is_finite(self):
-        return False
-
     def product_on_basis(self, l1, l2):
         return {tuple(a + b for a, b in zip(l1, l2)): self.field.one}
 
@@ -412,10 +404,6 @@ class TensorAlgebra(BasedAlgebra):
             out.extend((a, b) for a in la for b in lb)
         return out
 
-    @property
-    def is_finite(self):
-        return self.A.is_finite and self.B.is_finite
-
     def product_on_basis(self, l1, l2):
         f = self.field
         pa = self.A.product_cached(l1[0], l2[0])
@@ -467,10 +455,6 @@ class OppositeAlgebra(BasedAlgebra):
 
     def enumerate_degree(self, d):
         return self.A.enumerate_degree(d)
-
-    @property
-    def is_finite(self):
-        return self.A.is_finite
 
     def product_on_basis(self, l1, l2):
         return self.A.product_cached(l2, l1)
@@ -801,6 +785,30 @@ def invariants_compute(A: BasedAlgebra, S_elements, action: GroupAction, degree=
     return [element_from_vector(A, labels, v) for v in vectors]
 
 
+class InvariantSpace:
+    """A^S in one degree (all of A if degree is None): basis and exact coordinates.
+
+    ``basis`` is the ``invariants_compute`` basis and ``index`` maps each label
+    of the degree to its column.  ``coordinates(a)`` returns the nonzero
+    {i: c} with part_d(a) = sum c basis[i], where part_d(a) keeps the terms of
+    a whose labels lie in the degree, or None when that part is not S-fixed.
+    """
+
+    def __init__(self, A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
+        self.basis = invariants_compute(A, S_elements, action, degree=degree)
+        labels = A.basis_labels(degree)
+        self.index = {l: j for j, l in enumerate(labels)}
+        self.solver = linalg.CoordinateSolver(
+            A.field, [v.to_vector(labels) for v in self.basis], n=len(labels)
+        )
+
+    def coordinates(self, a: AlgebraElement):
+        index = self.index
+        return self.solver.coordinates(
+            (index[l], x) for l, x in a.coeffs.items() if l in index
+        )
+
+
 def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
     """Image basis of the averaging operator (1/|S|) sum alpha_s; needs |S| a unit."""
     labels = A.basis_labels(degree)
@@ -820,10 +828,12 @@ def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=Non
 
 
 class InvariantSubalgebra(BasedAlgebra):
-    """A^S as a based algebra; labels are indices into the invariant basis.
+    """A^S as a based algebra; labels are indices into an invariant basis.
 
-    Finite case: labels 0..m-1.  Graded case: labels (d, i) with per-degree
-    bases computed lazily up to the underlying enumeration cap.
+    One lazy cache holds an ``InvariantSpace`` per degree, for the finite and
+    the graded case alike: a finite A has the single degree None and labels
+    0..m-1; a graded A has labels (d, i), each degree's space built on first
+    use up to the underlying enumeration cap.
     """
 
     def __init__(self, A: BasedAlgebra, S_elements, action: GroupAction):
@@ -833,34 +843,20 @@ class InvariantSubalgebra(BasedAlgebra):
         self.action = action
         self.graded = A.graded
         self.commutative = A.commutative
-        self._by_degree = {}
-        if not A.graded:
-            self._finite_basis = invariants_compute(A, self.S_elements, action)
-            self._finite_labels = A.labels()
-            self._solver = linalg.CoordinateSolver(
-                A.field,
-                [v.to_vector(self._finite_labels) for v in self._finite_basis],
-                n=len(self._finite_labels),
-            )
+        self._spaces = {}
 
-    # -- degree machinery ---------------------------------------------------
-
-    def _degree_data(self, d):
-        data = self._by_degree.get(d)
-        if data is None:
-            basis = invariants_compute(self.A, self.S_elements, self.action, degree=d)
-            labels = self.A.enumerate_degree(d)
-            solver = linalg.CoordinateSolver(
-                self.field, [v.to_vector(labels) for v in basis], n=len(labels)
-            )
-            data = (basis, labels, solver)
-            self._by_degree[d] = data
-        return data
+    def space(self, d=None) -> InvariantSpace:
+        """The invariant space of degree d (None for a finite A), cached."""
+        space = self._spaces.get(d)
+        if space is None:
+            space = InvariantSpace(self.A, self.S_elements, self.action, d)
+            self._spaces[d] = space
+        return space
 
     def labels(self):
         if self.graded:
             raise ValueError("graded invariant subalgebra has no finite basis")
-        return list(range(len(self._finite_basis)))
+        return list(range(len(self.space().basis)))
 
     def degree(self, label):
         return label[0] if self.graded else 0
@@ -868,20 +864,15 @@ class InvariantSubalgebra(BasedAlgebra):
     def enumerate_degree(self, d):
         if not self.graded:
             return super().enumerate_degree(d)
-        basis, _, _ = self._degree_data(d)
-        return [(d, i) for i in range(len(basis))]
-
-    @property
-    def is_finite(self):
-        return not self.graded
+        return [(d, i) for i in range(len(self.space(d).basis))]
 
     # -- inclusion / expression ---------------------------------------------
 
     def include_label(self, label) -> AlgebraElement:
         if self.graded:
             d, i = label
-            return self._degree_data(d)[0][i]
-        return self._finite_basis[label]
+            return self.space(d).basis[i]
+        return self.space().basis[label]
 
     def include(self, x: AlgebraElement) -> AlgebraElement:
         out: dict = {}
@@ -890,25 +881,23 @@ class InvariantSubalgebra(BasedAlgebra):
         return AlgebraElement(self.A, out)
 
     def express(self, a: AlgebraElement):
-        """Express an invariant element of A in this basis; None if not invariant."""
-        if self.graded:
-            out: dict = {}
-            by_deg: dict = {}
-            for l, c in a.coeffs.items():
-                by_deg.setdefault(self.A.degree(l), {})[l] = c
-            for d, coeffs in by_deg.items():
-                basis, labels, solver = self._degree_data(d)
-                vec = [coeffs.get(l, self.field.zero) for l in labels]
-                coords = solver.coordinates(enumerate(vec))
-                if coords is None:
-                    return None
-                for i, c in coords.items():
-                    out[(d, i)] = c
-            return AlgebraElement(self, out)
-        coords = self._solver.coordinates(enumerate(a.to_vector(self._finite_labels)))
-        if coords is None:
-            return None
-        return AlgebraElement(self, coords)
+        """Express an invariant element of A in this basis; None if not invariant.
+
+        Each degree part of a is solved in its own space; a finite A has the
+        one part a itself.
+        """
+        graded = self.graded
+        degrees = (None,)
+        if graded:  # in order of first appearance
+            degrees = dict.fromkeys(self.A.degree(l) for l in a.coeffs)
+        out: dict = {}
+        for d in degrees:
+            coords = self.space(d).coordinates(a)
+            if coords is None:
+                return None
+            for i, c in coords.items():
+                out[(d, i) if graded else i] = c
+        return AlgebraElement(self, out)
 
     # -- algebra structure ---------------------------------------------------
 
@@ -931,15 +920,14 @@ class InvariantSubalgebra(BasedAlgebra):
             self.A.label_str(next(iter(self.include_label(label).coeffs)))
 
     def induced_action(self, Q, lift) -> GroupAction:
-        """Action of a group Q on A^S, where lift maps Q elements to G elements.
+        """Action of a group Q on A^S, where q acts as the G element lift[q].
 
-        Each lift(q) must preserve the invariant subspace; express() failures
+        Each lift[q] must preserve the invariant subspace; express() failures
         surface as errors.
         """
 
         def on_label(q, label):
-            img = self.action.apply(lift[q] if not callable(lift) else lift(q),
-                                    self.include_label(label))
+            img = self.action.apply(lift[q], self.include_label(label))
             expr = self.express(img)
             if expr is None:
                 raise ArithmeticError("induced action does not preserve invariants")

@@ -34,7 +34,6 @@ from .algebras import (
     StructureConstantAlgebra,
     action_make,
     add_into,
-    invariants_compute,
     left_translation_action,
     scalar_algebra,
     trivial_action,
@@ -288,7 +287,7 @@ def cmd_dims(built: BuiltContext, write):
     write(f"[G:H] = {ctx.cosets.n}")
     write(f"double cosets = {len(ctx.orbits)}")
     for oi, orbit in enumerate(ctx.orbits):
-        rep = ctx.cosets.reps[orbit.rep_coset]
+        rep = orbit.rep_element
         write(
             f"orbit {oi}: rep {ctx.G.name(rep)}, size {len(orbit.coset_indices)}, "
             f"stabilizer order {orbit.stabilizer.order}"
@@ -323,7 +322,7 @@ def cmd_sc(built: BuiltContext, write):
     cap = ctx.degree_cap if ctx.graded else None
     basis, rows = structure_constants(ctx, degree_cap=cap)
     for i, (oi, v, d) in enumerate(basis):
-        rep = ctx.cosets.reps[ctx.orbits[oi].rep_coset]
+        rep = ctx.orbits[oi].rep_element
         deg = f", degree {d}" if ctx.graded else ""
         write(f"# {i}: orbit {oi} (rep {ctx.G.name(rep)}){deg}, value {v}")
     f = ctx.field
@@ -358,8 +357,17 @@ class SuiteRun:
         self.write(f"{name}: SKIP ({reason})")
 
 
+# random pairs drawn by the corner, stone and opposite multiplicativity checks
+PAIRS = 20
+
+
 def _random_elements(ctx, rng, count):
     return [ctx.random_element(rng) for _ in range(count)]
+
+
+def _holds_on_random_pairs(ctx, rng, holds):
+    """holds(x, y) on PAIRS random pairs; draws stop at the first failure."""
+    return all(holds(*_random_elements(ctx, rng, 2)) for _ in range(PAIRS))
 
 
 def suite_assoc(run: SuiteRun, ctx, rng):
@@ -394,7 +402,7 @@ def suite_decomp(run: SuiteRun, ctx, rng):
     for oi, v in basis:
         phi = HeckeElement(ctx, {oi: v})
         lhs = da.convolve(phi).convolve(dap)
-        g = ctx.cosets.reps[ctx.orbits[oi].rep_coset]
+        g = ctx.orbits[oi].rep_element
         expected = a * v * ctx.action.apply(g, ap)
         if lhs.values != ({oi: expected} if not expected.is_zero else {}):
             bad = oi
@@ -404,10 +412,11 @@ def suite_decomp(run: SuiteRun, ctx, rng):
 
 
 def _random_invariant(ctx, rng):
+    """A random element of A^H: orbit 0 is the coset H, whose stabilizer is H."""
     f = ctx.field
     out: dict = {}
     for d in ctx.A.degrees(ctx.degree_cap):
-        for b in invariants_compute(ctx.A, ctx.H.generators(), ctx.action, degree=d):
+        for b in ctx.orbit_invariant_basis(0, d):
             add_into(f, out, b.coeffs, f.from_int(rng.randint(-2, 2)))
     return AlgebraElement(ctx.A, out)
 
@@ -453,14 +462,10 @@ def suite_corner(run: SuiteRun, ctx, rng):
     run.record("corner.image_in_corner",
                all(E * t * E == t.scale(ctx.field.mul(order, order))
                    for t in (corner_lift(ctx, sga, x) for x in xs)))
-    ok = True
-    for _ in range(20):
-        x, y = _random_elements(ctx, rng, 2)
-        if corner_lift(ctx, sga, x * y).scale(order) \
-                != corner_lift(ctx, sga, x) * corner_lift(ctx, sga, y):
-            ok = False
-            break
-    run.record("corner.multiplicativity", ok, "20 pairs")
+    ok = _holds_on_random_pairs(ctx, rng, lambda x, y: (
+        corner_lift(ctx, sga, x * y).scale(order)
+        == corner_lift(ctx, sga, x) * corner_lift(ctx, sga, y)))
+    run.record("corner.multiplicativity", ok, f"{PAIRS} pairs")
     run.record("corner.unit", to_corner(ctx, sga, ctx.identity()) == e)
     cb = corner_basis(sga, e)
     run.record("corner.dimension", len(cb) == ctx.dimension(),
@@ -475,13 +480,9 @@ def suite_stone(run: SuiteRun, ctx, rng):
     sm = StoneModel(ctx)
     n = sm.n
     run.record("stone.size", n == ctx.cosets.n, f"n = {n} = [G:H]")
-    ok = True
-    for _ in range(20):
-        x, y = _random_elements(ctx, rng, 2)
-        if sm.apply(x * y) != sm.apply(x) * sm.apply(y):
-            ok = False
-            break
-    run.record("stone.multiplicativity", ok, "20 pairs")
+    ok = _holds_on_random_pairs(
+        ctx, rng, lambda x, y: sm.apply(x * y) == sm.apply(x) * sm.apply(y))
+    run.record("stone.multiplicativity", ok, f"{PAIRS} pairs")
     labels = sm.matrices.labels()
     vecs = [sm.apply(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
     r = linalg.rank(ctx.field, vecs)
@@ -509,19 +510,26 @@ def suite_stone(run: SuiteRun, ctx, rng):
         )
 
 
+def _record_map(run, check, detail, basis, forward, one, target, rng, onto=True):
+    """Record whether ``forward`` is an injective algebra map from the span of
+    ``basis`` (unit ``one``) into the Hecke context ``target``, onto it unless
+    ``onto`` is False; multiplicativity is checked on at most 60 basis pairs."""
+    rep = verify_algebra_map(
+        check, basis, forward, one, target.identity(), target.field,
+        vectorize=target.module_coordinates,
+        target_dim=target.dimension() if onto else None, rng=rng, max_pairs=60,
+    )
+    run.record(check, rep.ok, detail)
+
+
 def suite_group_ops(run: SuiteRun, ctx, rng):
     f = ctx.field
     # conjugation on the configured context (finite coefficients only)
     if not ctx.graded and ctx.H.order < ctx.G.order:
         s = next(g for g in range(ctx.G.order) if g not in ctx.H)
         tr = conjugate_transport(ctx, s)
-        rep = verify_algebra_map(
-            "conjugate", ctx.basis_hecke_elements(), tr.forward,
-            ctx.identity(), tr.target.identity(), f,
-            vectorize=tr.target.module_coordinates,
-            target_dim=tr.target.dimension(), rng=rng, max_pairs=60,
-        )
-        run.record("group_ops.conjugate", rep.ok, f"s = {ctx.G.name(s)}")
+        _record_map(run, "group_ops.conjugate", f"s = {ctx.G.name(s)}",
+                    ctx.basis_hecke_elements(), tr.forward, ctx.identity(), tr.target, rng)
     else:
         run.skip("group_ops.conjugate", "needs finite coefficients and H < G")
     # the remaining transports run on fixed small fixtures
@@ -535,13 +543,8 @@ def suite_group_ops(run: SuiteRun, ctx, rng):
     ctxq = HeckeContext(G3, N3, A3, left_translation_action(G3, A3),
                         verify_action=False)
     trq = quotient_transport(ctxq, N3)
-    rep = verify_algebra_map(
-        "quotient", ctxq.basis_hecke_elements(), trq.forward,
-        ctxq.identity(), trq.target.identity(), f,
-        vectorize=trq.target.module_coordinates,
-        target_dim=trq.target.dimension(), rng=rng, max_pairs=60,
-    )
-    run.record("group_ops.quotient", rep.ok, "(S3, A3) / A3")
+    _record_map(run, "group_ops.quotient", "(S3, A3) / A3",
+                ctxq.basis_hecke_elements(), trq.forward, ctxq.identity(), trq.target, rng)
     # product with (C2, 1, R[C2])
     C2 = cyclic_group(2)
     A2 = GroupAlgebra(f, C2)
@@ -550,23 +553,16 @@ def suite_group_ops(run: SuiteRun, ctx, rng):
     trp = product_transport(ctx3, ctx2)
     BT = trp.source
     basis = [BT.basis_element(l) for l in BT.labels()]
-    rep = verify_algebra_map(
-        "product", basis, trp.forward, BT.one(), trp.target.identity(), f,
-        vectorize=trp.target.module_coordinates,
-        target_dim=trp.target.dimension(), rng=rng, max_pairs=60,
-    )
-    run.record("group_ops.product", rep.ok, "(S3,S2) x (C2,1)")
+    _record_map(run, "group_ops.product", "(S3,S2) x (C2,1)",
+                basis, trp.forward, BT.one(), trp.target, rng)
     # intermediate: 1 <= C3 <= S3 (extend by zero)
     ctxt = HeckeContext(G3, trivial_subgroup(G3), A3,
                         left_translation_action(G3, A3), verify_action=False)
     K3 = subgroup_from_generators(G3, [G3.element_by_name("(1 2 3)")])
     tre = intermediate_embed(ctxt, K3)
-    rep = verify_algebra_map(
-        "intermediate", tre.source.basis_hecke_elements(), tre.forward,
-        tre.source.identity(), ctxt.identity(), f,
-        vectorize=ctxt.module_coordinates, rng=rng, max_pairs=60,
-    )
-    run.record("group_ops.intermediate", rep.ok, "C3 <= S3, injective")
+    _record_map(run, "group_ops.intermediate", "C3 <= S3, injective",
+                tre.source.basis_hecke_elements(), tre.forward, tre.source.identity(),
+                ctxt, rng, onto=False)
     # semidirect: (Z/2)^3 x| S3 with H = S2
     Ncube, tuples, index = power_group(cyclic_group(2), 3)
     K = symmetric_group(3)
@@ -581,14 +577,10 @@ def suite_group_ops(run: SuiteRun, ctx, rng):
 
     Hs = subgroup_from_generators(K, [K.element_by_name("(1 2)")])
     trs = semidirect_transport(f, Ncube, K, act, Hs)
-    rep = verify_algebra_map(
-        "semidirect", trs.source.basis_hecke_elements(), trs.forward,
-        trs.source.identity(), trs.target.identity(), f,
-        vectorize=trs.target.module_coordinates,
-        target_dim=trs.target.dimension(), rng=rng, max_pairs=60,
-    )
-    run.record("group_ops.semidirect", rep.ok,
-               f"dim {trs.info['dim']} = {trs.info['classical_dim']}")
+    _record_map(run, "group_ops.semidirect",
+                f"dim {trs.info['dim']} = {trs.info['classical_dim']}",
+                trs.source.basis_hecke_elements(), trs.forward, trs.source.identity(),
+                trs.target, rng)
 
 
 def suite_cocycle(run: SuiteRun, ctx, rng):
@@ -601,14 +593,8 @@ def suite_cocycle(run: SuiteRun, ctx, rng):
     chi = {g: A.basis_element(g) for g in range(G3.order)}
     try:
         tr = cocycle_transport(ctxc, chi)
-        rep = verify_algebra_map(
-            "cocycle", ctxc.basis_hecke_elements(), tr.forward,
-            ctxc.identity(), tr.target.identity(), f,
-            vectorize=tr.target.module_coordinates,
-            target_dim=tr.target.dimension(), rng=rng, max_pairs=60,
-        )
-        run.record("cocycle.inner_fixture", rep.ok,
-                   "trivial action perturbed to conjugation")
+        _record_map(run, "cocycle.inner_fixture", "trivial action perturbed to conjugation",
+                    ctxc.basis_hecke_elements(), tr.forward, ctxc.identity(), tr.target, rng)
     except CocycleConditionError as exc:
         run.record("cocycle.inner_fixture", False, str(exc))
     # violation of triviality on H must be detected
@@ -625,13 +611,9 @@ def suite_cocycle(run: SuiteRun, ctx, rng):
 
 def suite_opposite(run: SuiteRun, ctx, rng):
     tr = opposite_transport(ctx)
-    ok = True
-    for _ in range(20):
-        x, y = _random_elements(ctx, rng, 2)
-        if tr.forward(x * y) != tr.forward(y) * tr.forward(x):
-            ok = False
-            break
-    run.record("opposite.anti_multiplicative", ok, "20 pairs")
+    ok = _holds_on_random_pairs(
+        ctx, rng, lambda x, y: tr.forward(x * y) == tr.forward(y) * tr.forward(x))
+    run.record("opposite.anti_multiplicative", ok, f"{PAIRS} pairs")
     run.record("opposite.unit", tr.forward(ctx.identity()) == tr.target.identity())
     xs = _random_elements(ctx, rng, 5)
     run.record("opposite.roundtrip",

@@ -427,30 +427,32 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     return Subgroup(H.group, set(H.elements) & set(K.elements), check=False)
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup):
-    """(G/N, projection list).  Requires N normal."""
-    if not is_normal(G, N):
-        raise GroupAxiomError("subgroup is not normal")
-    ns = set(N.elements)
+def left_cosets(G: FiniteGroup, H: Subgroup):
+    """(cosets, coset_of): the left cosets aH as sorted tuples, and the index of
+    the coset of each element of G.
+
+    Scanning a = 0, 1, ... meets each coset first at its least element, so the
+    cosets come in order of their least element, H first.
+    """
     coset_of = [None] * G.order
     cosets = []
     for a in range(G.order):
         if coset_of[a] is None:
-            members = sorted(G.mul(a, h) for h in N.elements)
-            ci = len(cosets)
-            cosets.append(tuple(members))
+            members = tuple(sorted(G.mul(a, h) for h in H.elements))
             for m in members:
-                coset_of[m] = ci
-    # reorder so that the coset of the identity is index 0, rest by min element
-    order = sorted(range(len(cosets)), key=lambda ci: (0 not in cosets[ci], cosets[ci][0]))
-    relabel = {old: new for new, old in enumerate(order)}
-    cosets = [cosets[old] for old in order]
-    coset_of = [relabel[c] for c in coset_of]
+                coset_of[m] = len(cosets)
+            cosets.append(members)
+    return cosets, coset_of
+
+
+def quotient_group(G: FiniteGroup, N: Subgroup):
+    """(G/N, projection list).  Requires N normal; the coset of g is
+    proj[g], and proj.index(q) is the least element of coset q."""
+    if not is_normal(G, N):
+        raise GroupAxiomError("subgroup is not normal")
+    cosets, coset_of = left_cosets(G, N)
     reps = [c[0] for c in cosets]
-    table = [
-        [coset_of[G.mul(reps[i], reps[j])] for j in range(len(cosets))]
-        for i in range(len(cosets))
-    ]
+    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     names = [f"[{G.name(r)}]" for r in reps]
     Q = FiniteGroup(table, names=names, check=False)
     return Q, coset_of
@@ -476,20 +478,7 @@ class CosetSpace:
             raise ValueError("subgroup does not belong to the given group")
         self.G = G
         self.H = H
-        coset_of = [None] * G.order
-        cosets = []
-        for a in range(G.order):
-            if coset_of[a] is None:
-                members = tuple(sorted(G.mul(a, h) for h in H.elements))
-                ci = len(cosets)
-                cosets.append(members)
-                for m in members:
-                    coset_of[m] = ci
-        # order cosets by minimal element; identity coset H comes first
-        order = sorted(range(len(cosets)), key=lambda ci: cosets[ci][0])
-        relabel = {old: new for new, old in enumerate(order)}
-        self.cosets = [cosets[old] for old in order]
-        self.coset_of = [relabel[c] for c in coset_of]
+        self.cosets, self.coset_of = left_cosets(G, H)
         self.reps = [c[0] for c in self.cosets]
         self.n = len(self.cosets)
         # H-action on coset indices
@@ -581,7 +570,3 @@ class CosetSpace:
             f"CosetSpace(|G|={self.G.order}, |H|={self.H.order}, "
             f"cosets={self.n}, double_cosets={len(self.double_cosets)})"
         )
-
-
-def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
-    return CosetSpace(G, H)

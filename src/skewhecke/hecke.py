@@ -11,11 +11,11 @@ coordinates are solved only on the orbits an element is carried by.
 
 from __future__ import annotations
 
-from . import linalg
 from .algebras import (
     AlgebraElement,
     BasedAlgebra,
     GroupAction,
+    InvariantSpace,
     add_into,
     scalar_algebra,
     trivial_action,
@@ -62,26 +62,18 @@ class HeckeContext:
     def graded(self):
         return self.A.graded
 
-    def orbit_invariant_basis(self, oi, degree=None):
-        return self._orbit_data(oi, degree)[0]
-
-    def _orbit_data(self, oi, degree=None):
+    def orbit_space(self, oi, degree=None) -> InvariantSpace:
+        """A^{H cap gHg^-1} in one degree, g the representative of orbit oi; cached."""
         key = (oi, degree)
-        data = self._orbit_cache.get(key)
-        if data is None:
-            from .algebras import invariants_compute
-
+        space = self._orbit_cache.get(key)
+        if space is None:
             stab = self.orbits[oi].stabilizer
-            basis = invariants_compute(
-                self.A, stab.generators(), self.action, degree=degree
-            )
-            labels = self.A.basis_labels(degree)
-            solver = linalg.CoordinateSolver(
-                self.field, [v.to_vector(labels) for v in basis], n=len(labels)
-            )
-            data = (basis, {l: j for j, l in enumerate(labels)}, solver)
-            self._orbit_cache[key] = data
-        return data
+            space = InvariantSpace(self.A, stab.generators(), self.action, degree)
+            self._orbit_cache[key] = space
+        return space
+
+    def orbit_invariant_basis(self, oi, degree=None):
+        return self.orbit_space(oi, degree).basis
 
     def module_basis(self, degree=None):
         """List of (orbit_index, invariant AlgebraElement) pairs."""
@@ -112,21 +104,19 @@ class HeckeContext:
         terms = []
         offset = 0
         for oi in range(len(self.orbits)):
-            basis, index, solver = self._orbit_data(oi, degree)
+            space = self.orbit_space(oi, degree)
             v = phi.values.get(oi)
             if v is not None:
-                c = solver.coordinates(
-                    (index[l], x) for l, x in v.coeffs.items() if l in index
-                )
+                c = space.coordinates(v)
                 if c is None:
-                    # raises, naming the stabilizer generator that moves v
+                    # raises, naming the stabilizer generator that moves v's part
                     self.validate_value(oi, self.A.element(
-                        {l: x for l, x in v.coeffs.items() if l in index}))
+                        {l: x for l, x in v.coeffs.items() if l in space.index}))
                     raise ArithmeticError(
                         f"fixed value at orbit {oi} outside its basis (bug)"
                     )
                 terms.extend((offset + t, x) for t, x in c.items())
-            offset += len(basis)
+            offset += len(space.basis)
         return terms
 
     # -- element constructors -------------------------------------------------
@@ -336,7 +326,7 @@ class HeckeElement:
             return "0"
         parts = []
         for oi in sorted(self.values):
-            rep = ctx.cosets.reps[ctx.orbits[oi].rep_coset]
+            rep = ctx.orbits[oi].rep_element
             parts.append(f"{ctx.G.name(rep)}H -> {self.values[oi]}")
         return "; ".join(parts)
 
@@ -363,7 +353,7 @@ def classical_structure_constants_counting(field, cosets: CosetSpace):
     for i, Di in enumerate(orbits):
         for j in range(len(orbits)):
             for k, Dk in enumerate(orbits):
-                g = cosets.reps[Dk.rep_coset]
+                g = Dk.rep_element
                 count = 0
                 for ci in Di.coset_indices:
                     krep = cosets.reps[ci]
@@ -420,7 +410,7 @@ def hecke_as_based_algebra(ctx: HeckeContext):
     one = dict(ctx.module_coordinate_terms(ctx.identity()))
     names = []
     for oi, v, _ in basis:
-        rep = ctx.cosets.reps[ctx.orbits[oi].rep_coset]
+        rep = ctx.orbits[oi].rep_element
         names.append(f"[{ctx.G.name(rep)}H:{v}]")
     B = StructureConstantAlgebra(ctx.field, len(basis), products, one, names=names)
     elements = [HeckeElement(ctx, {oi: v}) for oi, v, _ in basis]

@@ -149,10 +149,6 @@ class Transport:
 # matrix model: phi |-> (M_{gH,kH}) = alpha_k phi(k^-1 gH)
 
 
-def _group_generators(G):
-    return full_subgroup(G).generators()
-
-
 class HeckeMatrix:
     """An n x n matrix over A in the coset-indexed model.
 
@@ -252,7 +248,7 @@ def matrix_invariance_witness(ctx: HeckeContext, entries):
     """
     cs = ctx.cosets
     G = ctx.G
-    for s in _group_generators(G):
+    for s in full_subgroup(G).generators():
         si = G.inverse(s)
         moved = [cs.coset_of[G.mul(si, cs.reps[i])] for i in range(cs.n)]
         for i in range(cs.n):
@@ -357,8 +353,7 @@ def from_corner(ctx: HeckeContext, sga, x) -> HeckeElement:
     h = f.from_int(ctx.H.order)
     values = {}
     for oi, orbit in enumerate(ctx.orbits):
-        g = ctx.cosets.reps[orbit.rep_coset]
-        values[oi] = sga.coefficient_function(x, g).scale(h)
+        values[oi] = sga.coefficient_function(x, orbit.rep_element).scale(h)
     return ctx.from_values(values)
 
 
@@ -413,15 +408,6 @@ class StoneModel:
         return self.ctx.combination((self._basis[i], c) for i, c in coords.items())
 
 
-def stone_model(field, G, H: Subgroup) -> StoneModel:
-    from .algebras import FunctionAlgebra as FA, left_translation_action
-
-    A = FA(field, G)
-    act = left_translation_action(G, A)
-    ctx = HeckeContext(G, H, A, act, verify_action=False)
-    return StoneModel(ctx)
-
-
 # ---------------------------------------------------------------------------
 # transports along group operations
 
@@ -448,16 +434,6 @@ def pull_map(source: HeckeContext, target: HeckeContext, value_at):
     return apply
 
 
-def _quotient_with_section(G, N: Subgroup):
-    """(G/N, projection list, section list: least element of each coset)."""
-    Q, proj = quotient_group(G, N)
-    section = [None] * Q.order
-    for g in range(G.order):
-        if section[proj[g]] is None:
-            section[proj[g]] = g
-    return Q, proj, section
-
-
 def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
     """For N normal in G with N <= H: pass to (G/N, H/N, A^N)."""
     G, H, A = ctx.G, ctx.H, ctx.A
@@ -465,7 +441,8 @@ def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
         raise ValueError("subgroup is not normal")
     if not set(N.elements) <= set(H.elements):
         raise ValueError("normal subgroup is not contained in H")
-    Q, proj, section = _quotient_with_section(G, N)
+    Q, proj = quotient_group(G, N)
+    section = [proj.index(q) for q in range(Q.order)]
     HQ = Subgroup(Q, {proj[h] for h in H.elements}, check=False)
     AN = InvariantSubalgebra(A, N.generators(), ctx.action)
     actQ = AN.induced_action(Q, section)
@@ -510,7 +487,7 @@ def product_transport(ctx1: HeckeContext, ctx2: HeckeContext) -> Transport:
         exp2 = phi2.expand()
         values = {}
         for oi, orbit in enumerate(target.orbits):
-            p = target.cosets.reps[orbit.rep_coset]
+            p = orbit.rep_element
             v = Ap.pure(
                 exp1[ctx1.cosets.coset_of[p1[p]]],
                 exp2[ctx2.cosets.coset_of[p2[p]]],
@@ -761,18 +738,10 @@ def special_case_trivial_subgroup(ctx: HeckeContext) -> Transport:
     if ctx.H.order != 1:
         raise ValueError("requires H = 1")
     sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
-
-    def forward(phi: HeckeElement):
-        return corner_lift(ctx, sga, phi)  # |H| = 1, so this is phi |-> sum phi(g).g
-
-    def backward(x):
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            g = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = sga.coefficient_function(x, g)
-        return ctx.from_values(values)
-
-    return Transport(source=ctx, target=sga, forward=forward, backward=backward)
+    # |H| = 1: corner_lift is to_corner, phi |-> sum phi(g).g, inverted by from_corner
+    return Transport(source=ctx, target=sga,
+                     forward=lambda phi: corner_lift(ctx, sga, phi),
+                     backward=lambda x: from_corner(ctx, sga, x))
 
 
 def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
@@ -781,7 +750,8 @@ def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
 
     if not is_normal(ctx.G, ctx.H):
         raise ValueError("requires H normal in G")
-    Q, proj, section = _quotient_with_section(ctx.G, ctx.H)
+    Q, proj = quotient_group(ctx.G, ctx.H)
+    section = [proj.index(q) for q in range(Q.order)]
     AH = InvariantSubalgebra(ctx.A, ctx.H.generators(), ctx.action)
     actQ = AH.induced_action(Q, section)
     sga = SkewGroupAlgebra(AH, Q, actQ)
@@ -799,8 +769,7 @@ def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
     def backward(x):
         values = {}
         for oi, orbit in enumerate(ctx.orbits):
-            g = ctx.cosets.reps[orbit.rep_coset]
-            values[oi] = AH.include(sga.coefficient_function(x, proj[g]))
+            values[oi] = AH.include(sga.coefficient_function(x, proj[orbit.rep_element]))
         return ctx.from_values(values)
 
     return Transport(source=ctx, target=sga, forward=forward, backward=backward,

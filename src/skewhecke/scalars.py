@@ -84,9 +84,6 @@ class Rationals:
             raise NotAUnitError("0 is not a unit")
         return _canonical(1 / Fraction(a))
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -144,9 +141,6 @@ class PrimeField:
         if a == 0:
             raise NotAUnitError(f"{a} is not a unit mod {self.p}")
         return pow(a, -1, self.p)
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -204,6 +204,39 @@ def test_invariant_subalgebra_express_rejects_noninvariant():
     assert inv.express(A.basis_element(0)) is None
 
 
+def test_finite_invariant_subalgebra_labels_are_indices():
+    A = FunctionAlgebra(Q, S3)
+    act = left_translation_action(S3, A)
+    H = subgroup_from_generators(S3, [t("(1 2)")])
+    inv = InvariantSubalgebra(A, H.generators(), act)
+    assert inv.labels() == [0, 1, 2]
+    assert inv.space().basis == invariants_compute(A, H.generators(), act)
+    one = inv.express(A.one())
+    assert set(one.coeffs) <= {0, 1, 2}
+    assert inv.include(one) == A.one()
+
+
+def test_graded_invariant_subalgebra_express_per_degree(poly):
+    # symmetric polynomials in x1, x2, x3: 1; e1; p2 and e2 (labels (d, i))
+    act = permutation_variable_action(S3, poly)
+    inv = InvariantSubalgebra(poly, full_subgroup(S3).generators(), act)
+    assert [inv.enumerate_degree(d) for d in range(3)] == \
+        [[(0, 0)], [(1, 0)], [(2, 0), (2, 1)]]
+    rng = random.Random(4)
+    for _ in range(10):
+        # a nonzero coefficient on every label: parts in degrees 0, 1 and 2
+        x = inv.element({l: Q.from_int(rng.choice([-2, -1, 1, 2]))
+                         for d in range(3) for l in inv.enumerate_degree(d)})
+        a = inv.include(x)
+        assert {poly.degree(l) for l in a.coeffs} == {0, 1, 2}
+        assert inv.express(a) == x
+        # exactly one part (degree 1 or 2) is not invariant
+        for moved in (poly.variable(1), poly.variable(1) * poly.variable(2)):
+            assert inv.express(a + moved) is None
+        # a degree-1 space reads only the degree-1 part of a
+        assert inv.space(1).coordinates(a) == {0: x.coeffs[(1, 0)]}
+
+
 # -- unit inversion ----------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from skewhecke.groups import (
     cyclic_group,
     dihedral_group,
     full_subgroup,
+    is_normal,
     subgroup_from_generators,
     symmetric_group,
     trivial_subgroup,
@@ -42,7 +43,12 @@ from skewhecke.hecke import (
     classical_structure_constants_counting,
     structure_constants,
 )
-from skewhecke.isomorphisms import to_corner, to_matrix
+from skewhecke.isomorphisms import (
+    opposite_transport,
+    quotient_transport,
+    to_corner,
+    to_matrix,
+)
 from skewhecke.scalars import PrimeField, Rationals, field_make
 from skewhecke.skewgroup import SkewGroupAlgebra
 
@@ -219,6 +225,13 @@ def contexts(draw):
     return random_context(group, gen_indices, family, field)
 
 
+@functools.lru_cache(maxsize=None)
+def transports(ctx):
+    """The opposite transport of ctx, and the quotient by H when H is normal."""
+    quotient = quotient_transport(ctx, ctx.H) if is_normal(ctx.G, ctx.H) else None
+    return opposite_transport(ctx), quotient
+
+
 @settings(max_examples=60, deadline=None)
 @given(contexts(), st.integers(0, 10**6))
 def test_random_tuples_convolve_and_matrix_model(ctx, seed):
@@ -232,6 +245,14 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
         sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
         assert to_corner(ctx, sga, product) == \
             to_corner(ctx, sga, x) * to_corner(ctx, sga, y)
+    opposite, quotient = transports(ctx)
+    assert opposite.forward(product) == opposite.forward(y) * opposite.forward(x)
+    assert opposite.backward(opposite.forward(x)) == x
+    if quotient is not None:
+        # (G/H, 1, A^H): values pass through InvariantSubalgebra.express and
+        # the induced action, graded or finite
+        assert quotient.forward(product) == quotient.forward(x) * quotient.forward(y)
+        assert quotient.backward(quotient.forward(x)) == x
 
 
 def integral_element(ctx, rng):
