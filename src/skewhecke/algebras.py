@@ -34,97 +34,6 @@ def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
     return out
 
 
-class BasedAlgebra:
-    """Base class; subclasses define labels/products for each algebra family."""
-
-    graded = False
-    commutative = False
-    # (left_key, right_key): the basis product l1 * l2 can be nonzero only if
-    # left_key(l1) == right_key(l2).  None means any pair may multiply.
-    product_keys = None
-
-    def __init__(self, field):
-        self.field = field
-        self._product_cache = {}
-
-    # -- basis interface ----------------------------------------------------
-
-    def labels(self):
-        raise NotImplementedError
-
-    def degree(self, label) -> int:
-        return 0
-
-    def enumerate_degree(self, d):
-        if d == 0:
-            return list(self.labels())
-        return []
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels())
-
-    def basis_labels(self, degree=None):
-        if self.graded:
-            if degree is None:
-                raise ValueError("graded algebra needs a degree for enumeration")
-            return self.enumerate_degree(degree)
-        return self.labels()
-
-    def degrees(self, cap=None):
-        """Degrees 0..cap of a graded algebra (cap None means 2); [None] if finite."""
-        if not self.graded:
-            return [None]
-        return range((2 if cap is None else cap) + 1)
-
-    def labels_up_to(self, cap=None):
-        """Basis labels of all degrees up to ``cap``; every label if finite."""
-        return [l for d in self.degrees(cap) for l in self.basis_labels(d)]
-
-    # -- products -----------------------------------------------------------
-
-    def product_on_basis(self, l1, l2) -> dict:
-        raise NotImplementedError
-
-    def product_cached(self, l1, l2) -> dict:
-        key = (l1, l2)
-        out = self._product_cache.get(key)
-        if out is None:
-            out = self.product_on_basis(l1, l2)
-            self._product_cache[key] = out
-        return out
-
-    def one_coeffs(self) -> dict:
-        raise NotImplementedError
-
-    # -- element constructors ----------------------------------------------
-
-    def element(self, coeffs) -> "AlgebraElement":
-        f = self.field
-        clean = {l: c for l, c in coeffs.items() if not f.is_zero(c)}
-        return AlgebraElement(self, clean)
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
-    def one(self) -> "AlgebraElement":
-        return self.element(self.one_coeffs())
-
-    def basis_element(self, label) -> "AlgebraElement":
-        return AlgebraElement(self, {label: self.field.one})
-
-    def from_scalar(self, c) -> "AlgebraElement":
-        return self.one().scale(c)
-
-    # -- printing -----------------------------------------------------------
-
-    def label_str(self, label) -> str:
-        return str(label)
-
-    def label_sort_key(self, label):
-        return (self.degree(label), repr(label))
-
-
 class AlgebraElement:
     __slots__ = ("alg", "coeffs")
 
@@ -134,20 +43,20 @@ class AlgebraElement:
 
     def __add__(self, other):
         out = add_into(self.alg.field, dict(self.coeffs), other.coeffs)
-        return AlgebraElement(self.alg, out)
+        return type(self)(self.alg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         f = self.alg.field
-        return AlgebraElement(self.alg, {l: f.neg(c) for l, c in self.coeffs.items()})
+        return type(self)(self.alg, {l: f.neg(c) for l, c in self.coeffs.items()})
 
     def scale(self, c):
         f = self.alg.field
         if f.is_zero(c):
-            return AlgebraElement(self.alg, {})
-        return AlgebraElement(self.alg, {l: f.mul(c, x) for l, x in self.coeffs.items()})
+            return type(self)(self.alg, {})
+        return type(self)(self.alg, {l: f.mul(c, x) for l, x in self.coeffs.items()})
 
     def __mul__(self, other):
         """Sum of c1 c2 (l1 * l2), visiting only the pairs product_keys allows."""
@@ -211,6 +120,99 @@ class AlgebraElement:
         return f"<{self}>"
 
 
+class BasedAlgebra:
+    """Base class; subclasses define labels/products for each algebra family."""
+
+    graded = False
+    # the class of this algebra's elements; a subclass with its own product
+    # (the skew group algebra) names an AlgebraElement subclass here
+    element_class = AlgebraElement
+    # (left_key, right_key): the basis product l1 * l2 can be nonzero only if
+    # left_key(l1) == right_key(l2).  None means any pair may multiply.
+    product_keys = None
+
+    def __init__(self, field):
+        self.field = field
+        self._product_cache = {}
+
+    # -- basis interface ----------------------------------------------------
+
+    def labels(self):
+        raise NotImplementedError
+
+    def degree(self, label) -> int:
+        return 0
+
+    def enumerate_degree(self, d):
+        if d == 0:
+            return list(self.labels())
+        return []
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels())
+
+    def basis_labels(self, degree=None):
+        if self.graded:
+            if degree is None:
+                raise ValueError("graded algebra needs a degree for enumeration")
+            return self.enumerate_degree(degree)
+        return self.labels()
+
+    def degrees(self, cap=None):
+        """Degrees 0..cap of a graded algebra (cap None means 2); [None] if finite."""
+        if not self.graded:
+            return [None]
+        return range((2 if cap is None else cap) + 1)
+
+    def labels_up_to(self, cap=None):
+        """Basis labels of all degrees up to ``cap``; every label if finite."""
+        return [l for d in self.degrees(cap) for l in self.basis_labels(d)]
+
+    # -- products -----------------------------------------------------------
+
+    def product_on_basis(self, l1, l2) -> dict:
+        raise NotImplementedError
+
+    def product_cached(self, l1, l2) -> dict:
+        key = (l1, l2)
+        out = self._product_cache.get(key)
+        if out is None:
+            out = self.product_on_basis(l1, l2)
+            self._product_cache[key] = out
+        return out
+
+    def one_coeffs(self) -> dict:
+        raise NotImplementedError
+
+    # -- element constructors ----------------------------------------------
+
+    def element(self, coeffs) -> "AlgebraElement":
+        f = self.field
+        clean = {l: c for l, c in coeffs.items() if not f.is_zero(c)}
+        return self.element_class(self, clean)
+
+    def zero(self) -> "AlgebraElement":
+        return self.element_class(self, {})
+
+    def one(self) -> "AlgebraElement":
+        return self.element(self.one_coeffs())
+
+    def basis_element(self, label) -> "AlgebraElement":
+        return self.element_class(self, {label: self.field.one})
+
+    def from_scalar(self, c) -> "AlgebraElement":
+        return self.one().scale(c)
+
+    # -- printing -----------------------------------------------------------
+
+    def label_str(self, label) -> str:
+        return str(label)
+
+    def label_sort_key(self, label):
+        return (self.degree(label), repr(label))
+
+
 def element_from_vector(alg, labels, vec):
     f = alg.field
     return alg.element({l: c for l, c in zip(labels, vec) if not f.is_zero(c)})
@@ -226,9 +228,6 @@ class GroupAlgebra(BasedAlgebra):
     def __init__(self, field, K):
         super().__init__(field)
         self.K = K
-        self.commutative = all(
-            K.mul(a, b) == K.mul(b, a) for a in range(K.order) for b in range(K.order)
-        )
 
     def labels(self):
         return list(range(self.K.order))
@@ -250,7 +249,6 @@ class GroupAlgebra(BasedAlgebra):
 class FunctionAlgebra(BasedAlgebra):
     """R^G: indicator functions delta_g under the pointwise product."""
 
-    commutative = True
     product_keys = (lambda l: l, lambda l: l)
 
     def __init__(self, field, G):
@@ -283,7 +281,6 @@ class PolynomialAlgebra(BasedAlgebra):
     """
 
     graded = True
-    commutative = True
 
     def __init__(self, field, nvars, degree_cap):
         super().__init__(field)
@@ -356,7 +353,6 @@ class MatrixAlgebra(BasedAlgebra):
         if n < 1:
             raise ValueError("n >= 1 required")
         self.n = n
-        self.commutative = n == 1
 
     def labels(self):
         return [(i, j) for i in range(self.n) for j in range(self.n)]
@@ -388,7 +384,6 @@ class TensorAlgebra(BasedAlgebra):
         self.A = A
         self.B = B
         self.graded = A.graded or B.graded
-        self.commutative = A.commutative and B.commutative
 
     def labels(self):
         return [(a, b) for a in self.A.labels() for b in self.B.labels()]
@@ -443,7 +438,6 @@ class OppositeAlgebra(BasedAlgebra):
         super().__init__(A.field)
         self.A = A
         self.graded = A.graded
-        self.commutative = A.commutative
         if A.product_keys is not None:
             self.product_keys = A.product_keys[::-1]
 
@@ -475,13 +469,12 @@ class OppositeAlgebra(BasedAlgebra):
 class StructureConstantAlgebra(BasedAlgebra):
     """Finite-dimensional algebra given by an explicit structure-constant table."""
 
-    def __init__(self, field, size, products, one_coeffs_, names=None, commutative=False):
+    def __init__(self, field, size, products, one_coeffs_, names=None):
         super().__init__(field)
         self.size = size
         self._products = products  # (i, j) -> {k: c}; missing means zero
         self._one = dict(one_coeffs_)
         self.names = names or [f"b{i}" for i in range(size)]
-        self.commutative = commutative
 
     def labels(self):
         return list(range(self.size))
@@ -502,9 +495,7 @@ class StructureConstantAlgebra(BasedAlgebra):
 def scalar_algebra(field) -> StructureConstantAlgebra:
     """R itself as a one-dimensional based algebra."""
     return StructureConstantAlgebra(
-        field, 1, {(0, 0): {0: field.one}}, {0: field.one}, names=["1"],
-        commutative=True,
-    )
+        field, 1, {(0, 0): {0: field.one}}, {0: field.one}, names=["1"])
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +833,6 @@ class InvariantSubalgebra(BasedAlgebra):
         self.S_elements = list(S_elements)
         self.action = action
         self.graded = A.graded
-        self.commutative = A.commutative
         self._spaces = {}
 
     def space(self, d=None) -> InvariantSpace:

@@ -513,13 +513,16 @@ def suite_stone(run: SuiteRun, ctx, rng):
 def _record_map(run, check, detail, basis, forward, one, target, rng, onto=True):
     """Record whether ``forward`` is an injective algebra map from the span of
     ``basis`` (unit ``one``) into the Hecke context ``target``, onto it unless
-    ``onto`` is False; multiplicativity is checked on at most 60 basis pairs."""
+    ``onto`` is False; multiplicativity is checked on at most 60 basis pairs.
+    A failed check is followed by one line per witness."""
     rep = verify_algebra_map(
         check, basis, forward, one, target.identity(), target.field,
         vectorize=target.module_coordinates,
         target_dim=target.dimension() if onto else None, rng=rng, max_pairs=60,
     )
     run.record(check, rep.ok, detail)
+    for failed, witness in rep.failures:
+        run.write(f"  FAIL {failed}: witness {witness}")
 
 
 def suite_group_ops(run: SuiteRun, ctx, rng):

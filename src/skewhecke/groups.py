@@ -494,53 +494,37 @@ class CosetSpace:
         self._skeleton = None
 
     def _compute_orbits(self):
+        """The H-orbits on cosets, in one scan of H per orbit.
+
+        Cosets come in order of their least element, so the first coset not
+        yet seen represents its orbit, and the orbits come out in order of
+        least element.  Scanning h over H (identity first) gives the members,
+        the transversal (the first h with h.rep_coset = member) and the
+        stabilizer.
+        """
         G, H = self.G, self.H
         seen = [False] * self.n
         orbits = []
         for ci in range(self.n):
             if seen[ci]:
                 continue
-            members = set()
             transversal = {}
-            stack = [(ci, 0)]
-            while stack:
-                cj, h = stack.pop()
-                if cj in members:
-                    continue
-                members.add(cj)
-                transversal[cj] = h
-                for hh in H.elements:
-                    ck = self.h_action[hh][cj]
-                    if ck not in members:
-                        stack.append((ck, G.mul(hh, h)))
-            # orbit representative: coset with the minimal representative
-            rep_coset = min(members, key=lambda c: self.reps[c])
-            # recompute transversal relative to rep_coset
-            transversal2 = {rep_coset: 0}
-            frontier = [rep_coset]
-            while frontier:
-                cj = frontier.pop()
-                for hh in H.elements:
-                    ck = self.h_action[hh][cj]
-                    if ck not in transversal2:
-                        transversal2[ck] = G.mul(hh, transversal2[cj])
-                        frontier.append(ck)
-            g = self.reps[rep_coset]
-            stab = [
-                h for h in H.elements if self.h_action[h][rep_coset] == rep_coset
-            ]
+            stab = []
+            for h in H.elements:
+                cj = self.h_action[h][ci]
+                transversal.setdefault(cj, h)
+                seen[cj] = True
+                if cj == ci:
+                    stab.append(h)
             orbits.append(
                 DoubleCoset(
-                    rep_coset=rep_coset,
-                    rep_element=g,
-                    coset_indices=tuple(sorted(members)),
+                    rep_coset=ci,
+                    rep_element=self.reps[ci],
+                    coset_indices=tuple(sorted(transversal)),
                     stabilizer=Subgroup(G, stab, check=False),
-                    transversal=transversal2,
+                    transversal=transversal,
                 )
             )
-            for m in members:
-                seen[m] = True
-        orbits.sort(key=lambda dc: self.reps[dc.rep_coset])
         return orbits
 
     def product_skeleton(self):

@@ -24,14 +24,18 @@ from .groups import CosetSpace, FiniteGroup, Subgroup
 
 
 class StabilizerInvarianceError(ValueError):
-    """A purported Hecke value is not fixed by its orbit stabilizer."""
+    """A purported Hecke value is not fixed by its orbit stabilizer.
 
-    def __init__(self, orbit, witness_h):
+    ``witness_h`` is the index of a stabilizer generator that moves the value;
+    the message names it as ``witness_name``.
+    """
+
+    def __init__(self, orbit, witness_h, witness_name):
         self.orbit = orbit
         self.witness_h = witness_h
         super().__init__(
             f"value at double-coset orbit {orbit} is not fixed by stabilizer "
-            f"element {witness_h}"
+            f"element {witness_name}"
         )
 
 
@@ -125,7 +129,7 @@ class HeckeContext:
         stab = self.orbits[oi].stabilizer
         for s in stab.generators():
             if self.action.apply(s, value) != value:
-                raise StabilizerInvarianceError(oi, s)
+                raise StabilizerInvarianceError(oi, s, self.G.name(s))
 
     def from_values(self, values) -> "HeckeElement":
         """Build an element from per-double-coset values (list or dict); checked."""

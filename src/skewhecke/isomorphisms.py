@@ -41,6 +41,7 @@ from .groups import (
 from .hecke import (
     HeckeContext,
     HeckeElement,
+    StabilizerInvarianceError,
     classical_context,
     hecke_as_based_algebra,
 )
@@ -87,49 +88,53 @@ def verify_algebra_map(
     basis pairs (exhaustive unless max_pairs caps it, then seeded sampling),
     and, if ``vectorize`` is given, injectivity by exact rank (plus
     surjectivity when target_dim is known).  ``anti=True`` checks
-    F(xy) = F(y)F(x) instead.
+    F(xy) = F(y)F(x) instead.  An image that is not a Hecke element (a value
+    not fixed by its stabilizer) is an ``image`` failure and ends the checks.
     """
     failures = []
     details = {"basis_size": len(basis)}
-    if apply_map(one_src) != one_target:
-        failures.append(("unit", "F(1) != 1"))
-    images = [apply_map(b) for b in basis]
-    # linearity spot checks on random small combinations
-    if rng is not None and len(basis) >= 2:
-        for _ in range(10):
-            i = rng.randrange(len(basis))
-            j = rng.randrange(len(basis))
-            c = field.from_int(rng.randint(-3, 3))
-            x = basis[i] + basis[j].scale(c)
-            if apply_map(x) != images[i] + images[j].scale(c):
-                failures.append(("linearity", (i, j)))
+    try:
+        if apply_map(one_src) != one_target:
+            failures.append(("unit", "F(1) != 1"))
+        images = [apply_map(b) for b in basis]
+        # linearity spot checks on random small combinations
+        if rng is not None and len(basis) >= 2:
+            for _ in range(10):
+                i = rng.randrange(len(basis))
+                j = rng.randrange(len(basis))
+                c = field.from_int(rng.randint(-3, 3))
+                x = basis[i] + basis[j].scale(c)
+                if apply_map(x) != images[i] + images[j].scale(c):
+                    failures.append(("linearity", (i, j)))
+                    break
+        pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+        if max_pairs is not None and len(pairs) > max_pairs:
+            if rng is None:
+                raise ValueError("sampling pairs requires an rng")
+            pairs = [pairs[rng.randrange(len(pairs))] for _ in range(max_pairs)]
+            details["pairs"] = f"{max_pairs} sampled"
+        else:
+            details["pairs"] = f"{len(pairs)} exhaustive"
+        for i, j in pairs:
+            lhs = apply_map(basis[i] * basis[j])
+            rhs = images[j] * images[i] if anti else images[i] * images[j]
+            if lhs != rhs:
+                failures.append(("multiplicativity", (i, j)))
                 break
-    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        if rng is None:
-            raise ValueError("sampling pairs requires an rng")
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(max_pairs)]
-        details["pairs"] = f"{max_pairs} sampled"
-    else:
-        details["pairs"] = f"{len(pairs)} exhaustive"
-    for i, j in pairs:
-        lhs = apply_map(basis[i] * basis[j])
-        rhs = images[j] * images[i] if anti else images[i] * images[j]
-        if lhs != rhs:
-            failures.append(("multiplicativity", (i, j)))
-            break
-    if vectorize is not None:
-        vecs = [vectorize(im) for im in images]
-        r = linalg.rank(field, vecs)
-        details["rank"] = r
-        if r != len(basis):
-            failures.append(("injectivity", f"rank {r} < dim {len(basis)}"))
-        if target_dim is not None:
-            details["target_dim"] = target_dim
-            if r != target_dim:
-                failures.append(
-                    ("surjectivity", f"rank {r} != target dim {target_dim}")
-                )
+        if vectorize is not None:
+            vecs = [vectorize(im) for im in images]
+            r = linalg.rank(field, vecs)
+            details["rank"] = r
+            if r != len(basis):
+                failures.append(("injectivity", f"rank {r} < dim {len(basis)}"))
+            if target_dim is not None:
+                details["target_dim"] = target_dim
+                if r != target_dim:
+                    failures.append(
+                        ("surjectivity", f"rank {r} != target dim {target_dim}")
+                    )
+    except StabilizerInvarianceError as exc:
+        failures.append(("image", exc))
     return AlgebraMapReport(name=name, ok=not failures, failures=failures,
                             details=details)
 

@@ -59,7 +59,6 @@ class Rationals:
     arithmetic skips the gcd that every ``Fraction`` operation pays."""
 
     characteristic = 0
-    kind = "rationals"
 
     zero = 0
     one = 1
@@ -108,8 +107,6 @@ class Rationals:
 
 class PrimeField:
     """The field Z/p for a prime p, values stored as ints in [0, p)."""
-
-    kind = "prime_field"
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -175,19 +172,8 @@ class PrimeField:
 
 
 def field_make(spec):
-    """Build a field from a descriptor: ``"rationals"`` or ``"prime_field(p)"``.
-
-    Also accepts the tuple forms ``("rationals",)`` and ``("prime_field", p)``.
-    """
-    if isinstance(spec, (Rationals, PrimeField)):
-        return spec
-    if isinstance(spec, tuple):
-        if spec[0] == "rationals":
-            return Rationals()
-        if spec[0] == "prime_field":
-            return PrimeField(spec[1])
-        raise ValueError(f"unknown field descriptor {spec!r}")
-    s = str(spec).strip().lower()
+    """Build a field from a descriptor: ``"rationals"`` or ``"prime_field(p)"``."""
+    s = spec.strip().lower()
     if s in ("rationals", "q", "qq"):
         return Rationals()
     if s.startswith("prime_field(") and s.endswith(")"):

@@ -1,6 +1,7 @@
 """The skew group algebra A x| G, its Hecke idempotent, and corner bases.
 
-Elements are sparse maps (basis label of A, group element) -> scalar with the
+A x| G is a based algebra on the labels (l, g), l a basis label of A and g a
+group element.  Its elements share AlgebraElement's arithmetic, all but the
 twisted product (a.g)(b.k) = a (alpha_g b) . (gk).
 """
 
@@ -12,83 +13,16 @@ from .groups import CosetSpace, Subgroup
 from .scalars import NotAUnitError
 
 
-class SkewGroupAlgebra:
-    def __init__(self, A: BasedAlgebra, G, action: GroupAction):
-        if action.A is not A or action.G is not G:
-            raise ValueError("action does not match (A, G)")
-        self.A = A
-        self.G = G
-        self.action = action
-        self.field = A.field
+class SkewGroupElement(AlgebraElement):
+    """An element of A x| G; only its product differs from AlgebraElement's."""
 
-    def element(self, coeffs: dict) -> "SkewGroupElement":
-        f = self.field
-        clean = {k: c for k, c in coeffs.items() if not f.is_zero(c)}
-        return SkewGroupElement(self, clean)
-
-    def zero(self):
-        return SkewGroupElement(self, {})
-
-    def one(self):
-        return self.element({(l, 0): c for l, c in self.A.one_coeffs().items()})
-
-    def term(self, a: AlgebraElement, g: int) -> "SkewGroupElement":
-        return self.element({(l, g): c for l, c in a.coeffs.items()})
-
-    def basis_pairs(self, degree=None):
-        labels = self.A.basis_labels(degree)
-        return [(l, g) for l in labels for g in range(self.G.order)]
-
-    @property
-    def dim(self):
-        return self.A.dim * self.G.order
-
-    def components(self, x: "SkewGroupElement") -> dict:
-        """x as {g: its A-coefficient}; group elements absent from x are omitted."""
-        out: dict = {}
-        for (l, g), c in x.coeffs.items():
-            out.setdefault(g, {})[l] = c
-        return {g: AlgebraElement(self.A, coeffs) for g, coeffs in out.items()}
-
-    def coefficient_function(self, x: "SkewGroupElement", g: int) -> AlgebraElement:
-        """The A-coefficient of the group element g in x."""
-        return self.components(x).get(g, self.A.zero())
-
-
-class SkewGroupElement:
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent: SkewGroupAlgebra, coeffs: dict):
-        self.parent = parent
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        return SkewGroupElement(
-            self.parent, add_into(self.parent.field, dict(self.coeffs), other.coeffs)
-        )
-
-    def __neg__(self):
-        f = self.parent.field
-        return SkewGroupElement(
-            self.parent, {k: f.neg(c) for k, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        f = self.parent.field
-        if f.is_zero(c):
-            return SkewGroupElement(self.parent, {})
-        return SkewGroupElement(
-            self.parent, {k: f.mul(c, x) for k, x in self.coeffs.items()}
-        )
+    __slots__ = ()
 
     def __mul__(self, other):
         """(sum_g a_g.g)(sum_k b_k.k) = sum over g, k of (a_g alpha_g(b_k)) . gk."""
-        if not isinstance(other, SkewGroupElement) or other.parent is not self.parent:
+        if not isinstance(other, SkewGroupElement) or other.alg is not self.alg:
             return NotImplemented
-        p = self.parent
+        p = self.alg
         G, act = p.G, p.action
         right = p.components(other)
         by_group: dict = {}
@@ -100,39 +34,47 @@ class SkewGroupElement:
             p, {(l, gk): c for gk, coeffs in by_group.items() for l, c in coeffs.items()}
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewGroupElement)
-            and other.parent is self.parent
-            and other.coeffs == self.coeffs
-        )
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+class SkewGroupAlgebra(BasedAlgebra):
+    """A x| G as a based algebra on the labels (l, g): l a label of A, g in G."""
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
+    element_class = SkewGroupElement
 
-    def to_vector(self, pairs):
-        f = self.parent.field
-        return [self.coeffs.get(p, f.zero) for p in pairs]
+    def __init__(self, A: BasedAlgebra, G, action: GroupAction):
+        if action.A is not A or action.G is not G:
+            raise ValueError("action does not match (A, G)")
+        super().__init__(A.field)
+        self.A = A
+        self.G = G
+        self.action = action
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        p = self.parent
-        f = p.field
-        parts = []
-        for (l, g) in sorted(
-            self.coeffs, key=lambda k: (k[1], p.A.label_sort_key(k[0]))
-        ):
-            c = self.coeffs[(l, g)]
-            parts.append(f"{f.format(c)}*{p.A.label_str(l)}.{p.G.name(g)}")
-        return " + ".join(parts)
+    def labels(self):
+        return [(l, g) for l in self.A.labels() for g in range(self.G.order)]
 
-    def __repr__(self):
-        return f"<{self}>"
+    def one_coeffs(self):
+        return {(l, 0): c for l, c in self.A.one_coeffs().items()}
+
+    def label_str(self, label):
+        l, g = label
+        return f"{self.A.label_str(l)}.{self.G.name(g)}"
+
+    def label_sort_key(self, label):
+        l, g = label
+        return (g, self.A.label_sort_key(l))
+
+    def term(self, a: AlgebraElement, g: int) -> SkewGroupElement:
+        return self.element({(l, g): c for l, c in a.coeffs.items()})
+
+    def components(self, x: SkewGroupElement) -> dict:
+        """x as {g: its A-coefficient}; group elements absent from x are omitted."""
+        out: dict = {}
+        for (l, g), c in x.coeffs.items():
+            out.setdefault(g, {})[l] = c
+        return {g: AlgebraElement(self.A, coeffs) for g, coeffs in out.items()}
+
+    def coefficient_function(self, x: SkewGroupElement, g: int) -> AlgebraElement:
+        """The A-coefficient of the group element g in x."""
+        return self.components(x).get(g, self.A.zero())
 
 
 def subgroup_sum(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
@@ -157,7 +99,7 @@ def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
     return e
 
 
-def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
+def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement):
     """Exact basis of e (A x| G) e, spanned by {E.(b,g).E} and rank-reduced.
 
     For e = e_H, the group elements of e are H, and e.(1,h) = e = (1,h).e for
@@ -174,10 +116,10 @@ def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement, degree=None):
     H = Subgroup(sga.G, {g for (_, g) in e.coeffs})
     E = subgroup_sum(sga, H)
     reps = [dc.rep_element for dc in CosetSpace(sga.G, H).double_cosets]
-    pairs = sga.basis_pairs(degree)
+    pairs = sga.labels()
     span = linalg.SpanBasis(sga.field, len(pairs))
     basis = []
-    for l in sga.A.basis_labels(degree):
+    for l in sga.A.labels():
         b = sga.A.basis_element(l)
         for g in reps:
             x = E * sga.term(b, g) * E

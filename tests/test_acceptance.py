@@ -318,7 +318,7 @@ def test_acceptance_05_corner_model():
                     to_corner(ctx, sga, x) * to_corner(ctx, sga, y)
                 )
         assert to_corner(ctx, sga, ctx.identity()) == e
-        pairs = sga.basis_pairs()
+        pairs = sga.labels()
         vecs = [to_corner(ctx, sga, b).to_vector(pairs)
                 for b in ctx.basis_hecke_elements()]
         assert linalg.rank(Q, vecs) == ctx.dimension()
@@ -406,7 +406,7 @@ def test_acceptance_07_special_cases():
         # (e) H = 1: the skew group algebra
         ctx_e = function_context(H=trivial_subgroup(S3))
         tr = special_case_trivial_subgroup(ctx_e)
-        pairs = tr.target.basis_pairs()
+        pairs = tr.target.labels()
         rep = verify_algebra_map(
             "e", ctx_e.basis_hecke_elements(), tr.forward, ctx_e.identity(),
             tr.target.one(), Q, vectorize=lambda x: x.to_vector(pairs),
@@ -418,7 +418,7 @@ def test_acceptance_07_special_cases():
         ctx_f = function_context(H=A3)
         tr = special_case_normal_subgroup(ctx_f)
         assert tr.info["quotient_order"] == 2
-        pairs = tr.target.basis_pairs()
+        pairs = tr.target.labels()
         rep = verify_algebra_map(
             "f", ctx_f.basis_hecke_elements(), tr.forward, ctx_f.identity(),
             tr.target.one(), Q, vectorize=lambda x: x.to_vector(pairs),

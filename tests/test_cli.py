@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from skewhecke.algebras import add_into
@@ -11,6 +13,7 @@ from skewhecke.cli import (
 )
 from skewhecke.groups import CosetSpace
 from skewhecke.hecke import classical_structure_constants_counting
+from skewhecke.isomorphisms import conjugate_transport, pull_map, semidirect_transport
 from skewhecke.scalars import Rationals
 from skewhecke.skewgroup import SkewGroupElement
 
@@ -333,7 +336,7 @@ def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
 
 def untwisted_skew_mul(self, other):
     """(a.g)(b.k) = ab.gk: the skew product with alpha_g dropped."""
-    p = self.parent
+    p = self.alg
     out = {}
     for g, a in p.components(self).items():
         for k, b in p.components(other).items():
@@ -368,3 +371,39 @@ def test_corner_lift_reading_the_wrong_coset_fails(capsys, cfg_file, monkeypatch
     assert code == 1
     assert "corner.roundtrip: PASS" in out and "corner.unit: PASS" in out
     assert "corner.multiplicativity: FAIL" in out
+
+
+# -- a failed transport check is reported with its witnesses ----------------------
+
+
+def test_doubled_semidirect_forward_prints_the_unit_witness(capsys, cfg_file,
+                                                             monkeypatch):
+    def doubled(*args):
+        tr = semidirect_transport(*args)
+        two = tr.target.field.from_int(2)
+        return replace(tr, forward=lambda phi: tr.forward(phi).scale(two))
+
+    monkeypatch.setattr("skewhecke.cli.semidirect_transport", doubled)
+    code, out = run_cli(capsys, "verify", "group_ops", "--config", cfg_file(STONE))
+    assert code == 1
+    assert "group_ops.semidirect: FAIL (dim 14 = 14)\n  FAIL unit: witness F(1) != 1\n" \
+        in out
+    assert "group_ops.conjugate: PASS" in out
+
+
+def test_conjugate_forward_without_alpha_is_a_failed_check(capsys, cfg_file,
+                                                           monkeypatch):
+    # phi'(xH') = phi(s^-1 x s H) with alpha_s dropped is not stabilizer-fixed
+    def untwisted(ctx, s):
+        tr = conjugate_transport(ctx, s)
+        G, si = ctx.G, ctx.G.inverse(s)
+        forward = pull_map(ctx, tr.target, lambda at, x: at(G.mul(G.mul(si, x), s)))
+        return replace(tr, forward=forward)
+
+    monkeypatch.setattr("skewhecke.cli.conjugate_transport", untwisted)
+    code, out = run_cli(capsys, "verify", "group_ops", "--config", cfg_file(STONE))
+    assert code == 1
+    assert "group_ops.conjugate: FAIL" in out
+    assert "  FAIL image: witness value at double-coset orbit 0 is not fixed by " \
+        "stabilizer element (1 3)\n" in out
+    assert "group_ops.semidirect: PASS" in out

@@ -516,7 +516,7 @@ def test_special_case_trivial_subgroup():
     ctx = function_context(H=trivial_subgroup(S3))
     tr = special_case_trivial_subgroup(ctx)
     sga = tr.target
-    pairs = sga.basis_pairs()
+    pairs = sga.labels()
     report = verify_algebra_map(
         "trivial_subgroup",
         ctx.basis_hecke_elements(),
@@ -541,7 +541,7 @@ def test_special_case_normal_subgroup():
     ctx = function_context(H=A3)
     tr = special_case_normal_subgroup(ctx)
     sga = tr.target
-    pairs = sga.basis_pairs()
+    pairs = sga.labels()
     report = verify_algebra_map(
         "normal_subgroup",
         ctx.basis_hecke_elements(),

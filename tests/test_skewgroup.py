@@ -7,6 +7,7 @@ from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
+    check_associativity,
     conjugation_action,
     left_translation_action,
     scalar_algebra,
@@ -32,7 +33,7 @@ def make_sga(field=Q):
 
 def random_element(sga, rng):
     coeffs = {}
-    for pair in sga.basis_pairs():
+    for pair in sga.labels():
         c = rng.randint(-2, 2)
         if c:
             coeffs[pair] = sga.field.from_int(c)
@@ -108,7 +109,7 @@ def test_corner_scalar_coefficients_classical_dimension():
 
 def full_corner_span(sga, e):
     """Reference: the span of e.(b,g).e over all dim(A)|G| basis pairs."""
-    pairs = sga.basis_pairs()
+    pairs = sga.labels()
     span = linalg.SpanBasis(sga.field, len(pairs))
     for (l, g) in pairs:
         span.insert((e * sga.term(sga.A.basis_element(l), g) * e).to_vector(pairs))
@@ -129,7 +130,7 @@ def test_corner_basis_from_double_cosets_spans_the_full_corner(family, field, su
     A, action = CORNER_FAMILIES[family](field)
     sga = SkewGroupAlgebra(A, S3, action(S3, A))
     e = hecke_idempotent(sga, subgroup_from_generators(S3, [S3.element_by_name(subgroup)]))
-    pairs = sga.basis_pairs()
+    pairs = sga.labels()
     reduced = corner_basis(sga, e)
     full = full_corner_span(sga, e)
     # independent, inside the corner, and as many as the full set's rank
@@ -140,7 +141,7 @@ def test_corner_basis_from_double_cosets_spans_the_full_corner(family, field, su
 
 def reference_skew_mul(x, y):
     """Definitional product: (a.g)(b.k) = a alpha_g(b) . gk, term by term."""
-    p = x.parent
+    p = x.alg
     f, G = p.field, p.G
     out = {}
     for (l1, g), c1 in x.coeffs.items():
@@ -160,21 +161,33 @@ def sparse_random_element(sga, rng):
     f = sga.field
     return sga.element({
         pair: f.from_int(rng.randint(-2, 2))
-        for pair in sga.basis_pairs() if rng.random() < 0.3
+        for pair in sga.labels() if rng.random() < 0.3
     })
+
+
+def skew_fixture(family):
+    """S3 functions under left translation over GF(5), R[S3] under conjugation
+    over Q, or M_2(Q) with the trivial action."""
+    if family == "functions":
+        return make_sga(PrimeField(5))
+    if family == "group_conjugation":
+        A = GroupAlgebra(Q, S3)
+        return SkewGroupAlgebra(A, S3, conjugation_action(S3, A))
+    A = MatrixAlgebra(Q, 2)
+    return SkewGroupAlgebra(A, S3, trivial_action(S3, A))
 
 
 @pytest.mark.parametrize("family", ["functions", "group_conjugation", "matrix_trivial"])
 def test_grouped_product_matches_definition(family):
-    if family == "functions":
-        sga = make_sga(PrimeField(5))
-    elif family == "group_conjugation":
-        A = GroupAlgebra(Q, S3)
-        sga = SkewGroupAlgebra(A, S3, conjugation_action(S3, A))
-    else:
-        A = MatrixAlgebra(Q, 2)
-        sga = SkewGroupAlgebra(A, S3, trivial_action(S3, A))
+    sga = skew_fixture(family)
     rng = random.Random(3)
     for _ in range(30):
         x, y = sparse_random_element(sga, rng), sparse_random_element(sga, rng)
         assert x * y == reference_skew_mul(x, y)
+
+
+@pytest.mark.parametrize("family", ["functions", "group_conjugation", "matrix_trivial"])
+def test_twisted_product_passes_the_generic_associativity_check(family):
+    # A x| G is a BasedAlgebra, so the checker every algebra family uses applies
+    sga = skew_fixture(family)
+    assert check_associativity(sga, max_triples=500, rng=random.Random(5)) == []
