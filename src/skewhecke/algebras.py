@@ -374,8 +374,50 @@ class MatrixAlgebra(BasedAlgebra):
         return (0, label)
 
 
+class TensorElement(AlgebraElement):
+    """An element of A (x) B (or of a twisted product, see ``TensorAlgebra``)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        """(sum_b x_b (x) b)(sum_c y_c (x) c) = sum over b, c of x_b twist(b, y_c) (x) bc.
+
+        Both factors are grouped by B-label and whole A-blocks are multiplied,
+        visiting only the pairs (b, c) that B's product_keys allow.
+        """
+        if not isinstance(other, AlgebraElement) or other.alg is not self.alg:
+            return NotImplemented
+        T = self.alg
+        B, f, one = T.B, T.field, T.field.one
+        right = list(T.components(other).items())
+        keys = B.product_keys
+        if keys is not None:
+            left_key, right_key = keys
+            buckets: dict = {}
+            for c, y in right:
+                buckets.setdefault(right_key(c), []).append((c, y))
+        out: dict = {}
+        for b, x in T.components(self).items():
+            partners = right if keys is None else buckets.get(left_key(b), ())
+            for c, y in partners:
+                bc = B.product_cached(b, c)
+                if bc:
+                    xy = (x * T.twist(b, y)).coeffs
+                    for d, k in bc.items():
+                        add_into(f, out.setdefault(d, {}), xy, None if k == one else k)
+        return T.element_class(
+            T, {(l, d): c for d, coeffs in out.items() for l, c in coeffs.items()})
+
+
 class TensorAlgebra(BasedAlgebra):
-    """A (x) B on pair labels; componentwise product, degrees add."""
+    """A (x) B on pair labels (a, b); degrees add.
+
+    The product is (x (x) b)(y (x) c) = x twist(b, y) (x) bc.  ``twist`` is the
+    identity here, giving the componentwise product; the skew group algebra
+    A (x) R[G] twists by the action, twist(g, y) = alpha_g(y).
+    """
+
+    element_class = TensorElement
 
     def __init__(self, A: BasedAlgebra, B: BasedAlgebra):
         if A.field != B.field:
@@ -384,6 +426,10 @@ class TensorAlgebra(BasedAlgebra):
         self.A = A
         self.B = B
         self.graded = A.graded or B.graded
+
+    def twist(self, b, y: AlgebraElement) -> AlgebraElement:
+        """b y = twist(b, y) b: y moved from the right of b to its left."""
+        return y
 
     def labels(self):
         return [(a, b) for a in self.A.labels() for b in self.B.labels()]
@@ -400,12 +446,16 @@ class TensorAlgebra(BasedAlgebra):
         return out
 
     def product_on_basis(self, l1, l2):
+        """The basis product label by label, independent of ``TensorElement``."""
         f = self.field
-        pa = self.A.product_cached(l1[0], l2[0])
         pb = self.B.product_cached(l1[1], l2[1])
+        if not pb:
+            return {}
+        A = self.A
+        pa = A.basis_element(l1[0]) * self.twist(l1[1], A.basis_element(l2[0]))
         return {
             (a, b): f.mul(ca, cb)
-            for a, ca in pa.items()
+            for a, ca in pa.coeffs.items()
             for b, cb in pb.items()
         }
 
@@ -426,6 +476,21 @@ class TensorAlgebra(BasedAlgebra):
                 for b, cb in y.coeffs.items()
             }
         )
+
+    # -- A-blocks -------------------------------------------------------------
+
+    def components(self, x: AlgebraElement) -> dict:
+        """x as {b: its A-block}; B-labels absent from x are omitted."""
+        out: dict = {}
+        for (l, b), c in x.coeffs.items():
+            out.setdefault(b, {})[l] = c
+        A = self.A
+        return {b: A.element_class(A, coeffs) for b, coeffs in out.items()}
+
+    def from_components(self, blocks) -> TensorElement:
+        """sum over b of blocks[b] (x) b, for a map b -> element of A."""
+        return self.element_class(
+            self, {(l, b): c for b, x in blocks.items() for l, c in x.coeffs.items()})
 
     def label_str(self, label):
         return f"{self.A.label_str(label[0])}(x){self.B.label_str(label[1])}"
@@ -582,7 +647,7 @@ class GroupAction:
                     out[l2] = c
                     continue
             add_into(f, out, image, c)
-        return AlgebraElement(self.A, out)
+        return self.A.element_class(self.A, out)
 
     def verify(self, degree_cap=None) -> ActionReport:
         """Check that alpha is an action by unital, degree-preserving algebra maps.

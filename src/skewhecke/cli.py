@@ -423,17 +423,22 @@ def _random_invariant(ctx, rng):
 
 def suite_matrix(run: SuiteRun, ctx, rng):
     xs = _random_elements(ctx, rng, 5)
-    ok = all(from_matrix(ctx, to_matrix(x).entries) == x for x in xs)
-    run.record("matrix.roundtrip", ok)
-    ok = all(matrix_invariance_witness(ctx, to_matrix(x).entries) is None for x in xs)
-    run.record("matrix.image_invariant", ok)
+    images = [to_matrix(x) for x in xs]
+    witness = next(filter(None, map(matrix_invariance_witness, images)), None)
+    # from_matrix inverts to_matrix on G-invariant matrices only
+    if witness is None:
+        run.record("matrix.roundtrip", all(from_matrix(m) == x for m, x in zip(images, xs)))
+        run.record("matrix.image_invariant", True)
+    else:
+        run.record("matrix.roundtrip", False, "image not G-invariant")
+        run.record("matrix.image_invariant", False, f"witness {witness}")
     pairs = [(ctx.random_element(rng), ctx.random_element(rng)) for _ in range(20)]
     w = matrix_multiplicativity_witness(ctx, pairs)
     run.record("matrix.multiplicativity", w is None,
                "20 pairs" if w is None else f"witness pair {w}")
     run.record("matrix.unit", to_matrix(ctx.identity()) == matrix_unit_matrix(ctx))
     if not ctx.graded:
-        labels = ctx.A.labels()
+        labels = ctx.matrix_model.labels()
         vecs = [to_matrix(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
         r = linalg.rank(ctx.field, vecs)
         run.record("matrix.injective", r == ctx.dimension(), f"rank {r}")
@@ -473,8 +478,7 @@ def suite_corner(run: SuiteRun, ctx, rng):
 
 
 def suite_stone(run: SuiteRun, ctx, rng):
-    if not isinstance(ctx.A, FunctionAlgebra) or ctx.A.G is not ctx.G \
-            or ctx.action.name != "left_translation":
+    if not StoneModel.applies(ctx):
         run.skip("stone", "requires the function algebra with left translation")
         return
     sm = StoneModel(ctx)

@@ -11,6 +11,8 @@ coordinates are solved only on the orbits an element is carried by.
 
 from __future__ import annotations
 
+import functools
+
 from .algebras import (
     AlgebraElement,
     BasedAlgebra,
@@ -65,6 +67,13 @@ class HeckeContext:
     @property
     def graded(self):
         return self.A.graded
+
+    @functools.cached_property
+    def matrix_model(self):
+        """``isomorphisms.MatrixModel``, A (x) End_R(Ind_H^G R); built on first use."""
+        from .isomorphisms import MatrixModel
+
+        return MatrixModel(self)
 
     def orbit_space(self, oi, degree=None) -> InvariantSpace:
         """A^{H cap gHg^-1} in one degree, g the representative of orbit oi; cached."""

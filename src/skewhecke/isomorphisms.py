@@ -14,14 +14,14 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .algebras import (
-    AlgebraElement,
+    GroupAction,
     GroupAlgebra,
     FunctionAlgebra,
     InvariantSubalgebra,
     MatrixAlgebra,
     OppositeAlgebra,
     TensorAlgebra,
-    add_into,
+    TensorElement,
     cocycle_perturbed_action,
     element_inverse,
     group_automorphism_action,
@@ -151,141 +151,88 @@ class Transport:
 
 
 # ---------------------------------------------------------------------------
-# matrix model: phi |-> (M_{gH,kH}) = alpha_k phi(k^-1 gH)
+# matrix model: phi |-> sum alpha_{k_a} phi(k_a^-1 k_b H) (x) E[a,b]
 
 
-class HeckeMatrix:
-    """An n x n matrix over A in the coset-indexed model.
+class HeckeMatrix(TensorElement):
+    """An element of a context's ``MatrixModel``; its product is ``TensorElement``'s."""
 
-    The product matching convolution is (M * N)_{s,k} = sum_g M_{g,k} N_{s,g};
-    transposition turns it into the standard matrix product, entries multiplied
-    in the same order.
+    __slots__ = ()
+
+
+class MatrixModel(TensorAlgebra):
+    """A (x) End_R(Ind_H^G R) = A (x) M_n(R), n = [G:H], for one context.
+
+    E[a,b] is the matrix unit of the cosets k_a H, k_b H (k_a the coset
+    representatives).  ``diagonal`` is the action of G by alpha on A and by
+    E[a,b] |-> E[ga,gb] on M_n(R); the paper's matrix model is its algebra of
+    fixed points, the image of ``to_matrix``.
     """
 
-    __slots__ = ("ctx", "entries")
+    element_class = HeckeMatrix
 
-    def __init__(self, ctx: HeckeContext, entries):
+    def __init__(self, ctx: HeckeContext):
+        cs, G = ctx.cosets, ctx.G
+        super().__init__(ctx.A, MatrixAlgebra(ctx.field, cs.n))
         self.ctx = ctx
-        self.entries = entries
+        E = self.B
+        moves = [[cs.coset_of[G.mul(g, k)] for k in cs.reps] for g in range(G.order)]
 
-    def __add__(self, other):
-        return HeckeMatrix(
-            self.ctx,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        def permute(g, ab):
+            return E.basis_element((moves[g][ab[0]], moves[g][ab[1]]))
 
-    def scale(self, c):
-        return HeckeMatrix(
-            self.ctx, [[a.scale(c) for a in row] for row in self.entries]
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, HeckeMatrix) or other.ctx is not self.ctx:
-            return NotImplemented
-        n = self.ctx.cosets.n
-        A = self.ctx.A
-        out = []
-        for s in range(n):
-            row = []
-            for k in range(n):
-                acc: dict = {}
-                for g in range(n):
-                    a = self.entries[g][k]
-                    if a.is_zero:
-                        continue
-                    b = other.entries[s][g]
-                    if b.is_zero:
-                        continue
-                    add_into(A.field, acc, (a * b).coeffs)
-                row.append(AlgebraElement(A, acc))
-            out.append(row)
-        return HeckeMatrix(self.ctx, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeMatrix)
-            and other.ctx is self.ctx
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.entries))
-
-    def to_vector(self, labels):
-        out = []
-        for row in self.entries:
-            for a in row:
-                out.extend(a.to_vector(labels))
-        return out
-
-    def __str__(self):
-        return "\n".join(
-            "[" + ", ".join(str(a) for a in row) + "]" for row in self.entries
-        )
+        ids = range(G.order)
+        cosets = GroupAction(G, E, permute, name="coset_permutation")
+        self.diagonal = tensor_product_action(G, ids, ids, ctx.action, cosets, self)
 
 
 def to_matrix(phi: HeckeElement) -> HeckeMatrix:
-    ctx = phi.ctx
-    cs = ctx.cosets
-    G = ctx.G
-    exp = phi.expand()
-    entries = []
-    for i in range(cs.n):
-        g = cs.reps[i]
-        row = []
-        for j in range(cs.n):
-            k = cs.reps[j]
-            row.append(
-                ctx.action.apply(k, exp[cs.coset_of[G.mul(G.inverse(k), g)]])
-            )
-        entries.append(row)
-    return HeckeMatrix(ctx, entries)
+    """phi |-> the matrix with alpha_{k_a} phi(k_a^-1 k_b H) at E[a,b].
 
-
-def matrix_invariance_witness(ctx: HeckeContext, entries):
-    """None if alpha_s M_{s^-1 gH, s^-1 kH} = M_{gH,kH} for all s; else witness.
-
-    Checking a generating set of G suffices (the condition is a G-action's
-    fixed-point equation).
+    The model's product is the standard one, A-entries multiplied in order, so
+    to_matrix(phi * psi) = to_matrix(phi) to_matrix(psi).
     """
-    cs = ctx.cosets
-    G = ctx.G
-    for s in full_subgroup(G).generators():
-        si = G.inverse(s)
-        moved = [cs.coset_of[G.mul(si, cs.reps[i])] for i in range(cs.n)]
-        for i in range(cs.n):
-            for j in range(cs.n):
-                if ctx.action.apply(s, entries[moved[i]][moved[j]]) != entries[i][j]:
-                    return (s, i, j)
+    ctx = phi.ctx
+    cs, G, apply = ctx.cosets, ctx.G, ctx.action.apply
+    exp = phi.expand()
+    return ctx.matrix_model.from_components({
+        (a, b): apply(k, exp[cs.coset_of[G.mul(G.inverse(k), g)]])
+        for a, k in enumerate(cs.reps) for b, g in enumerate(cs.reps)
+    })
+
+
+def matrix_invariance_witness(M: HeckeMatrix):
+    """None if M is fixed by the model's diagonal action; else a witness naming
+    a generator s of G and a matrix unit E[a,b] where s.M and M differ.
+
+    Checking a generating set of G suffices (fixed points of a G-action).
+    """
+    model = M.alg
+    act = model.diagonal
+    for s in full_subgroup(act.G).generators():
+        moved = act.apply(s, M)
+        if moved != M:
+            ab = min(ab for _, ab in (moved - M).coeffs)
+            return f"s={act.G.name(s)} at {model.B.label_str(ab)}"
     return None
 
 
-def from_matrix(ctx: HeckeContext, entries) -> HeckeElement:
-    """Inverse of ``to_matrix`` on G-invariant matrices; validated."""
-    witness = matrix_invariance_witness(ctx, entries)
+def from_matrix(M: HeckeMatrix) -> HeckeElement:
+    """Inverse of ``to_matrix`` on G-invariant matrices; validated.
+
+    Row 0 is the coset H, whose representative is e: M[0,b] = phi(k_b H).
+    """
+    witness = matrix_invariance_witness(M)
     if witness is not None:
-        s, i, j = witness
-        raise ValueError(
-            f"matrix is not G-invariant: fails for s={ctx.G.name(s)} at "
-            f"cosets ({i},{j})"
-        )
-    # column of the identity coset: M_{gH,H} = phi(gH)
-    values = {}
-    for oi, orbit in enumerate(ctx.orbits):
-        values[oi] = entries[orbit.rep_coset][0]
-    return ctx.from_values(values)
+        raise ValueError(f"matrix is not G-invariant: fails for {witness}")
+    ctx = M.alg.ctx
+    blocks, zero = M.alg.components(M), ctx.A.zero()
+    return ctx.from_values({oi: blocks.get((0, orbit.rep_coset), zero)
+                            for oi, orbit in enumerate(ctx.orbits)})
 
 
 def matrix_unit_matrix(ctx: HeckeContext) -> HeckeMatrix:
-    n = ctx.cosets.n
-    A = ctx.A
-    return HeckeMatrix(
-        ctx,
-        [[A.one() if i == j else A.zero() for j in range(n)] for i in range(n)],
-    )
+    return ctx.matrix_model.one()
 
 
 def relativise(ctx: HeckeContext, a) -> HeckeMatrix:
@@ -293,24 +240,13 @@ def relativise(ctx: HeckeContext, a) -> HeckeMatrix:
     for s in ctx.H.generators():
         if ctx.action.apply(s, a) != a:
             raise ValueError("element is not H-invariant")
-    cs = ctx.cosets
-    A = ctx.A
-    entries = [
-        [
-            ctx.action.apply(cs.reps[i], a) if i == j else A.zero()
-            for j in range(cs.n)
-        ]
-        for i in range(cs.n)
-    ]
-    return HeckeMatrix(ctx, entries)
+    return ctx.matrix_model.from_components(
+        {(i, i): ctx.action.apply(k, a) for i, k in enumerate(ctx.cosets.reps)})
 
 
 def matrix_multiplicativity_witness(ctx: HeckeContext, pairs):
-    """None if to_matrix(x*y) = to_matrix(x) * to_matrix(y) on all pairs.
-
-    The matrix product is the reversed-composition convention of HeckeMatrix,
-    checked componentwise; a failing pair index is returned as witness.
-    """
+    """None if to_matrix(x*y) = to_matrix(x) * to_matrix(y) on all pairs;
+    else the index of the first failing pair."""
     for idx, (x, y) in enumerate(pairs):
         if to_matrix(x.convolve(y)) != to_matrix(x) * to_matrix(y):
             return idx
@@ -337,8 +273,7 @@ def corner_lift(ctx: HeckeContext, sga, phi: HeckeElement):
     """
     exp = phi.expand()
     coset_of = ctx.cosets.coset_of
-    return sga.element({(l, g): c for g in range(ctx.G.order)
-                        for l, c in exp[coset_of[g]].coeffs.items()})
+    return sga.from_components({g: exp[coset_of[g]] for g in range(ctx.G.order)})
 
 
 def to_corner(ctx: HeckeContext, sga, phi: HeckeElement):
@@ -354,12 +289,10 @@ def to_corner(ctx: HeckeContext, sga, phi: HeckeElement):
 
 def from_corner(ctx: HeckeContext, sga, x) -> HeckeElement:
     """Inverse of ``to_corner``: phi(gH) = |H| . (A-coefficient of g in x)."""
-    f = ctx.field
-    h = f.from_int(ctx.H.order)
-    values = {}
-    for oi, orbit in enumerate(ctx.orbits):
-        values[oi] = sga.coefficient_function(x, orbit.rep_element).scale(h)
-    return ctx.from_values(values)
+    h = ctx.field.from_int(ctx.H.order)
+    blocks, zero = sga.components(x), ctx.A.zero()
+    return ctx.from_values({oi: blocks.get(orbit.rep_element, zero).scale(h)
+                            for oi, orbit in enumerate(ctx.orbits)})
 
 
 # ---------------------------------------------------------------------------
@@ -369,31 +302,28 @@ def from_corner(ctx: HeckeContext, sga, x) -> HeckeElement:
 class StoneModel:
     """H_R(G, H, R^G, left translation) ~= M_n(R) with n = [G : H].
 
-    The map composes the matrix model with transposition and evaluation of
-    each function entry at the group identity.
+    The map evaluates each function entry of the matrix model at the group
+    identity; M_n(R) is the model's second tensor factor.
     """
 
     def __init__(self, ctx: HeckeContext):
-        if not isinstance(ctx.A, FunctionAlgebra) or ctx.A.G is not ctx.G:
-            raise ValueError("model requires A = functions on G")
-        if ctx.action.name != "left_translation":
-            raise ValueError("model requires the left-translation action")
+        if not self.applies(ctx):
+            raise ValueError("model requires A = functions on G under left translation")
         self.ctx = ctx
         self.n = ctx.cosets.n
-        self.matrices = MatrixAlgebra(ctx.field, self.n)
+        self.matrices = ctx.matrix_model.B
         self._solver = None
 
+    @staticmethod
+    def applies(ctx: HeckeContext) -> bool:
+        """Whether ctx has the function algebra of G under left translation."""
+        return isinstance(ctx.A, FunctionAlgebra) and ctx.A.G is ctx.G \
+            and ctx.action.name == "left_translation"
+
     def apply(self, phi: HeckeElement):
-        f = self.ctx.field
-        T = to_matrix(phi)
-        coeffs = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                # transpose, then evaluate the function entry at the identity
-                c = T.entries[j][i].coeffs.get(0, f.zero)
-                if not f.is_zero(c):
-                    coeffs[(i, j)] = c
-        return self.matrices.element(coeffs)
+        """sum over a, b of M[a,b](e) E[a,b], M = to_matrix(phi)."""
+        return self.matrices.element(
+            {ab: c for (l, ab), c in to_matrix(phi).coeffs.items() if l == 0})
 
     def _ensure_solver(self):
         if self._solver is None:
@@ -409,7 +339,7 @@ class StoneModel:
         labels = self.matrices.labels()
         coords = self._solver.coordinates(enumerate(m.to_vector(labels)))
         if coords is None:
-            raise ValueError("matrix is not in the image (bug: map is onto)")
+            raise ArithmeticError("matrix is not in the image (bug: map is onto)")
         return self.ctx.combination((self._basis[i], c) for i, c in coords.items())
 
 
@@ -456,7 +386,7 @@ def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
     def express(at, q):
         v = AN.express(at(section[q]))
         if v is None:
-            raise ValueError("value is not N-invariant (bug)")
+            raise ArithmeticError("value is not N-invariant (bug)")
         return v
 
     return Transport(
@@ -699,23 +629,11 @@ def special_case_trivial_action(ctx: HeckeContext) -> Transport:
         raise ValueError("requires the trivial action")
     cl = classical_context(ctx.field, ctx.G, ctx.H)
     B, _, _ = hecke_as_based_algebra(cl)
+    # B's basis element oi is the indicator of orbit oi: phi |-> sum phi(oi) (x) oi
     T = TensorAlgebra(ctx.A, B)
-
-    def forward(phi: HeckeElement):
-        out: dict = {}
-        for oi, v in phi.values.items():
-            add_into(T.field, out, T.pure(v, B.basis_element(oi)).coeffs)
-        return AlgebraElement(T, out)
-
-    def backward(x):
-        values: dict = {}
-        for (la, oi), c in x.coeffs.items():
-            values.setdefault(oi, {})[la] = c
-        return ctx.from_values(
-            {oi: AlgebraElement(ctx.A, coeffs) for oi, coeffs in values.items()}
-        )
-
-    return Transport(source=ctx, target=T, forward=forward, backward=backward)
+    return Transport(source=ctx, target=T,
+                     forward=lambda phi: T.from_components(phi.values),
+                     backward=lambda x: ctx.from_values(T.components(x)))
 
 
 def special_case_full_subgroup(ctx: HeckeContext) -> Transport:
@@ -727,7 +645,7 @@ def special_case_full_subgroup(ctx: HeckeContext) -> Transport:
     def forward(phi: HeckeElement):
         v = AG.express(phi.value(0))
         if v is None:
-            raise ValueError("value is not G-invariant (bug)")
+            raise ArithmeticError("value is not G-invariant (bug)")
         return v
 
     def backward(a):
@@ -763,19 +681,17 @@ def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
 
     def forward(phi: HeckeElement):
         exp = phi.expand()
-        x: dict = {}
+        blocks = {}
         for q in range(Q.order):
-            v = AH.express(exp[ctx.cosets.coset_of[section[q]]])
-            if v is None:
-                raise ValueError("value is not H-invariant (bug)")
-            add_into(sga.field, x, sga.term(v, q).coeffs)
-        return sga.element(x)
+            blocks[q] = AH.express(exp[ctx.cosets.coset_of[section[q]]])
+            if blocks[q] is None:
+                raise ArithmeticError("value is not H-invariant (bug)")
+        return sga.from_components(blocks)
 
     def backward(x):
-        values = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            values[oi] = AH.include(sga.coefficient_function(x, proj[orbit.rep_element]))
-        return ctx.from_values(values)
+        blocks, zero = sga.components(x), AH.zero()
+        return ctx.from_values({oi: AH.include(blocks.get(proj[orbit.rep_element], zero))
+                                for oi, orbit in enumerate(ctx.orbits)})
 
     return Transport(source=ctx, target=sga, forward=forward, backward=backward,
                      info={"quotient_order": Q.order})

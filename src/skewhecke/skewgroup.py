@@ -1,58 +1,45 @@
 """The skew group algebra A x| G, its Hecke idempotent, and corner bases.
 
-A x| G is a based algebra on the labels (l, g), l a basis label of A and g a
-group element.  Its elements share AlgebraElement's arithmetic, all but the
-twisted product (a.g)(b.k) = a (alpha_g b) . (gk).
+A x| G is the tensor product A (x) R[G] on the labels (l, g), l a basis label
+of A and g a group element, with the product twisted by the action:
+(a.g)(b.k) = a (alpha_g b) . (gk).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .algebras import AlgebraElement, BasedAlgebra, GroupAction, add_into
+from .algebras import (
+    AlgebraElement,
+    BasedAlgebra,
+    GroupAction,
+    GroupAlgebra,
+    TensorAlgebra,
+    TensorElement,
+)
 from .groups import CosetSpace, Subgroup
 from .scalars import NotAUnitError
 
 
-class SkewGroupElement(AlgebraElement):
-    """An element of A x| G; only its product differs from AlgebraElement's."""
+class SkewGroupElement(TensorElement):
+    """An element of A x| G; its product is ``TensorElement``'s, twisted."""
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        """(sum_g a_g.g)(sum_k b_k.k) = sum over g, k of (a_g alpha_g(b_k)) . gk."""
-        if not isinstance(other, SkewGroupElement) or other.alg is not self.alg:
-            return NotImplemented
-        p = self.alg
-        G, act = p.G, p.action
-        right = p.components(other)
-        by_group: dict = {}
-        for g, a in p.components(self).items():
-            for k, b in right.items():
-                add_into(p.field, by_group.setdefault(G.mul(g, k), {}),
-                         (a * act.apply(g, b)).coeffs)
-        return SkewGroupElement(
-            p, {(l, gk): c for gk, coeffs in by_group.items() for l, c in coeffs.items()}
-        )
 
-
-class SkewGroupAlgebra(BasedAlgebra):
-    """A x| G as a based algebra on the labels (l, g): l a label of A, g in G."""
+class SkewGroupAlgebra(TensorAlgebra):
+    """A x| G = A (x) R[G] with twist(g, b) = alpha_g(b)."""
 
     element_class = SkewGroupElement
 
     def __init__(self, A: BasedAlgebra, G, action: GroupAction):
         if action.A is not A or action.G is not G:
             raise ValueError("action does not match (A, G)")
-        super().__init__(A.field)
-        self.A = A
+        super().__init__(A, GroupAlgebra(A.field, G))
         self.G = G
         self.action = action
 
-    def labels(self):
-        return [(l, g) for l in self.A.labels() for g in range(self.G.order)]
-
-    def one_coeffs(self):
-        return {(l, 0): c for l, c in self.A.one_coeffs().items()}
+    def twist(self, g, b: AlgebraElement) -> AlgebraElement:
+        return self.action.apply(g, b)
 
     def label_str(self, label):
         l, g = label
@@ -63,25 +50,12 @@ class SkewGroupAlgebra(BasedAlgebra):
         return (g, self.A.label_sort_key(l))
 
     def term(self, a: AlgebraElement, g: int) -> SkewGroupElement:
-        return self.element({(l, g): c for l, c in a.coeffs.items()})
-
-    def components(self, x: SkewGroupElement) -> dict:
-        """x as {g: its A-coefficient}; group elements absent from x are omitted."""
-        out: dict = {}
-        for (l, g), c in x.coeffs.items():
-            out.setdefault(g, {})[l] = c
-        return {g: AlgebraElement(self.A, coeffs) for g, coeffs in out.items()}
-
-    def coefficient_function(self, x: SkewGroupElement, g: int) -> AlgebraElement:
-        """The A-coefficient of the group element g in x."""
-        return self.components(x).get(g, self.A.zero())
+        return self.from_components({g: a})
 
 
 def subgroup_sum(sga: SkewGroupAlgebra, H) -> SkewGroupElement:
     """E = sum_h 1_A . h over h in H: the integral |H| e_H, defined over any field."""
-    return sga.element(
-        {(l, h): c for l, c in sga.A.one_coeffs().items() for h in H.elements}
-    )
+    return sga.from_components({h: sga.A.one() for h in H.elements})
 
 
 def hecke_idempotent(sga: SkewGroupAlgebra, H) -> SkewGroupElement:

@@ -281,14 +281,14 @@ def test_acceptance_04_matrix_model():
             xs = [ctx.random_element(rng) for _ in range(5)]
             for x in xs:
                 mx = to_matrix(x)
-                assert matrix_invariance_witness(ctx, mx.entries) is None
-                assert from_matrix(ctx, mx.entries) == x
+                assert matrix_invariance_witness(mx) is None
+                assert from_matrix(mx) == x
             pairs = [(ctx.random_element(rng), ctx.random_element(rng))
                      for _ in range(20)]
             assert matrix_multiplicativity_witness(ctx, pairs) is None
             assert to_matrix(ctx.identity()) == matrix_unit_matrix(ctx)
             # image = all G-invariant matrices: exact rank equality
-            labels = ctx.A.labels()
+            labels = ctx.matrix_model.labels()
             vecs = [to_matrix(b).to_vector(labels)
                     for b in ctx.basis_hecke_elements()]
             r = linalg.rank(ctx.field, vecs)
@@ -650,14 +650,10 @@ def test_acceptance_13_relativise():
                         ctx.A, ctx.H.generators(), ctx.action, degree=d
                     )
                 ]
-                labels = [
-                    l
-                    for d in range(2 * ctx.degree_cap + 1)
-                    for l in ctx.A.enumerate_degree(d)
-                ]
+                labels = ctx.matrix_model.labels_up_to(2 * ctx.degree_cap)
             else:
                 inv = invariants_compute(ctx.A, ctx.H.generators(), ctx.action)
-                labels = ctx.A.labels()
+                labels = ctx.matrix_model.labels()
             for a in inv:
                 assert relativise(ctx, a) == to_matrix(ctx.embed_invariant(a))
                 for b in inv:

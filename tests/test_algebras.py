@@ -307,6 +307,10 @@ def keyed_algebras(field):
         "group": (GroupAlgebra(field, S3), None),
         "polynomial": (PolynomialAlgebra(field, 2, 4), 2),
         "tensor": (TensorAlgebra(MatrixAlgebra(field, 2), FunctionAlgebra(field, C2)), None),
+        "tensor_group_matrix": (TensorAlgebra(GroupAlgebra(field, S3), MatrixAlgebra(field, 3)),
+                                None),
+        "tensor_polynomial_matrix": (
+            TensorAlgebra(PolynomialAlgebra(field, 2, 4), MatrixAlgebra(field, 2)), 2),
         "opposite_matrix": (OppositeAlgebra(MatrixAlgebra(field, 3)), None),
     }
 

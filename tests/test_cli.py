@@ -13,7 +13,12 @@ from skewhecke.cli import (
 )
 from skewhecke.groups import CosetSpace
 from skewhecke.hecke import classical_structure_constants_counting
-from skewhecke.isomorphisms import conjugate_transport, pull_map, semidirect_transport
+from skewhecke.isomorphisms import (
+    StoneModel,
+    conjugate_transport,
+    pull_map,
+    semidirect_transport,
+)
 from skewhecke.scalars import Rationals
 from skewhecke.skewgroup import SkewGroupElement
 
@@ -329,6 +334,46 @@ def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "internal error: ArithmeticError: fixed value outside its basis (bug)\n")
+
+
+def test_stone_matrix_outside_the_image_exits_3(capsys, cfg_file, monkeypatch):
+    # the Stone map is onto, so a matrix with no preimage is a defect, not bad input
+    ensure_solver = StoneModel._ensure_solver
+
+    def ensure_broken_solver(self):
+        ensure_solver(self)
+        self._solver.coordinates = lambda terms: None
+
+    monkeypatch.setattr(StoneModel, "_ensure_solver", ensure_broken_solver)
+    code = main(["verify", "stone", "--config", cfg_file(STONE)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: ArithmeticError: matrix is not in the "
+                            "image (bug: map is onto)\n")
+
+
+# -- a matrix image that is not G-invariant is a failed check -------------------
+
+
+def untwisted_to_matrix(phi):
+    """phi(k_a^-1 k_b H) at E[a,b]: to_matrix with alpha_{k_a} dropped."""
+    ctx = phi.ctx
+    cs, G = ctx.cosets, ctx.G
+    exp = phi.expand()
+    return ctx.matrix_model.from_components({
+        (a, b): exp[cs.coset_of[G.mul(G.inverse(k), g)]]
+        for a, k in enumerate(cs.reps) for b, g in enumerate(cs.reps)})
+
+
+def test_untwisted_matrix_image_fails_invariance_with_a_witness(capsys, cfg_file,
+                                                                monkeypatch):
+    monkeypatch.setattr("skewhecke.cli.to_matrix", untwisted_to_matrix)
+    code, out = run_cli(capsys, "verify", "matrix", "--config", cfg_file(STONE))
+    assert code == 1
+    assert "matrix.roundtrip: FAIL (image not G-invariant)\n" \
+        "matrix.image_invariant: FAIL (witness s=(2 3) at E[1,1])\n" in out
+    assert "matrix.unit: PASS" in out
 
 
 # -- the integral corner checks still catch faults ------------------------------

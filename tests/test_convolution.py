@@ -22,6 +22,7 @@ from skewhecke.algebras import (
     PolynomialAlgebra,
     add_into,
     conjugation_action,
+    invariants_compute,
     left_translation_action,
     permutation_variable_action,
     trivial_action,
@@ -226,6 +227,13 @@ def contexts(draw):
 
 
 @functools.lru_cache(maxsize=None)
+def fixed_matrix_count(ctx):
+    """dim of the fixed points of the diagonal G-action on A (x) End_R(Ind_H^G R)."""
+    model = ctx.matrix_model
+    return len(invariants_compute(model, full_subgroup(ctx.G).generators(), model.diagonal))
+
+
+@functools.lru_cache(maxsize=None)
 def transports(ctx):
     """The opposite transport of ctx, and the quotient by H when H is normal."""
     quotient = quotient_transport(ctx, ctx.H) if is_normal(ctx.G, ctx.H) else None
@@ -239,6 +247,13 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
     product = x * y
     assert product == reference_convolve(x, y, alternative_reps(ctx.cosets))
     assert to_matrix(product) == to_matrix(x) * to_matrix(y)
+    if not ctx.graded:
+        # the matrix model theorem: to_matrix is onto the diagonal fixed points
+        diagonal = ctx.matrix_model.diagonal
+        gens = full_subgroup(ctx.G).generators()
+        assert all(diagonal.apply(s, to_matrix(b)) == to_matrix(b)
+                   for b in ctx.basis_hecke_elements() for s in gens)
+        assert fixed_matrix_count(ctx) == ctx.dimension()
     p = ctx.field.characteristic
     if not ctx.graded and (p == 0 or ctx.H.order % p):
         # |H| is a unit: the corner model e_H (A x| G) e_H applies too
@@ -289,8 +304,5 @@ def test_extension_of_scalars_from_q_to_gf_p(spec, p, seed):
     over_q = to_matrix(x * y)
     over_p = to_matrix(reduce_mod(x, ctx_p) * reduce_mod(y, ctx_p))
     # integral rationals are stored as int
-    assert all(type(c) is int
-               for row in over_q.entries for a in row for c in a.coeffs.values())
-    assert [[{l: c % p for l, c in a.coeffs.items() if c % p} for a in row]
-            for row in over_q.entries] == \
-        [[a.coeffs for a in row] for row in over_p.entries]
+    assert all(type(c) is int for c in over_q.coeffs.values())
+    assert {l: c % p for l, c in over_q.coeffs.items() if c % p} == over_p.coeffs

@@ -85,8 +85,8 @@ def test_matrix_roundtrip_and_invariance():
     for _ in range(10):
         phi = ctx.random_element(rng)
         m = to_matrix(phi)
-        assert matrix_invariance_witness(ctx, m.entries) is None
-        assert from_matrix(ctx, m.entries) == phi
+        assert matrix_invariance_witness(m) is None
+        assert from_matrix(m) == phi
 
 
 def test_matrix_multiplicative():
@@ -108,14 +108,12 @@ def test_matrix_untwisted_variant_fails():
     for _ in range(5):
         phi = ctx.random_element(rng)
         exp = phi.expand()
-        entries = [
-            [
-                exp[cs.coset_of[G.mul(G.inverse(cs.reps[j]), cs.reps[i])]]
-                for j in range(cs.n)
-            ]
-            for i in range(cs.n)
-        ]
-        if matrix_invariance_witness(ctx, entries) is not None:
+        m = ctx.matrix_model.from_components({
+            (a, b): exp[cs.coset_of[G.mul(G.inverse(cs.reps[a]), cs.reps[b])]]
+            for a in range(cs.n)
+            for b in range(cs.n)
+        })
+        if matrix_invariance_witness(m) is not None:
             found = True
             break
     assert found
@@ -123,13 +121,9 @@ def test_matrix_untwisted_variant_fails():
 
 def test_from_matrix_rejects_non_invariant():
     ctx = function_context()
-    n = ctx.cosets.n
-    entries = [
-        [ctx.A.basis_element(0) if i == j == 1 else ctx.A.zero() for j in range(n)]
-        for i in range(n)
-    ]
+    m = ctx.matrix_model.from_components({(1, 1): ctx.A.basis_element(0)})
     with pytest.raises(ValueError, match="not G-invariant"):
-        from_matrix(ctx, entries)
+        from_matrix(m)
 
 
 def test_relativise_diagonal_polynomials():
@@ -137,12 +131,13 @@ def test_relativise_diagonal_polynomials():
     A = ctx.A
     x1, x2, x3 = (A.variable(i) for i in (1, 2, 3))
     m = relativise(ctx, x3)
-    diag = [m.entries[i][i] for i in range(3)]
+    entries = m.alg.components(m)
+    diag = [entries[(i, i)] for i in range(3)]
     assert diag == [x3, x2, x1]
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert m.entries[i][j].is_zero
+                assert (i, j) not in entries
 
 
 def test_relativise_matches_matrix_of_embedding():
