@@ -76,7 +76,7 @@ class AlgebraElement:
             partners = right if keys is None else buckets.get(left_key(l1), ())
             for l2, c2 in partners:
                 add_into(f, out, alg.product_cached(l1, l2), f.mul(c1, c2))
-        return AlgebraElement(alg, out)
+        return alg.element_class(alg, out)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
@@ -124,8 +124,8 @@ class BasedAlgebra:
     """Base class; subclasses define labels/products for each algebra family."""
 
     graded = False
-    # the class of this algebra's elements; a subclass with its own product
-    # (the skew group algebra) names an AlgebraElement subclass here
+    # the class of this algebra's elements; a subclass whose elements multiply
+    # differently (TensorAlgebra) names an AlgebraElement subclass here
     element_class = AlgebraElement
     # (left_key, right_key): the basis product l1 * l2 can be nonzero only if
     # left_key(l1) == right_key(l2).  None means any pair may multiply.
@@ -525,10 +525,10 @@ class OppositeAlgebra(BasedAlgebra):
         return self.A.label_str(label)
 
     def to_op(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self, dict(x.coeffs))
+        return self.element_class(self, dict(x.coeffs))
 
     def from_op(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.A, dict(x.coeffs))
+        return self.A.element_class(self.A, dict(x.coeffs))
 
 
 class StructureConstantAlgebra(BasedAlgebra):
@@ -877,7 +877,7 @@ def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=Non
         img: dict = {}
         for s in S:
             add_into(f, img, action.on_label(s, l).coeffs)
-        img = AlgebraElement(A, img).scale(inv)
+        img = A.element_class(A, img).scale(inv)
         if span.insert(img.to_vector(labels)):
             out.append(img)
     return out
@@ -933,7 +933,7 @@ class InvariantSubalgebra(BasedAlgebra):
         out: dict = {}
         for l, c in x.coeffs.items():
             add_into(self.field, out, self.include_label(l).coeffs, c)
-        return AlgebraElement(self.A, out)
+        return self.A.element_class(self.A, out)
 
     def express(self, a: AlgebraElement):
         """Express an invariant element of A in this basis; None if not invariant.
@@ -952,7 +952,7 @@ class InvariantSubalgebra(BasedAlgebra):
                 return None
             for i, c in coords.items():
                 out[(d, i) if graded else i] = c
-        return AlgebraElement(self, out)
+        return self.element_class(self, out)
 
     # -- algebra structure ---------------------------------------------------
 

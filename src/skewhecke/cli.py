@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebras import (
-    AlgebraElement,
     FunctionAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
@@ -215,7 +214,7 @@ def parse_algebra_element(A, s: str):
                 rest = rest[1:].strip()
         b = A.one() if rest in ("", "1") else A.basis_element(_parse_label(A, rest))
         add_into(field, out, b.coeffs, field.mul(sign, coeff))
-    return AlgebraElement(A, out)
+    return A.element_class(A, out)
 
 
 def _parse_label(A, s: str):
@@ -418,7 +417,7 @@ def _random_invariant(ctx, rng):
     for d in ctx.A.degrees(ctx.degree_cap):
         for b in ctx.orbit_invariant_basis(0, d):
             add_into(f, out, b.coeffs, f.from_int(rng.randint(-2, 2)))
-    return AlgebraElement(ctx.A, out)
+    return ctx.A.element_class(ctx.A, out)
 
 
 def suite_matrix(run: SuiteRun, ctx, rng):

@@ -165,7 +165,7 @@ class HeckeContext:
             for oi, v in phi.values.items():
                 add_into(f, acc.setdefault(oi, {}), v.coeffs, c)
         return HeckeElement(
-            self, {oi: AlgebraElement(self.A, coeffs) for oi, coeffs in acc.items()}
+            self, {oi: self.A.element_class(self.A, coeffs) for oi, coeffs in acc.items()}
         )
 
     def identity(self) -> "HeckeElement":
@@ -207,7 +207,7 @@ class HeckeContext:
                     c = self.field.from_int(rng.randint(lo, hi))
                     add_into(self.field, v, b.coeffs, c)
             if v:
-                vals[oi] = AlgebraElement(self.A, v)
+                vals[oi] = self.A.element_class(self.A, v)
         return HeckeElement(self, vals)
 
     def __repr__(self):
@@ -303,7 +303,7 @@ class HeckeElement:
         vals = {}
         for o in sorted(totals):
             if totals[o]:
-                value = AlgebraElement(ctx.A, totals[o])
+                value = ctx.A.element_class(ctx.A, totals[o])
                 ctx.validate_value(o, value)
                 vals[o] = value
         return HeckeElement(ctx, vals)

@@ -6,6 +6,8 @@ from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAlgebra,
     PolynomialAlgebra,
+    TensorAlgebra,
+    TensorElement,
     conjugation_action,
     invariants_compute,
     left_translation_action,
@@ -282,6 +284,25 @@ def test_product_transport():
     )
     assert report.ok, str(report)
     assert len(basis) == tr.info["target_dim"] == 18
+
+
+def test_tensor_values_multiply_through_the_grouped_product(monkeypatch):
+    """Hecke values in A (x) B are TensorElements: convolution, combinations and
+    random elements never reach the label-pair TensorAlgebra.product_on_basis."""
+    C2 = cyclic_group(2)
+    ctx2 = classical_context(Q, C2, trivial_subgroup(C2))
+    T = product_transport(function_context(), ctx2).target
+    rng = random.Random(1)
+    x, y = T.random_element(rng), T.random_element(rng)
+
+    def label_pair_product(self, l1, l2):
+        raise AssertionError("label-pair tensor product reached")
+
+    monkeypatch.setattr(TensorAlgebra, "product_on_basis", label_pair_product)
+    xy = x * y
+    assert not xy.is_zero
+    for phi in (x, y, xy, T.combination([(x, Q.one), (xy, Q.one)])):
+        assert all(type(v) is TensorElement for v in phi.values.values())
 
 
 def test_intermediate_embed_chain_s2_s3_s4():
