@@ -662,7 +662,18 @@ class GroupAction:
         graded algebra the labels up to ``degree_cap`` are checked, and the
         identity and composition checks also cover the labels of their pairwise
         products, the degrees that multiplicativity of a composite passes
-        through.  Witnesses name the generator s.
+        through.  Witnesses name the generator s; each label l1 records its
+        first failing pair (s, l1, l2) in label order.
+
+        Multiplicativity alpha_s(l1 l2) = alpha_s(l1) alpha_s(l2) is checked on
+        every label pair when A has no ``product_keys``.  With keys, only the
+        pairs where some left key of l1 or of a label of alpha_s(l1) meets some
+        right key of l2 or of a label of alpha_s(l2) are visited
+        (``_keyed_partners``); on any other pair l1 l2 = 0 and every label
+        product in alpha_s(l1) alpha_s(l2) is 0, so both sides are 0.  The
+        cost is |S| |G| |labels| images for composition, S the generators,
+        plus two products per visited pair: |S| |labels|^2 pairs without keys,
+        at most 3 |S| |labels| for the function algebra under translation.
         """
         A, G = self.A, self.G
         labels = A.labels_up_to(degree_cap)
@@ -679,18 +690,21 @@ class GroupAction:
             for k in range(G.order):
                 sk = G.mul(s, k)
                 for l in checked:
-                    if self.apply(s, self.on_label(k, l)) != self.on_label(sk, l):
+                    if self.apply(s, self.on_label(k, l)).coeffs != self.on_label(sk, l).coeffs:
                         failures.append(("composition", (s, k, l)))
                         break
         one = A.one()
         for s in gens:
             if self.apply(s, one) != one:
                 failures.append(("unit", s))
-            for l1 in labels:
-                for l2 in labels:
-                    lhs = self.apply(s, A.basis_element(l1) * A.basis_element(l2))
-                    rhs = self.on_label(s, l1) * self.on_label(s, l2)
-                    if lhs != rhs:
+            images = [self.on_label(s, l) for l in labels]
+            partners = _keyed_partners(A.product_keys, labels, images)
+            for i, l1 in enumerate(labels):
+                b1, x1 = A.basis_element(l1), images[i]
+                for j in partners[i]:
+                    l2 = labels[j]
+                    lhs = self.apply(s, b1 * A.basis_element(l2))
+                    if lhs.coeffs != (x1 * images[j]).coeffs:
                         failures.append(("multiplicativity", (s, l1, l2)))
                         break
             if A.graded:
@@ -700,6 +714,24 @@ class GroupAction:
                         failures.append(("degree", (s, l)))
         self.verified = not failures
         return ActionReport(ok=not failures, failures=failures)
+
+
+def _keyed_partners(keys, labels, images):
+    """For each label l1, the increasing indices j of the labels l2 with which
+    l1 l2 or images[l1] images[l2] may be nonzero under ``keys``: every index
+    when ``keys`` is None."""
+    if keys is None:
+        return [range(len(labels))] * len(labels)
+    left_key, right_key = keys
+    buckets: dict = {}
+    for j, l2 in enumerate(labels):
+        for k in {right_key(l2), *map(right_key, images[j].coeffs)}:
+            buckets.setdefault(k, []).append(j)
+    return [
+        sorted({j for k in {left_key(l1), *map(left_key, images[i].coeffs)}
+                for j in buckets.get(k, ())})
+        for i, l1 in enumerate(labels)
+    ]
 
 
 def trivial_action(G, A) -> GroupAction:

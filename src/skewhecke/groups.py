@@ -8,6 +8,7 @@ their stabilizers H \\cap gHg^{-1}, and the product skeleton of convolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -351,8 +352,8 @@ class Subgroup:
     def __hash__(self):
         return hash((id(self.group), self.elements))
 
-    def generators(self) -> list:
-        """A small generating set, found greedily."""
+    @functools.cached_property
+    def _greedy_generators(self) -> tuple:
         gens: list[int] = []
         current = {0}
         for a in self.elements:
@@ -363,7 +364,11 @@ class Subgroup:
                 )
                 if len(current) == self.order:
                     break
-        return gens
+        return tuple(gens)
+
+    def generators(self) -> list:
+        """A small generating set, found greedily once per subgroup; a fresh list."""
+        return list(self._greedy_generators)
 
     def as_group(self):
         """This subgroup as a standalone FiniteGroup plus the embedding list."""

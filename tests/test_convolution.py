@@ -4,8 +4,8 @@
 reference loop in ``reference_convolution`` expands both factors and walks
 every coset.  They must agree for any choice of coset representatives, and
 so must every product rebuilt from ``structure_constants`` rows, the matrix
-and corner models, and the same integral product computed over Q and over
-GF(p) (extension of scalars).
+and corner models, the opposite, quotient and cocycle transports, and the same
+integral product computed over Q and over GF(p) (extension of scalars).
 """
 
 import functools
@@ -45,6 +45,8 @@ from skewhecke.hecke import (
     structure_constants,
 )
 from skewhecke.isomorphisms import (
+    coboundary_from_unit,
+    cocycle_transport,
     opposite_transport,
     quotient_transport,
     to_corner,
@@ -268,6 +270,13 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
         # the induced action, graded or finite
         assert quotient.forward(product) == quotient.forward(x) * quotient.forward(y)
         assert quotient.backward(quotient.forward(x)) == x
+    if not ctx.graded:
+        # the coboundary of an invertible scalar u of A^G (element_inverse
+        # solves over a finite basis, so graded contexts have no cocycle here)
+        u = ctx.A.from_scalar(ctx.field.from_int(random.Random(seed).randint(1, 4)))
+        cocycle = cocycle_transport(ctx, coboundary_from_unit(ctx, u))
+        assert cocycle.forward(product) == cocycle.forward(x) * cocycle.forward(y)
+        assert cocycle.backward(cocycle.forward(x)) == x
 
 
 def integral_element(ctx, rng):

@@ -1,9 +1,11 @@
 import math
+import pathlib
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewhecke.cli import build_context, parse_config
 from skewhecke.groups import (
     MAX_GROUP_ORDER,
     CosetSpace,
@@ -32,6 +34,7 @@ from skewhecke.groups import (
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
 
 
 def s2_subgroup(G=S3):
@@ -166,6 +169,45 @@ def test_subgroup_generators_regenerate():
     assert H.order == 8
     regenerated = subgroup_from_generators(S4, H.generators())
     assert regenerated.elements == H.elements
+
+
+def greedy_generators(H):
+    """The greedy generating set, recomputed: each element of H, in order, that
+    the ones before it do not generate."""
+    gens, current = [], {0}
+    for a in H.elements:
+        if a not in current:
+            gens.append(a)
+            current = set(subgroup_from_generators(H.group, gens).elements)
+            if len(current) == H.order:
+                break
+    return gens
+
+
+def all_subgroups(G):
+    """Every subgroup of G generated by two elements (all of them for S3, S4)."""
+    return {subgroup_from_generators(G, [a, b])
+            for a in range(G.order) for b in range(a, G.order)}
+
+
+def golden_stabilizers():
+    out = []
+    for path in sorted(GOLDEN.glob("*.cfg")):
+        ctx = build_context(parse_config(path.read_text())).ctx
+        out.extend(orbit.stabilizer for orbit in ctx.orbits)
+    return out
+
+
+def test_generators_are_the_greedy_list_and_a_fresh_copy():
+    s4_subgroups = all_subgroups(S4)
+    assert len(s4_subgroups) == 30
+    for H in [*all_subgroups(S3), *s4_subgroups, *golden_stabilizers()]:
+        expected = greedy_generators(H)
+        gens = H.generators()
+        assert gens == expected
+        gens.append(0)
+        gens.reverse()
+        assert H.generators() == expected
 
 
 def test_as_group_isomorphic():
