@@ -649,6 +649,14 @@ class GroupAction:
             add_into(f, out, image, c)
         return self.A.element_class(self.A, out)
 
+    def moved_by(self, x: AlgebraElement, gens):
+        """The first s of ``gens``, in order, with alpha_s(x) != x; None if x is
+        fixed by every s, and so by the subgroup they generate."""
+        for s in gens:
+            if self.apply(s, x) != x:
+                return s
+        return None
+
     def verify(self, degree_cap=None) -> ActionReport:
         """Check that alpha is an action by unital, degree-preserving algebra maps.
 

@@ -65,7 +65,6 @@ from .isomorphisms import (
     intermediate_embed,
     matrix_invariance_witness,
     matrix_multiplicativity_witness,
-    matrix_unit_matrix,
     product_transport,
     quotient_transport,
     semidirect_transport,
@@ -124,13 +123,7 @@ def parse_config(text: str) -> JobConfig:
     return cfg
 
 
-@dataclass
-class BuiltContext:
-    cfg: JobConfig
-    ctx: HeckeContext
-
-
-def build_context(cfg: JobConfig) -> BuiltContext:
+def build_context(cfg: JobConfig) -> HeckeContext:
     field = field_make(cfg.field)
     G = group_make(cfg.group)
     sub = cfg.subgroup.strip().lower()
@@ -162,8 +155,7 @@ def build_context(cfg: JobConfig) -> BuiltContext:
         action = action_make(cfg.action, G, A)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    ctx = HeckeContext(G, H, A, action, degree_cap=cfg.degree_cap)
-    return BuiltContext(cfg=cfg, ctx=ctx)
+    return HeckeContext(G, H, A, action, degree_cap=cfg.degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +271,7 @@ def format_hecke_element(phi: HeckeElement) -> str:
 # subcommands
 
 
-def cmd_dims(built: BuiltContext, write):
-    ctx = built.ctx
+def cmd_dims(ctx: HeckeContext, write):
     write(f"|G| = {ctx.G.order}")
     write(f"|H| = {ctx.H.order}")
     write(f"[G:H] = {ctx.cosets.n}")
@@ -293,7 +284,7 @@ def cmd_dims(built: BuiltContext, write):
         )
     if ctx.graded:
         for d in range(ctx.degree_cap + 1):
-            per = [len(ctx.orbit_invariant_basis(oi, d)) for oi in range(len(ctx.orbits))]
+            per = [len(ctx.orbit_space(oi, d).basis) for oi in range(len(ctx.orbits))]
             write(
                 f"degree {d}: dim A_{d} = {len(ctx.A.enumerate_degree(d))}, "
                 f"invariants per orbit = {per}, dim = {sum(per)}"
@@ -302,22 +293,20 @@ def cmd_dims(built: BuiltContext, write):
         write(f"dim (degrees 0..{ctx.degree_cap}) = {total}")
     else:
         write(f"dim A = {ctx.A.dim}")
-        per = [len(ctx.orbit_invariant_basis(oi)) for oi in range(len(ctx.orbits))]
+        per = [len(ctx.orbit_space(oi).basis) for oi in range(len(ctx.orbits))]
         write(f"invariants per orbit = {per}")
         write(f"dim = {ctx.dimension()}")
     return 0
 
 
-def cmd_mul(built: BuiltContext, lit1: str, lit2: str, write):
-    ctx = built.ctx
+def cmd_mul(ctx: HeckeContext, lit1: str, lit2: str, write):
     phi = parse_hecke_element(ctx, lit1)
     psi = parse_hecke_element(ctx, lit2)
     write(format_hecke_element(phi.convolve(psi)))
     return 0
 
 
-def cmd_sc(built: BuiltContext, write):
-    ctx = built.ctx
+def cmd_sc(ctx: HeckeContext, write):
     cap = ctx.degree_cap if ctx.graded else None
     basis, rows = structure_constants(ctx, degree_cap=cap)
     for i, (oi, v, d) in enumerate(basis):
@@ -415,7 +404,7 @@ def _random_invariant(ctx, rng):
     f = ctx.field
     out: dict = {}
     for d in ctx.A.degrees(ctx.degree_cap):
-        for b in ctx.orbit_invariant_basis(0, d):
+        for b in ctx.orbit_space(0, d).basis:
             add_into(f, out, b.coeffs, f.from_int(rng.randint(-2, 2)))
     return ctx.A.element_class(ctx.A, out)
 
@@ -435,7 +424,7 @@ def suite_matrix(run: SuiteRun, ctx, rng):
     w = matrix_multiplicativity_witness(ctx, pairs)
     run.record("matrix.multiplicativity", w is None,
                "20 pairs" if w is None else f"witness pair {w}")
-    run.record("matrix.unit", to_matrix(ctx.identity()) == matrix_unit_matrix(ctx))
+    run.record("matrix.unit", to_matrix(ctx.identity()) == ctx.matrix_model.one())
     if not ctx.graded:
         labels = ctx.matrix_model.labels()
         vecs = [to_matrix(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
@@ -696,12 +685,11 @@ SUITES = {
 }
 
 
-def cmd_verify(built: BuiltContext, suite: str, seed: int, write):
-    ctx = built.ctx
+def cmd_verify(ctx: HeckeContext, cfg: JobConfig, suite: str, seed: int, write):
     write("verify report")
     write(f"seed = {seed}")
     write("config:")
-    for line in built.cfg.canonical().rstrip().splitlines():
+    for line in cfg.canonical().rstrip().splitlines():
         write("  " + line)
     names = list(SUITES) if suite == "all" else [suite]
     run = SuiteRun(write)
@@ -761,15 +749,19 @@ def main(argv=None):
             cfg = JobConfig()
         if degree_cap is not None:
             cfg.degree_cap = degree_cap
-        built = build_context(cfg)
+        ctx = build_context(cfg)
         if args.command == "dims":
-            code = cmd_dims(built, write)
+            code = cmd_dims(ctx, write)
         elif args.command == "mul":
-            code = cmd_mul(built, args.phi, args.psi, write)
+            code = cmd_mul(ctx, args.phi, args.psi, write)
         elif args.command == "sc":
-            code = cmd_sc(built, write)
+            code = cmd_sc(ctx, write)
         else:
-            code = cmd_verify(built, args.suite, seed, write)
+            code = cmd_verify(ctx, cfg, args.suite, seed, write)
+        text = "\n".join(lines) + "\n"
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -778,12 +770,7 @@ def main(argv=None):
         msg = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 3
-
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
     return code
 

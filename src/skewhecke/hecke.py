@@ -85,14 +85,11 @@ class HeckeContext:
             self._orbit_cache[key] = space
         return space
 
-    def orbit_invariant_basis(self, oi, degree=None):
-        return self.orbit_space(oi, degree).basis
-
     def module_basis(self, degree=None):
         """List of (orbit_index, invariant AlgebraElement) pairs."""
         out = []
         for oi in range(len(self.orbits)):
-            for v in self.orbit_invariant_basis(oi, degree):
+            for v in self.orbit_space(oi, degree).basis:
                 out.append((oi, v))
         return out
 
@@ -135,19 +132,14 @@ class HeckeContext:
     # -- element constructors -------------------------------------------------
 
     def validate_value(self, oi, value: AlgebraElement):
-        stab = self.orbits[oi].stabilizer
-        for s in stab.generators():
-            if self.action.apply(s, value) != value:
-                raise StabilizerInvarianceError(oi, s, self.G.name(s))
+        s = self.action.moved_by(value, self.orbits[oi].stabilizer.generators())
+        if s is not None:
+            raise StabilizerInvarianceError(oi, s, self.G.name(s))
 
-    def from_values(self, values) -> "HeckeElement":
-        """Build an element from per-double-coset values (list or dict); checked."""
-        if isinstance(values, dict):
-            items = values.items()
-        else:
-            items = enumerate(values)
+    def from_values(self, values: dict) -> "HeckeElement":
+        """Build an element from a map orbit index -> value; checked."""
         vals = {}
-        for oi, v in items:
+        for oi, v in values.items():
             if v.is_zero:
                 continue
             self.validate_value(oi, v)
@@ -174,11 +166,9 @@ class HeckeContext:
 
     def embed_invariant(self, a: AlgebraElement) -> "HeckeElement":
         """A^H -> H, a |-> delta_{H,a}; requires a to be H-fixed."""
-        for s in self.H.generators():
-            if self.action.apply(s, a) != a:
-                raise ValueError(
-                    f"element is not H-invariant (moved by {self.G.name(s)})"
-                )
+        s = self.action.moved_by(a, self.H.generators())
+        if s is not None:
+            raise ValueError(f"element is not H-invariant (moved by {self.G.name(s)})")
         if a.is_zero:
             return self.zero()
         return HeckeElement(self, {0: a})
@@ -203,7 +193,7 @@ class HeckeContext:
         for oi in range(len(self.orbits)):
             v: dict = {}
             for d in degrees:
-                for b in self.orbit_invariant_basis(oi, d):
+                for b in self.orbit_space(oi, d).basis:
                     c = self.field.from_int(rng.randint(lo, hi))
                     add_into(self.field, v, b.coeffs, c)
             if v:

@@ -22,6 +22,7 @@ from .algebras import (
     OppositeAlgebra,
     TensorAlgebra,
     TensorElement,
+    add_into,
     cocycle_perturbed_action,
     element_inverse,
     group_automorphism_action,
@@ -209,12 +210,11 @@ def matrix_invariance_witness(M: HeckeMatrix):
     """
     model = M.alg
     act = model.diagonal
-    for s in full_subgroup(act.G).generators():
-        moved = act.apply(s, M)
-        if moved != M:
-            ab = min(ab for _, ab in (moved - M).coeffs)
-            return f"s={act.G.name(s)} at {model.B.label_str(ab)}"
-    return None
+    s = act.moved_by(M, full_subgroup(act.G).generators())
+    if s is None:
+        return None
+    ab = min(ab for _, ab in (act.apply(s, M) - M).coeffs)
+    return f"s={act.G.name(s)} at {model.B.label_str(ab)}"
 
 
 def from_matrix(M: HeckeMatrix) -> HeckeElement:
@@ -231,15 +231,10 @@ def from_matrix(M: HeckeMatrix) -> HeckeElement:
                             for oi, orbit in enumerate(ctx.orbits)})
 
 
-def matrix_unit_matrix(ctx: HeckeContext) -> HeckeMatrix:
-    return ctx.matrix_model.one()
-
-
 def relativise(ctx: HeckeContext, a) -> HeckeMatrix:
     """A^H -> matrix model: a |-> diag(alpha_{k_i} a) over coset reps k_i."""
-    for s in ctx.H.generators():
-        if ctx.action.apply(s, a) != a:
-            raise ValueError("element is not H-invariant")
+    if ctx.action.moved_by(a, ctx.H.generators()) is not None:
+        raise ValueError("element is not H-invariant")
     return ctx.matrix_model.from_components(
         {(i, i): ctx.action.apply(k, a) for i, k in enumerate(ctx.cosets.reps)})
 
@@ -303,7 +298,11 @@ class StoneModel:
     """H_R(G, H, R^G, left translation) ~= M_n(R) with n = [G : H].
 
     The map evaluates each function entry of the matrix model at the group
-    identity; M_n(R) is the model's second tensor factor.
+    identity; M_n(R) is the model's second tensor factor.  Its inverse is a
+    formula: write M = sum over k of delta_k (x) M_k.  The diagonal action
+    sends delta_k (x) E[a,b] to delta_{gk} (x) E[ga,gb], so M is fixed exactly
+    when M_{gk} = g.M_k for all g, k.  The only fixed M with M_e = m is then
+    sum over g of diagonal_g(delta_e (x) m), and ``from_matrix`` reads phi off it.
     """
 
     def __init__(self, ctx: HeckeContext):
@@ -312,7 +311,6 @@ class StoneModel:
         self.ctx = ctx
         self.n = ctx.cosets.n
         self.matrices = ctx.matrix_model.B
-        self._solver = None
 
     @staticmethod
     def applies(ctx: HeckeContext) -> bool:
@@ -325,22 +323,19 @@ class StoneModel:
         return self.matrices.element(
             {ab: c for (l, ab), c in to_matrix(phi).coeffs.items() if l == 0})
 
-    def _ensure_solver(self):
-        if self._solver is None:
-            labels = self.matrices.labels()
-            self._basis = self.ctx.basis_hecke_elements()
-            vecs = [self.apply(b).to_vector(labels) for b in self._basis]
-            self._solver = linalg.CoordinateSolver(
-                self.ctx.field, vecs, n=len(labels)
-            )
-
     def preimage(self, m) -> HeckeElement:
-        self._ensure_solver()
-        labels = self.matrices.labels()
-        coords = self._solver.coordinates(enumerate(m.to_vector(labels)))
-        if coords is None:
-            raise ArithmeticError("matrix is not in the image (bug: map is onto)")
-        return self.ctx.combination((self._basis[i], c) for i, c in coords.items())
+        """The phi with apply(phi) = m, through the fixed matrix with M_e = m."""
+        ctx = self.ctx
+        model = ctx.matrix_model
+        seed = model.pure(ctx.A.basis_element(0), m)
+        coeffs: dict = {}
+        for g in range(ctx.G.order):
+            add_into(ctx.field, coeffs, model.diagonal.apply(g, seed).coeffs)
+        try:
+            return from_matrix(model.element_class(model, coeffs))
+        except ValueError as exc:
+            # the sum is fixed by construction: a witness means a defect
+            raise ArithmeticError("matrix is not in the image (bug: map is onto)") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +559,15 @@ def cocycle_verify(ctx: HeckeContext, chi: dict):
     return failures
 
 
-def cocycle_transport(ctx: HeckeContext, chi: dict, check=True) -> Transport:
+def cocycle_transport(ctx: HeckeContext, chi: dict) -> Transport:
     """Perturb alpha to beta_g = chi(g) alpha_g(-) chi(g)^-1; same algebra.
 
     The map multiplies each value by chi(g)^-1 on the right:
-    phi'(gH) = phi(gH) . chi(g)^-1.
+    phi'(gH) = phi(gH) . chi(g)^-1.  chi is checked with ``cocycle_verify``.
     """
-    if check:
-        failures = cocycle_verify(ctx, chi)
-        if failures:
-            raise CocycleConditionError(failures)
+    failures = cocycle_verify(ctx, chi)
+    if failures:
+        raise CocycleConditionError(failures)
     beta = cocycle_perturbed_action(ctx.action, chi)
     target = HeckeContext(ctx.G, ctx.H, ctx.A, beta, verify_action=False,
                           degree_cap=ctx.degree_cap)
@@ -637,21 +631,16 @@ def special_case_trivial_action(ctx: HeckeContext) -> Transport:
 
 
 def special_case_full_subgroup(ctx: HeckeContext) -> Transport:
-    """H = G: evaluation at the unique coset identifies the algebra with A^G."""
+    """H = G: evaluation at the unique coset identifies the algebra with A^G.
+
+    This is ``quotient_transport`` by N = G, read at the one coset of G/G.
+    """
     if ctx.H.order != ctx.G.order:
         raise ValueError("requires H = G")
-    AG = InvariantSubalgebra(ctx.A, ctx.H.generators(), ctx.action)
-
-    def forward(phi: HeckeElement):
-        v = AG.express(phi.value(0))
-        if v is None:
-            raise ArithmeticError("value is not G-invariant (bug)")
-        return v
-
-    def backward(a):
-        return ctx.from_values({0: AG.include(a)})
-
-    return Transport(source=ctx, target=AG, forward=forward, backward=backward)
+    q = quotient_transport(ctx, ctx.H)
+    return Transport(source=ctx, target=q.target.A,
+                     forward=lambda phi: q.forward(phi).value(0),
+                     backward=lambda a: q.backward(q.target.from_values({0: a})))
 
 
 def special_case_trivial_subgroup(ctx: HeckeContext) -> Transport:
@@ -668,30 +657,16 @@ def special_case_trivial_subgroup(ctx: HeckeContext) -> Transport:
 
 
 def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
-    """H normal in G: the algebra is A^H x| (G/H)."""
-    from .skewgroup import SkewGroupAlgebra
+    """H normal in G: the algebra is A^H x| (G/H).
 
+    ``quotient_transport`` by N = H lands in the (G/H, 1, A^H) context, which
+    ``special_case_trivial_subgroup`` identifies with A^H x| (G/H).
+    """
     if not is_normal(ctx.G, ctx.H):
         raise ValueError("requires H normal in G")
-    Q, proj = quotient_group(ctx.G, ctx.H)
-    section = [proj.index(q) for q in range(Q.order)]
-    AH = InvariantSubalgebra(ctx.A, ctx.H.generators(), ctx.action)
-    actQ = AH.induced_action(Q, section)
-    sga = SkewGroupAlgebra(AH, Q, actQ)
-
-    def forward(phi: HeckeElement):
-        exp = phi.expand()
-        blocks = {}
-        for q in range(Q.order):
-            blocks[q] = AH.express(exp[ctx.cosets.coset_of[section[q]]])
-            if blocks[q] is None:
-                raise ArithmeticError("value is not H-invariant (bug)")
-        return sga.from_components(blocks)
-
-    def backward(x):
-        blocks, zero = sga.components(x), AH.zero()
-        return ctx.from_values({oi: AH.include(blocks.get(proj[orbit.rep_element], zero))
-                                for oi, orbit in enumerate(ctx.orbits)})
-
-    return Transport(source=ctx, target=sga, forward=forward, backward=backward,
-                     info={"quotient_order": Q.order})
+    q = quotient_transport(ctx, ctx.H)
+    t = special_case_trivial_subgroup(q.target)
+    return Transport(source=ctx, target=t.target,
+                     forward=lambda phi: t.forward(q.forward(phi)),
+                     backward=lambda x: q.backward(t.backward(x)),
+                     info=q.info)

@@ -48,7 +48,6 @@ from skewhecke.isomorphisms import (
     intermediate_embed,
     matrix_invariance_witness,
     matrix_multiplicativity_witness,
-    matrix_unit_matrix,
     opposite_transport,
     product_transport,
     quotient_transport,
@@ -286,7 +285,7 @@ def test_acceptance_04_matrix_model():
             pairs = [(ctx.random_element(rng), ctx.random_element(rng))
                      for _ in range(20)]
             assert matrix_multiplicativity_witness(ctx, pairs) is None
-            assert to_matrix(ctx.identity()) == matrix_unit_matrix(ctx)
+            assert to_matrix(ctx.identity()) == ctx.matrix_model.one()
             # image = all G-invariant matrices: exact rank equality
             labels = ctx.matrix_model.labels()
             vecs = [to_matrix(b).to_vector(labels)
@@ -660,7 +659,7 @@ def test_acceptance_13_relativise():
                     assert relativise(ctx, a * b) == (
                         relativise(ctx, a) * relativise(ctx, b)
                     )
-            assert relativise(ctx, ctx.A.one()) == matrix_unit_matrix(ctx)
+            assert relativise(ctx, ctx.A.one()) == ctx.matrix_model.one()
             vecs = [relativise(ctx, a).to_vector(labels) for a in inv]
             assert linalg.rank(ctx.field, vecs) == len(inv)
 

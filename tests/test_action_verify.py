@@ -52,10 +52,10 @@ def cli_actions():
                     cfg = JobConfig(field=field, group=group, subgroup="(1 2)",
                                     algebra=algebra.format(n=n), action=spec)
                     try:
-                        built = build_context(cfg)
+                        ctx = build_context(cfg)
                     except ConfigError:
                         continue  # action_make refuses this algebra
-                    out.append(pytest.param(built.ctx.action, cfg.degree_cap,
+                    out.append(pytest.param(ctx.action, cfg.degree_cap,
                                             id=f"{group}-{field}-{cfg.algebra}-{spec}"))
     return out
 
@@ -83,7 +83,7 @@ def test_opposite_action_matches_reference():
 def test_matrix_model_diagonal_matches_reference():
     cfg = JobConfig(group="symmetric(3)", subgroup="(1 2)", algebra="functions",
                     action="left_translation")
-    ctx = build_context(cfg).ctx
+    ctx = build_context(cfg)
     assert assert_same_report(ctx.matrix_model.diagonal).ok
 
 

@@ -136,6 +136,19 @@ def test_broken_action_detected():
     assert any(check == "multiplicativity" for check, _ in report.failures)
 
 
+def test_moved_by_names_the_first_moving_generator_in_order():
+    A = FunctionAlgebra(Q, S3)
+    act = left_translation_action(S3, A)
+    t12, t23 = t("(1 2)"), t("(2 3)")
+    e = A.basis_element(0)
+    assert act.moved_by(e, [t12, t23]) == t12
+    assert act.moved_by(e, [t23, t12]) == t23
+    fixed_by_t12 = e + A.basis_element(t12)
+    assert act.moved_by(fixed_by_t12, [t12, t23]) == t23
+    assert act.moved_by(fixed_by_t12, [t12]) is None
+    assert act.moved_by(A.one(), [t12, t23]) is None
+
+
 def test_action_on_element_linear(poly):
     act = permutation_variable_action(S3, poly)
     x1, x3 = poly.variable(1), poly.variable(3)

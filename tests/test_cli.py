@@ -14,7 +14,6 @@ from skewhecke.cli import (
 from skewhecke.groups import CosetSpace
 from skewhecke.hecke import classical_structure_constants_counting
 from skewhecke.isomorphisms import (
-    StoneModel,
     conjugate_transport,
     pull_map,
     semidirect_transport,
@@ -103,16 +102,15 @@ def test_build_context_rejects_bad_specs():
 
 
 def test_hecke_literal_roundtrip():
-    built = build_context(parse_config(POLY))
-    ctx = built.ctx
+    ctx = build_context(parse_config(POLY))
     phi = parse_hecke_element(ctx, "(x1 + x2; 2*x3 + -1)")
     assert parse_hecke_element(ctx, format_hecke_element(phi)) == phi
 
 
 def test_hecke_literal_wrong_arity():
-    built = build_context(parse_config(CLASSICAL))
+    ctx = build_context(parse_config(CLASSICAL))
     with pytest.raises(ValueError, match="expected 2"):
-        parse_hecke_element(built.ctx, "(1; 2; 3)")
+        parse_hecke_element(ctx, "(1; 2; 3)")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -140,7 +138,7 @@ def test_mul_polynomial_square(capsys, cfg_file):
     path = cfg_file(POLY)
     code, out = run_cli(capsys, "mul", "(0; x1)", "(0; x1)", "--config", path)
     assert code == 0
-    ctx = build_context(parse_config(POLY)).ctx
+    ctx = build_context(parse_config(POLY))
     result = parse_hecke_element(ctx, out.strip())
     A = ctx.A
     x1, x2, x3 = (A.variable(i) for i in (1, 2, 3))
@@ -167,7 +165,7 @@ def test_sc_matches_counting_oracle(capsys, cfg_file):
             continue
         i, j, k, c = line.split("\t")
         computed[(int(i), int(j), int(k))] = Rationals().parse(c)
-    ctx = build_context(parse_config(CLASSICAL)).ctx
+    ctx = build_context(parse_config(CLASSICAL))
     oracle = classical_structure_constants_counting(
         Rationals(), CosetSpace(ctx.G, ctx.H)
     )
@@ -303,6 +301,19 @@ def test_verify_all_with_skipped_corner_passes(capsys, cfg_file):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("target", [
+    pytest.param(lambda tmp: tmp / "missing" / "x.txt", id="missing_directory"),
+    pytest.param(lambda tmp: tmp, id="a_directory"),
+])
+def test_unwritable_out_path_exits_2(capsys, cfg_file, tmp_path, target):
+    # an output path that cannot be written is bad input: one error line, no output
+    code = main(["dims", "--config", cfg_file(CLASSICAL), "--out", str(target(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_config_file_exits_2(capsys, tmp_path):
     code = main(["dims", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
@@ -337,14 +348,10 @@ def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
 
 
 def test_stone_matrix_outside_the_image_exits_3(capsys, cfg_file, monkeypatch):
-    # the Stone map is onto, so a matrix with no preimage is a defect, not bad input
-    ensure_solver = StoneModel._ensure_solver
-
-    def ensure_broken_solver(self):
-        ensure_solver(self)
-        self._solver.coordinates = lambda terms: None
-
-    monkeypatch.setattr(StoneModel, "_ensure_solver", ensure_broken_solver)
+    # the Stone map is onto, so a matrix with no preimage is a defect, not bad input:
+    # force the invariance check of the inverse's matrix to report a witness
+    monkeypatch.setattr("skewhecke.isomorphisms.matrix_invariance_witness",
+                        lambda M: "s=(1 2) at E[0,0]")
     code = main(["verify", "stone", "--config", cfg_file(STONE)])
     captured = capsys.readouterr()
     assert code == 3

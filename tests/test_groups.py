@@ -193,7 +193,7 @@ def all_subgroups(G):
 def golden_stabilizers():
     out = []
     for path in sorted(GOLDEN.glob("*.cfg")):
-        ctx = build_context(parse_config(path.read_text())).ctx
+        ctx = build_context(parse_config(path.read_text()))
         out.extend(orbit.stabilizer for orbit in ctx.orbits)
     return out
 

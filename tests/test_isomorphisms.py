@@ -36,7 +36,6 @@ from skewhecke.isomorphisms import (
     intermediate_embed,
     matrix_invariance_witness,
     matrix_multiplicativity_witness,
-    matrix_unit_matrix,
     opposite_transport,
     product_transport,
     quotient_transport,
@@ -50,7 +49,7 @@ from skewhecke.isomorphisms import (
     to_matrix,
     verify_algebra_map,
 )
-from skewhecke.scalars import Rationals
+from skewhecke.scalars import PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, hecke_idempotent
 
 Q = Rationals()
@@ -98,7 +97,7 @@ def test_matrix_multiplicative():
         (ctx.random_element(rng), ctx.random_element(rng)) for _ in range(15)
     ]
     assert matrix_multiplicativity_witness(ctx, pairs) is None
-    assert to_matrix(ctx.identity()) == matrix_unit_matrix(ctx)
+    assert to_matrix(ctx.identity()) == ctx.matrix_model.one()
 
 
 def test_matrix_untwisted_variant_fails():
@@ -147,7 +146,7 @@ def test_relativise_matches_matrix_of_embedding():
     inv = invariants_compute(ctx.A, ctx.H.generators(), ctx.action, degree=2)
     for a in inv:
         assert relativise(ctx, a) == to_matrix(ctx.embed_invariant(a))
-    assert relativise(ctx, ctx.A.one()) == matrix_unit_matrix(ctx)
+    assert relativise(ctx, ctx.A.one()) == ctx.matrix_model.one()
 
 
 def test_relativise_rejects_moved_element():
@@ -197,6 +196,26 @@ def test_stone_model_is_isomorphism():
         rng=random.Random(4),
     )
     assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("G, gens, field", [
+    pytest.param(S3, ["(1 2)"], Q, id="S3-S2-Q"),
+    pytest.param(S3, ["(1 2)"], PrimeField(5), id="S3-S2-GF5"),
+    pytest.param(S4, ["(1 2)", "(1 2 3)"], Q, id="S4-S3-Q"),
+    pytest.param(S4, ["(1 2)"], PrimeField(3), id="S4-S2-GF3"),  # 3 divides |G|
+])
+def test_stone_inverse_round_trips(G, gens, field):
+    A = FunctionAlgebra(field, G)
+    H = subgroup_from_generators(G, [G.element_by_name(g) for g in gens])
+    ctx = HeckeContext(G, H, A, left_translation_action(G, A))
+    sm = StoneModel(ctx)
+    labels = sm.matrices.labels()
+    rng = random.Random(5)
+    for _ in range(3):
+        m = sm.matrices.element({ab: field.from_int(rng.randint(-3, 3)) for ab in labels})
+        assert sm.apply(sm.preimage(m)) == m
+        phi = ctx.random_element(rng)
+        assert sm.preimage(sm.apply(phi)) == phi
 
 
 def test_stone_preimages_and_matrix_units():
