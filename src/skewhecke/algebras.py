@@ -11,6 +11,7 @@ monomials).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -209,6 +210,11 @@ class BasedAlgebra:
     def label_str(self, label) -> str:
         return str(label)
 
+    def parse_label(self, s: str):
+        """The label that ``label_str`` prints as ``s``; a family with a literal
+        syntax overrides both."""
+        raise ValueError(f"no literal syntax for {type(self).__name__}")
+
     def label_sort_key(self, label):
         return (self.degree(label), repr(label))
 
@@ -242,6 +248,11 @@ class GroupAlgebra(BasedAlgebra):
         n = self.K.name(label)
         return "1" if label == 0 else f"[{n}]"
 
+    def parse_label(self, s):
+        if s.startswith("[") and s.endswith("]"):
+            s = s[1:-1]
+        return self.K.element_by_name(s)
+
     def label_sort_key(self, label):
         return (0, label)
 
@@ -268,6 +279,12 @@ class FunctionAlgebra(BasedAlgebra):
 
     def label_str(self, label):
         return f"delta[{self.G.name(label)}]"
+
+    def parse_label(self, s):
+        m = re.fullmatch(r"delta\[(.*)\]", s)
+        if not m:
+            raise ValueError(f"bad indicator-function label {s!r}")
+        return self.G.element_by_name(m.group(1))
 
     def label_sort_key(self, label):
         return (0, label)
@@ -339,6 +356,19 @@ class PolynomialAlgebra(BasedAlgebra):
                 parts.append(f"x{i + 1}^{e}")
         return "*".join(parts)
 
+    def parse_label(self, s):
+        exps = [0] * self.nvars
+        for factor in s.split("*"):
+            factor = factor.strip()
+            m = re.fullmatch(r"x(\d+)(\^(\d+))?", factor)
+            if not m:
+                raise ValueError(f"bad monomial factor {factor!r}")
+            i = int(m.group(1))
+            if not 1 <= i <= self.nvars:
+                raise ValueError(f"variable x{i} out of range")
+            exps[i - 1] += int(m.group(3) or 1)
+        return tuple(exps)
+
     def label_sort_key(self, label):
         return (sum(label), tuple(-e for e in label))
 
@@ -369,6 +399,15 @@ class MatrixAlgebra(BasedAlgebra):
     def label_str(self, label):
         i, j = label
         return f"E[{i + 1},{j + 1}]"
+
+    def parse_label(self, s):
+        m = re.fullmatch(r"E\[(\d+),(\d+)\]", s)
+        if not m:
+            raise ValueError(f"bad matrix-unit label {s!r}")
+        i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"matrix-unit index out of range in {s!r}")
+        return (i, j)
 
     def label_sort_key(self, label):
         return (0, label)
@@ -552,6 +591,11 @@ class StructureConstantAlgebra(BasedAlgebra):
 
     def label_str(self, label):
         return self.names[label]
+
+    def parse_label(self, s):
+        if s in self.names:
+            return self.names.index(s)
+        raise ValueError(f"unknown basis label {s!r}")
 
     def label_sort_key(self, label):
         return (0, label)
@@ -812,9 +856,16 @@ def restricted_action(K, embed, act: GroupAction) -> GroupAction:
 
 
 def element_inverse(a: AlgebraElement) -> AlgebraElement:
-    """Inverse of a unit in a finite-basis algebra, by exact linear solve."""
+    """Inverse of a unit, by exact linear solve over a finite basis.
+
+    A graded A is solved over its degree-0 labels: if a has degree 0 and
+    ab = 1 = ba, then a b_0 = 1 = b_0 a in degree 0, so b = (ba) b_0 = b_0.
+    An element with a positive-degree term is refused, though it may be a unit.
+    """
     A = a.alg
-    labels = A.labels()
+    if A.graded and any(A.degree(l) for l in a.coeffs):
+        raise ValueError("a graded element is inverted only in degree 0")
+    labels = A.basis_labels(0)
     f = A.field
     # left-multiplication matrix: columns are a * e_j
     cols = [(a * A.basis_element(l)).to_vector(labels) for l in labels]

@@ -22,7 +22,7 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import linalg
 from .algebras import (
@@ -30,7 +30,6 @@ from .algebras import (
     GroupAlgebra,
     MatrixAlgebra,
     PolynomialAlgebra,
-    StructureConstantAlgebra,
     action_make,
     add_into,
     left_translation_action,
@@ -64,7 +63,6 @@ from .isomorphisms import (
     from_matrix,
     intermediate_embed,
     matrix_invariance_witness,
-    matrix_multiplicativity_witness,
     product_transport,
     quotient_transport,
     semidirect_transport,
@@ -89,19 +87,12 @@ class JobConfig:
     degree_cap: int = 2
 
     def canonical(self) -> str:
-        return (
-            f"field = {self.field}\n"
-            f"group = {self.group}\n"
-            f"subgroup = {self.subgroup}\n"
-            f"algebra = {self.algebra}\n"
-            f"action = {self.action}\n"
-            f"degree_cap = {self.degree_cap}\n"
-        )
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
 
 def parse_config(text: str) -> JobConfig:
     cfg = JobConfig()
-    known = {"field", "group", "subgroup", "algebra", "action", "degree_cap"}
+    known = {f.name for f in fields(JobConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,13 +104,10 @@ def parse_config(text: str) -> JobConfig:
         value = value.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key == "degree_cap":
-            try:
-                cfg.degree_cap = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: degree_cap must be an integer")
-        else:
-            setattr(cfg, key, value)
+        try:  # each value takes the type of its field's default: str or int
+            setattr(cfg, key, type(getattr(cfg, key))(value))
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be an integer")
     return cfg
 
 
@@ -204,47 +192,9 @@ def parse_algebra_element(A, s: str):
             rest = term[m.end():].strip()
             if rest.startswith("*"):
                 rest = rest[1:].strip()
-        b = A.one() if rest in ("", "1") else A.basis_element(_parse_label(A, rest))
+        b = A.one() if rest in ("", "1") else A.basis_element(A.parse_label(rest))
         add_into(field, out, b.coeffs, field.mul(sign, coeff))
     return A.element_class(A, out)
-
-
-def _parse_label(A, s: str):
-    s = s.strip()
-    if isinstance(A, PolynomialAlgebra):
-        exps = [0] * A.nvars
-        for factor in s.split("*"):
-            factor = factor.strip()
-            m = re.fullmatch(r"x(\d+)(\^(\d+))?", factor)
-            if not m:
-                raise ValueError(f"bad monomial factor {factor!r}")
-            i = int(m.group(1))
-            if not 1 <= i <= A.nvars:
-                raise ValueError(f"variable x{i} out of range")
-            exps[i - 1] += int(m.group(3) or 1)
-        return tuple(exps)
-    if isinstance(A, GroupAlgebra):
-        if s.startswith("[") and s.endswith("]"):
-            return A.K.element_by_name(s[1:-1])
-        return A.K.element_by_name(s)
-    if isinstance(A, FunctionAlgebra):
-        m = re.fullmatch(r"delta\[(.*)\]", s)
-        if not m:
-            raise ValueError(f"bad indicator-function label {s!r}")
-        return A.G.element_by_name(m.group(1))
-    if isinstance(A, MatrixAlgebra):
-        m = re.fullmatch(r"E\[(\d+),(\d+)\]", s)
-        if not m:
-            raise ValueError(f"bad matrix-unit label {s!r}")
-        i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
-        if not (0 <= i < A.n and 0 <= j < A.n):
-            raise ValueError(f"matrix-unit index out of range in {s!r}")
-        return (i, j)
-    if isinstance(A, StructureConstantAlgebra):
-        if s in A.names:
-            return A.names.index(s)
-        raise ValueError(f"unknown basis label {s!r}")
-    raise ValueError(f"no literal syntax for {type(A).__name__}")
 
 
 def parse_hecke_element(ctx: HeckeContext, s: str) -> HeckeElement:
@@ -328,24 +278,23 @@ class SuiteRun:
         self.write = write
         self.failed = 0
         self.executed = 0
-        self.unavailable = 0
 
-    def record(self, name, ok, detail=""):
+    def record(self, name, ok, detail="", witnesses=()):
+        """One line for the check, then one per (failed check, witness) pair."""
         self.executed += 1
         status = "PASS" if ok else "FAIL"
         if not ok:
             self.failed += 1
         suffix = f" ({detail})" if detail else ""
         self.write(f"{name}: {status}{suffix}")
+        for failed, witness in witnesses:
+            self.write(f"  FAIL {failed}: witness {witness}")
 
-    def skip(self, name, reason, unavailable=False):
-        """unavailable: the suite applies to this config, but its model cannot
-        be built."""
-        self.unavailable += unavailable
+    def skip(self, name, reason):
         self.write(f"{name}: SKIP ({reason})")
 
 
-# random pairs drawn by the corner, stone and opposite multiplicativity checks
+# random pairs drawn by the matrix, corner, stone and opposite product checks
 PAIRS = 20
 
 
@@ -353,9 +302,13 @@ def _random_elements(ctx, rng, count):
     return [ctx.random_element(rng) for _ in range(count)]
 
 
-def _holds_on_random_pairs(ctx, rng, holds):
-    """holds(x, y) on PAIRS random pairs; draws stop at the first failure."""
-    return all(holds(*_random_elements(ctx, rng, 2)) for _ in range(PAIRS))
+def _record_random_pairs(run, name, ctx, rng, holds):
+    """Record whether holds(x, y) on PAIRS random pairs; the draws stop at the
+    first failing pair, whose index is the witness."""
+    bad = next((i for i in range(PAIRS) if not holds(*_random_elements(ctx, rng, 2))),
+               None)
+    run.record(name, bad is None,
+               f"{PAIRS} pairs" if bad is None else f"witness pair {bad}")
 
 
 def suite_assoc(run: SuiteRun, ctx, rng):
@@ -383,18 +336,16 @@ def suite_decomp(run: SuiteRun, ctx, rng):
         (HeckeElement(ctx, {oi: v}), c) for (oi, v), c in zip(basis, coords))
     run.record("decomp.bijection_roundtrip", y == x)
     # bimodule law: delta_{H,a} * phi * delta_{H,a'} has values a v alpha_g a'
-    bad = None
     a = _random_invariant(ctx, rng)
     ap = _random_invariant(ctx, rng)
     da, dap = ctx.embed_invariant(a), ctx.embed_invariant(ap)
-    for oi, v in basis:
-        phi = HeckeElement(ctx, {oi: v})
-        lhs = da.convolve(phi).convolve(dap)
-        g = ctx.orbits[oi].rep_element
-        expected = a * v * ctx.action.apply(g, ap)
-        if lhs.values != ({oi: expected} if not expected.is_zero else {}):
-            bad = oi
-            break
+
+    def holds(oi, v):
+        lhs = da.convolve(HeckeElement(ctx, {oi: v})).convolve(dap)
+        expected = a * v * ctx.action.apply(ctx.orbits[oi].rep_element, ap)
+        return lhs.values == ({oi: expected} if not expected.is_zero else {})
+
+    bad = next((oi for oi, v in basis if not holds(oi, v)), None)
     run.record("decomp.bimodule_law", bad is None,
                "" if bad is None else f"witness orbit {bad}")
 
@@ -420,10 +371,8 @@ def suite_matrix(run: SuiteRun, ctx, rng):
     else:
         run.record("matrix.roundtrip", False, "image not G-invariant")
         run.record("matrix.image_invariant", False, f"witness {witness}")
-    pairs = [(ctx.random_element(rng), ctx.random_element(rng)) for _ in range(20)]
-    w = matrix_multiplicativity_witness(ctx, pairs)
-    run.record("matrix.multiplicativity", w is None,
-               "20 pairs" if w is None else f"witness pair {w}")
+    _record_random_pairs(run, "matrix.multiplicativity", ctx, rng,
+                         lambda x, y: to_matrix(x * y) == to_matrix(x) * to_matrix(y))
     run.record("matrix.unit", to_matrix(ctx.identity()) == ctx.matrix_model.one())
     if not ctx.graded:
         labels = ctx.matrix_model.labels()
@@ -440,7 +389,7 @@ def suite_corner(run: SuiteRun, ctx, rng):
     try:
         e = hecke_idempotent(sga, ctx.H)
     except NotAUnitError as exc:
-        run.skip("corner", f"unavailable: {exc}", unavailable=True)
+        run.skip("corner", f"unavailable: {exc}")
         return
     run.record("corner.idempotent", e * e == e)
     xs = _random_elements(ctx, rng, 5)
@@ -455,10 +404,9 @@ def suite_corner(run: SuiteRun, ctx, rng):
     run.record("corner.image_in_corner",
                all(E * t * E == t.scale(ctx.field.mul(order, order))
                    for t in (corner_lift(ctx, sga, x) for x in xs)))
-    ok = _holds_on_random_pairs(ctx, rng, lambda x, y: (
+    _record_random_pairs(run, "corner.multiplicativity", ctx, rng, lambda x, y: (
         corner_lift(ctx, sga, x * y).scale(order)
         == corner_lift(ctx, sga, x) * corner_lift(ctx, sga, y)))
-    run.record("corner.multiplicativity", ok, f"{PAIRS} pairs")
     run.record("corner.unit", to_corner(ctx, sga, ctx.identity()) == e)
     cb = corner_basis(sga, e)
     run.record("corner.dimension", len(cb) == ctx.dimension(),
@@ -472,27 +420,18 @@ def suite_stone(run: SuiteRun, ctx, rng):
     sm = StoneModel(ctx)
     n = sm.n
     run.record("stone.size", n == ctx.cosets.n, f"n = {n} = [G:H]")
-    ok = _holds_on_random_pairs(
-        ctx, rng, lambda x, y: sm.apply(x * y) == sm.apply(x) * sm.apply(y))
-    run.record("stone.multiplicativity", ok, f"{PAIRS} pairs")
+    _record_random_pairs(run, "stone.multiplicativity", ctx, rng,
+                         lambda x, y: sm.apply(x * y) == sm.apply(x) * sm.apply(y))
     labels = sm.matrices.labels()
     vecs = [sm.apply(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
     r = linalg.rank(ctx.field, vecs)
     run.record("stone.bijective", r == n * n and ctx.dimension() == n * n,
                f"rank {r}, dim {ctx.dimension()}, n^2 = {n * n}")
-    # matrix-unit relations through preimages
-    ok = True
-    B = {}
-    for i in range(n):
-        for j in range(n):
-            B[(i, j)] = sm.preimage(sm.matrices.basis_element((i, j)))
-    for (i, j) in B:
-        for (k, l) in B:
-            prod = B[(i, j)] * B[(k, l)]
-            expected = B[(i, l)] if j == k else ctx.zero()
-            if prod != expected:
-                ok = False
-                break
+    # matrix-unit relations through preimages: B_ij B_kl = delta_jk B_il
+    B = {(i, j): sm.preimage(sm.matrices.basis_element((i, j)))
+         for i in range(n) for j in range(n)}
+    ok = all(B[(i, j)] * B[(k, l)] == (B[(i, l)] if j == k else ctx.zero())
+             for (i, j) in B for (k, l) in B)
     run.record("stone.matrix_units", ok, f"{n ** 4} relations")
     if ctx.G.order == 6 and ctx.H.order == 2:
         run.record(
@@ -512,9 +451,7 @@ def _record_map(run, check, detail, basis, forward, one, target, rng, onto=True)
         vectorize=target.module_coordinates,
         target_dim=target.dimension() if onto else None, rng=rng, max_pairs=60,
     )
-    run.record(check, rep.ok, detail)
-    for failed, witness in rep.failures:
-        run.write(f"  FAIL {failed}: witness {witness}")
+    run.record(check, rep.ok, detail, rep.failures)
 
 
 def suite_group_ops(run: SuiteRun, ctx, rng):
@@ -527,16 +464,16 @@ def suite_group_ops(run: SuiteRun, ctx, rng):
                     ctx.basis_hecke_elements(), tr.forward, ctx.identity(), tr.target, rng)
     else:
         run.skip("group_ops.conjugate", "needs finite coefficients and H < G")
-    # the remaining transports run on fixed small fixtures
+    # the remaining transports run on fixed small fixtures: S3 acting on R^S3
+    # by left translation, with H3 = <(1 2)> and N3 = <(1 2 3)> = A3 = C3
     G3 = symmetric_group(3)
     H3 = subgroup_from_generators(G3, [G3.element_by_name("(1 2)")])
-    A3 = FunctionAlgebra(f, G3)
-    ctx3 = HeckeContext(G3, H3, A3, left_translation_action(G3, A3),
-                        verify_action=False)
-    # quotient: S_3, H = A_3 normal? use N = A_3 <= H = A_3
     N3 = subgroup_from_generators(G3, [G3.element_by_name("(1 2 3)")])
-    ctxq = HeckeContext(G3, N3, A3, left_translation_action(G3, A3),
-                        verify_action=False)
+    A3 = FunctionAlgebra(f, G3)
+    left = left_translation_action(G3, A3)
+    ctx3 = HeckeContext(G3, H3, A3, left, verify_action=False)
+    # quotient by the normal subgroup N3, with H = N3
+    ctxq = HeckeContext(G3, N3, A3, left, verify_action=False)
     trq = quotient_transport(ctxq, N3)
     _record_map(run, "group_ops.quotient", "(S3, A3) / A3",
                 ctxq.basis_hecke_elements(), trq.forward, ctxq.identity(), trq.target, rng)
@@ -551,27 +488,23 @@ def suite_group_ops(run: SuiteRun, ctx, rng):
     _record_map(run, "group_ops.product", "(S3,S2) x (C2,1)",
                 basis, trp.forward, BT.one(), trp.target, rng)
     # intermediate: 1 <= C3 <= S3 (extend by zero)
-    ctxt = HeckeContext(G3, trivial_subgroup(G3), A3,
-                        left_translation_action(G3, A3), verify_action=False)
-    K3 = subgroup_from_generators(G3, [G3.element_by_name("(1 2 3)")])
-    tre = intermediate_embed(ctxt, K3)
+    ctxt = HeckeContext(G3, trivial_subgroup(G3), A3, left, verify_action=False)
+    tre = intermediate_embed(ctxt, N3)
     _record_map(run, "group_ops.intermediate", "C3 <= S3, injective",
                 tre.source.basis_hecke_elements(), tre.forward, tre.source.identity(),
                 ctxt, rng, onto=False)
     # semidirect: (Z/2)^3 x| S3 with H = S2
     Ncube, tuples, index = power_group(cyclic_group(2), 3)
-    K = symmetric_group(3)
 
     def act(k, n):
-        p = K.perms[k]
+        p = G3.perms[k]
         t = tuples[n]
         out = [0, 0, 0]
         for i in range(3):
             out[p[i]] = t[i]
         return index[tuple(out)]
 
-    Hs = subgroup_from_generators(K, [K.element_by_name("(1 2)")])
-    trs = semidirect_transport(f, Ncube, K, act, Hs)
+    trs = semidirect_transport(f, Ncube, G3, act, H3)
     _record_map(run, "group_ops.semidirect",
                 f"dim {trs.info['dim']} = {trs.info['classical_dim']}",
                 trs.source.basis_hecke_elements(), trs.forward, trs.source.identity(),
@@ -591,7 +524,8 @@ def suite_cocycle(run: SuiteRun, ctx, rng):
         _record_map(run, "cocycle.inner_fixture", "trivial action perturbed to conjugation",
                     ctxc.basis_hecke_elements(), tr.forward, ctxc.identity(), tr.target, rng)
     except CocycleConditionError as exc:
-        run.record("cocycle.inner_fixture", False, str(exc))
+        run.record("cocycle.inner_fixture", False, "cocycle conditions violated",
+                   exc.failures)
     # violation of triviality on H must be detected
     H2 = subgroup_from_generators(G3, [G3.element_by_name("(1 2)")])
     ctxv = HeckeContext(G3, H2, A, trivial_action(G3, A), verify_action=False)
@@ -606,9 +540,8 @@ def suite_cocycle(run: SuiteRun, ctx, rng):
 
 def suite_opposite(run: SuiteRun, ctx, rng):
     tr = opposite_transport(ctx)
-    ok = _holds_on_random_pairs(
-        ctx, rng, lambda x, y: tr.forward(x * y) == tr.forward(y) * tr.forward(x))
-    run.record("opposite.anti_multiplicative", ok, f"{PAIRS} pairs")
+    _record_random_pairs(run, "opposite.anti_multiplicative", ctx, rng,
+                         lambda x, y: tr.forward(x * y) == tr.forward(y) * tr.forward(x))
     run.record("opposite.unit", tr.forward(ctx.identity()) == tr.target.identity())
     xs = _random_elements(ctx, rng, 5)
     run.record("opposite.roundtrip",
@@ -697,9 +630,8 @@ def cmd_verify(ctx: HeckeContext, cfg: JobConfig, suite: str, seed: int, write):
         rng = random.Random(seed)
         SUITES[name](run, ctx, rng)
     write(f"checks executed = {run.executed}, failed = {run.failed}")
-    # a suite that does not apply passes vacuously; one whose model could not
-    # be built has checked nothing and must not read as a pass
-    if run.executed == 0 and run.unavailable:
+    # a run that executed no check verified nothing, whatever its suites skipped
+    if run.executed == 0:
         print("error: no verification check executed", file=sys.stderr)
         return 2
     return 0 if run.failed == 0 else 1

@@ -239,15 +239,6 @@ def relativise(ctx: HeckeContext, a) -> HeckeMatrix:
         {(i, i): ctx.action.apply(k, a) for i, k in enumerate(ctx.cosets.reps)})
 
 
-def matrix_multiplicativity_witness(ctx: HeckeContext, pairs):
-    """None if to_matrix(x*y) = to_matrix(x) * to_matrix(y) on all pairs;
-    else the index of the first failing pair."""
-    for idx, (x, y) in enumerate(pairs):
-        if to_matrix(x.convolve(y)) != to_matrix(x) * to_matrix(y):
-            return idx
-    return None
-
-
 # ---------------------------------------------------------------------------
 # corner model inside the skew group algebra
 

@@ -286,6 +286,29 @@ def test_matrix_inverse_two_sided(entries):
         assert m * inv == A.one() == inv * m
 
 
+def test_element_inverse_graded_solves_in_degree_zero():
+    A = PolynomialAlgebra(Q, 2, 4)
+    assert element_inverse(A.one()) == A.one()
+    three = A.from_scalar(Q.from_int(3))
+    assert element_inverse(three) == A.from_scalar(Q.inv(Q.from_int(3)))
+    # x1 is refused, not reported as a non-unit: in a graded algebra an element
+    # with a positive-degree term can be a unit (1 + n, n nilpotent), which a
+    # degree-0 solve cannot find
+    with pytest.raises(ValueError, match="only in degree 0") as exc:
+        element_inverse(A.variable(1))
+    assert not isinstance(exc.value, NotAUnitError)
+
+
+def test_element_inverse_graded_tensor_product():
+    T = TensorAlgebra(PolynomialAlgebra(Q, 2, 4), MatrixAlgebra(Q, 2))
+    two = T.from_scalar(Q.from_int(2))
+    inv = element_inverse(two)
+    assert inv == T.from_scalar(Q.inv(Q.from_int(2)))
+    assert two * inv == T.one() == inv * two
+    with pytest.raises(NotAUnitError):
+        element_inverse(T.basis_element(((0, 0), (0, 0))))  # 1 (x) E[1,1]
+
+
 # -- fast paths against plain references ----------------------------------------
 
 

@@ -1,3 +1,6 @@
+import pathlib
+import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -5,16 +8,20 @@ import pytest
 from skewhecke.algebras import add_into
 from skewhecke.cli import (
     ConfigError,
+    JobConfig,
     build_context,
     format_hecke_element,
     main,
+    parse_algebra_element,
     parse_config,
     parse_hecke_element,
 )
 from skewhecke.groups import CosetSpace
 from skewhecke.hecke import classical_structure_constants_counting
 from skewhecke.isomorphisms import (
+    CocycleConditionError,
     conjugate_transport,
+    opposite_transport,
     pull_map,
     semidirect_transport,
 )
@@ -105,6 +112,43 @@ def test_hecke_literal_roundtrip():
     ctx = build_context(parse_config(POLY))
     phi = parse_hecke_element(ctx, "(x1 + x2; 2*x3 + -1)")
     assert parse_hecke_element(ctx, format_hecke_element(phi)) == phi
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.cfg")))
+def test_hecke_literal_roundtrip_on_golden_configs(name):
+    ctx = build_context(parse_config((GOLDEN / f"{name}.cfg").read_text()))
+    f = ctx.field
+    rng = random.Random(0)
+    for _ in range(10):
+        x = ctx.random_element(rng)
+        # over Q, a third of x has fractional coefficients
+        for y in [x, x.scale(f.inv(f.from_int(3)))] if f.characteristic == 0 else [x]:
+            assert parse_hecke_element(ctx, format_hecke_element(y)) == y
+
+
+@pytest.mark.parametrize("field", ["rationals", "prime_field(5)"])
+@pytest.mark.parametrize("group", ["symmetric(3)", "cyclic(4)", "dihedral(4)",
+                                   "dihedral(2)"])
+def test_algebra_literal_roundtrip(field, group):
+    # every coefficient family build_context makes prints literals it parses back;
+    # cyclic(4) and dihedral(2) name their elements t^i and (t,id), not cycles
+    rng = random.Random(0)
+    for algebra in ["scalar", "functions", "group(self)", "group(cyclic(4))",
+                    "matrix(2)", "polynomial(3)"]:
+        cfg = JobConfig(field=field, group=group, subgroup="trivial", algebra=algebra)
+        A = build_context(cfg).A
+        f = A.field
+        labels = A.labels_up_to(cfg.degree_cap)
+        samples = [A.zero(), A.one()] + [A.basis_element(l) for l in labels]
+        for _ in range(10):
+            samples.append(A.element({
+                l: f.mul(f.from_int(rng.randint(-3, 3)), f.inv(f.from_int(rng.randint(1, 3))))
+                for l in labels}))
+        for x in samples:
+            assert parse_algebra_element(A, str(x)) == x, (algebra, str(x))
 
 
 def test_hecke_literal_wrong_arity():
@@ -208,10 +252,13 @@ def test_verify_stone_runs_on_function_config(capsys, cfg_file):
 
 
 def test_verify_stone_skipped_elsewhere(capsys, cfg_file):
-    code, out = run_cli(capsys, "verify", "stone", "--config", cfg_file(CLASSICAL))
-    assert code == 0
-    assert "stone: SKIP" in out
-    assert "failed = 0" in out
+    # a run whose suites all skip has checked nothing: exit 2, report still written
+    code = main(["verify", "stone", "--config", cfg_file(CLASSICAL)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "stone: SKIP" in captured.out
+    assert "checks executed = 0, failed = 0" in captured.out
+    assert captured.err == "error: no verification check executed\n"
 
 
 def test_verify_out_file(tmp_path, capsys, cfg_file):
@@ -412,6 +459,7 @@ def test_untwisted_skew_product_fails_corner_multiplicativity(capsys, cfg_file,
     code, out = run_cli(capsys, "verify", "corner", "--config", cfg_file(config))
     assert code == 1
     assert "corner.multiplicativity: FAIL" in out
+    assert re.search(r"^corner\.multiplicativity: FAIL \(witness pair \d+\)$", out, re.M)
 
 
 @pytest.mark.parametrize("config", [STONE, STONE_GF5], ids=["Q", "GF5"])
@@ -459,3 +507,29 @@ def test_conjugate_forward_without_alpha_is_a_failed_check(capsys, cfg_file,
     assert "  FAIL image: witness value at double-coset orbit 0 is not fixed by " \
         "stabilizer element (1 3)\n" in out
     assert "group_ops.semidirect: PASS" in out
+
+
+def test_opposite_forward_that_keeps_the_order_names_a_witness_pair(capsys, cfg_file,
+                                                                    monkeypatch):
+    # the identity into the context itself does not reverse products in M_3
+    def unreversed(ctx):
+        return replace(opposite_transport(ctx), target=ctx,
+                       forward=lambda x: x, backward=lambda x: x)
+
+    monkeypatch.setattr("skewhecke.cli.opposite_transport", unreversed)
+    code, out = run_cli(capsys, "verify", "opposite", "--config", cfg_file(STONE))
+    assert code == 1
+    assert re.search(r"^opposite\.anti_multiplicative: FAIL \(witness pair \d+\)$",
+                     out, re.M)
+    assert "opposite.unit: PASS" in out and "opposite.roundtrip: PASS" in out
+
+
+def test_cocycle_condition_error_prints_its_witnesses(capsys, cfg_file, monkeypatch):
+    def violated(ctx, chi):
+        raise CocycleConditionError([("cocycle", ("(1 2)", "(1 3)"))])
+
+    monkeypatch.setattr("skewhecke.cli.cocycle_transport", violated)
+    code, out = run_cli(capsys, "verify", "cocycle", "--config", cfg_file(CLASSICAL))
+    assert code == 1
+    assert "cocycle.inner_fixture: FAIL (cocycle conditions violated)\n" \
+        "  FAIL cocycle: witness ('(1 2)', '(1 3)')\n" in out

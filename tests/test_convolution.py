@@ -270,13 +270,12 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
         # the induced action, graded or finite
         assert quotient.forward(product) == quotient.forward(x) * quotient.forward(y)
         assert quotient.backward(quotient.forward(x)) == x
-    if not ctx.graded:
-        # the coboundary of an invertible scalar u of A^G (element_inverse
-        # solves over a finite basis, so graded contexts have no cocycle here)
-        u = ctx.A.from_scalar(ctx.field.from_int(random.Random(seed).randint(1, 4)))
-        cocycle = cocycle_transport(ctx, coboundary_from_unit(ctx, u))
-        assert cocycle.forward(product) == cocycle.forward(x) * cocycle.forward(y)
-        assert cocycle.backward(cocycle.forward(x)) == x
+    # the coboundary of an invertible scalar u of A^G (element_inverse solves
+    # a graded A in degree 0, where u lies)
+    u = ctx.A.from_scalar(ctx.field.from_int(random.Random(seed).randint(1, 4)))
+    cocycle = cocycle_transport(ctx, coboundary_from_unit(ctx, u))
+    assert cocycle.forward(product) == cocycle.forward(x) * cocycle.forward(y)
+    assert cocycle.backward(cocycle.forward(x)) == x
 
 
 def integral_element(ctx, rng):

@@ -35,7 +35,6 @@ from skewhecke.isomorphisms import (
     from_matrix,
     intermediate_embed,
     matrix_invariance_witness,
-    matrix_multiplicativity_witness,
     opposite_transport,
     product_transport,
     quotient_transport,
@@ -96,7 +95,7 @@ def test_matrix_multiplicative():
     pairs = [
         (ctx.random_element(rng), ctx.random_element(rng)) for _ in range(15)
     ]
-    assert matrix_multiplicativity_witness(ctx, pairs) is None
+    assert all(to_matrix(x * y) == to_matrix(x) * to_matrix(y) for x, y in pairs)
     assert to_matrix(ctx.identity()) == ctx.matrix_model.one()
 
 
