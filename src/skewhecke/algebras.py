@@ -17,22 +17,22 @@ from operator import itemgetter
 
 from . import linalg
 from .groups import full_subgroup
+from .linalg import add_into
 from .scalars import NotAUnitError
 
 
-def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
-    """out += c * coeffs in place (c None means 1), dropping entries that cancel."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for l, x in coeffs.items():
-        if c is not None:
-            x = mul(c, x)
-        if l in out:
-            x = add(out[l], x)
-        if is_zero(x):
-            out.pop(l, None)
-        else:
-            out[l] = x
-    return out
+def _keyed_pairs(keys, left: dict, right: dict):
+    """(l1, c1, partners) for each item of ``left`` in order: partners are the
+    (l2, c2) items of ``right``, in order, whose product with l1 may be nonzero
+    under ``keys`` (the algebra's product_keys), every item when it is None."""
+    right = list(right.items())
+    if keys is None:
+        return [(l1, c1, right) for l1, c1 in left.items()]
+    left_key, right_key = keys
+    buckets: dict = {}
+    for l2, c2 in right:
+        buckets.setdefault(right_key(l2), []).append((l2, c2))
+    return [(l1, c1, buckets.get(left_key(l1), ())) for l1, c1 in left.items()]
 
 
 class AlgebraElement:
@@ -65,16 +65,8 @@ class AlgebraElement:
             return NotImplemented
         alg = self.alg
         f = alg.field
-        right = list(other.coeffs.items())
-        keys = alg.product_keys
-        if keys is not None:
-            left_key, right_key = keys
-            buckets: dict = {}
-            for l2, c2 in right:
-                buckets.setdefault(right_key(l2), []).append((l2, c2))
         out: dict = {}
-        for l1, c1 in self.coeffs.items():
-            partners = right if keys is None else buckets.get(left_key(l1), ())
+        for l1, c1, partners in _keyed_pairs(alg.product_keys, self.coeffs, other.coeffs):
             for l2, c2 in partners:
                 add_into(f, out, alg.product_cached(l1, l2), f.mul(c1, c2))
         return alg.element_class(alg, out)
@@ -427,23 +419,16 @@ class TensorElement(AlgebraElement):
         if not isinstance(other, AlgebraElement) or other.alg is not self.alg:
             return NotImplemented
         T = self.alg
-        B, f, one = T.B, T.field, T.field.one
-        right = list(T.components(other).items())
-        keys = B.product_keys
-        if keys is not None:
-            left_key, right_key = keys
-            buckets: dict = {}
-            for c, y in right:
-                buckets.setdefault(right_key(c), []).append((c, y))
+        B, f = T.B, T.field
         out: dict = {}
-        for b, x in T.components(self).items():
-            partners = right if keys is None else buckets.get(left_key(b), ())
+        for b, x, partners in _keyed_pairs(B.product_keys, T.components(self),
+                                           T.components(other)):
             for c, y in partners:
                 bc = B.product_cached(b, c)
                 if bc:
                     xy = (x * T.twist(b, y)).coeffs
                     for d, k in bc.items():
-                        add_into(f, out.setdefault(d, {}), xy, None if k == one else k)
+                        add_into(f, out.setdefault(d, {}), xy, k)
         return T.element_class(
             T, {(l, d): c for d, coeffs in out.items() for l, c in coeffs.items()})
 
@@ -576,7 +561,12 @@ class StructureConstantAlgebra(BasedAlgebra):
     def __init__(self, field, size, products, one_coeffs_, names=None):
         super().__init__(field)
         self.size = size
-        self._products = products  # (i, j) -> {k: c}; missing means zero
+        # (i, j) -> {k: c}, missing means zero; zero entries are dropped, as
+        # add_into needs every product_cached dict free of stored zeros
+        self._products = {
+            key: {k: c for k, c in row.items() if not field.is_zero(c)}
+            for key, row in products.items()
+        }
         self._one = dict(one_coeffs_)
         self.names = names or [f"b{i}" for i in range(size)]
 
@@ -671,26 +661,13 @@ class GroupAction:
         return out
 
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
-        """alpha_g(x) = sum over labels l of x of c_l alpha_g(l).
-
-        Where alpha_g(l) is a single label l' with coefficient one and l' is
-        not yet in the result (a relabelling, as for permutation actions), c_l
-        is stored at l' with no arithmetic; any other image is accumulated
-        with ``add_into``.
-        """
+        """alpha_g(x) = sum over labels l of x of c_l alpha_g(l)."""
         if g == 0:
             return x
         f = self.A.field
-        one = f.one
         out: dict = {}
         for l, c in x.coeffs.items():
-            image = self.on_label(g, l).coeffs
-            if len(image) == 1:
-                (l2, c2), = image.items()
-                if c2 == one and l2 not in out:
-                    out[l2] = c
-                    continue
-            add_into(f, out, image, c)
+            add_into(f, out, self.on_label(g, l).coeffs, c)
         return self.A.element_class(self.A, out)
 
     def moved_by(self, x: AlgebraElement, gens):
@@ -915,39 +892,32 @@ def invariants_compute(A: BasedAlgebra, S_elements, action: GroupAction, degree=
     S_elements is an iterable of group-element indices; invariance is imposed
     for each of them, so pass generators (or the whole subgroup).
     """
-    if A.graded and degree is None:
-        raise ValueError("graded algebra requires a degree")
-    labels = A.basis_labels(degree)
-    f = A.field
-    gens = [s for s in S_elements if s != 0]
-    rows = []
-    for s in gens:
-        cols = []
-        for l in labels:
-            img = action.on_label(s, l) - A.basis_element(l)
-            cols.append(img.to_vector(labels))
-        for i in range(len(labels)):
-            rows.append([cols[j][i] for j in range(len(labels))])
-    vectors = linalg.nullspace(f, rows, ncols=len(labels))
-    return [element_from_vector(A, labels, v) for v in vectors]
+    return InvariantSpace(A, S_elements, action, degree).basis
 
 
 class InvariantSpace:
     """A^S in one degree (all of A if degree is None): basis and exact coordinates.
 
-    ``basis`` is the ``invariants_compute`` basis and ``index`` maps each label
-    of the degree to its column.  ``coordinates(a)`` returns the nonzero
-    {i: c} with part_d(a) = sum c basis[i], where part_d(a) keeps the terms of
-    a whose labels lie in the degree, or None when that part is not S-fixed.
+    The invariance conditions alpha_s(a) = a, one block of rows per s in
+    S_elements, are reduced once by a ``linalg.CoordinateSolver``, whose kernel
+    basis is ``basis``; ``index`` maps each label of the degree to its column.
+    ``coordinates(a)`` returns the nonzero {i: c} with part_d(a) = sum c
+    basis[i], where part_d(a) keeps the terms of a whose labels lie in the
+    degree, or None when that part is not S-fixed.
     """
 
     def __init__(self, A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
-        self.basis = invariants_compute(A, S_elements, action, degree=degree)
-        labels = A.basis_labels(degree)
+        labels = A.basis_labels(degree)  # a graded A refuses degree None
         self.index = {l: j for j, l in enumerate(labels)}
-        self.solver = linalg.CoordinateSolver(
-            A.field, [v.to_vector(labels) for v in self.basis], n=len(labels)
-        )
+        rows = []
+        for s in S_elements:
+            if s == 0:
+                continue
+            cols = [(action.on_label(s, l) - A.basis_element(l)).to_vector(labels)
+                    for l in labels]
+            rows.extend([col[i] for col in cols] for i in range(len(labels)))
+        self.solver = linalg.CoordinateSolver(A.field, rows, len(labels))
+        self.basis = [element_from_vector(A, labels, v) for v in self.solver.basis]
 
     def coordinates(self, a: AlgebraElement):
         index = self.index
@@ -1061,9 +1031,10 @@ class InvariantSubalgebra(BasedAlgebra):
         return dict(expr.coeffs)
 
     def label_str(self, label):
-        return f"inv<{self.A.label_str(max(self.include_label(label).coeffs, key=self.A.label_sort_key))}+..>" \
-            if len(self.include_label(label).coeffs) > 1 else \
-            self.A.label_str(next(iter(self.include_label(label).coeffs)))
+        coeffs = self.include_label(label).coeffs
+        if len(coeffs) > 1:
+            return f"inv<{self.A.label_str(max(coeffs, key=self.A.label_sort_key))}+..>"
+        return self.A.label_str(next(iter(coeffs)))
 
     def induced_action(self, Q, lift) -> GroupAction:
         """Action of a group Q on A^S, where q acts as the G element lift[q].

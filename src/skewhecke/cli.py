@@ -31,7 +31,6 @@ from .algebras import (
     MatrixAlgebra,
     PolynomialAlgebra,
     action_make,
-    add_into,
     left_translation_action,
     scalar_algebra,
     trivial_action,
@@ -51,6 +50,7 @@ from .hecke import (
     classical_context,
     structure_constants,
 )
+from .linalg import add_into
 from .scalars import NotAUnitError, field_make
 from .skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent, subgroup_sum
 from .isomorphisms import (
@@ -552,16 +552,27 @@ def suite_graded(run: SuiteRun, ctx, rng):
     if not ctx.graded:
         run.skip("graded", "coefficient algebra is not graded")
         return
+    bad = _degree_failure(ctx)
+    witnesses = () if bad is None else [("graded.degree_additive", bad)]
+    run.record("graded.degree_additive", bad is None, f"degrees 0..{ctx.degree_cap}",
+               witnesses)
+
+
+def _degree_failure(ctx):
+    """The first product of module basis elements of degrees d1, d2 (d1 + d2 at
+    most the degree cap) that is nonzero and not homogeneous of degree d1 + d2,
+    named by its orbits, d1, d2 and the degree found (None if inhomogeneous);
+    None if every product is."""
     cap = ctx.degree_cap
-    ok = True
     for d1 in range(cap + 1):
         for d2 in range(cap + 1 - d1):
             for oi, v in ctx.module_basis(d1):
                 for oj, w in ctx.module_basis(d2):
                     p = HeckeElement(ctx, {oi: v}) * HeckeElement(ctx, {oj: w})
-                    if not p.is_zero and p.homogeneous_degree() != d1 + d2:
-                        ok = False
-    run.record("graded.degree_additive", ok, f"degrees 0..{cap}")
+                    if not p.is_zero and (found := p.homogeneous_degree()) != d1 + d2:
+                        return (f"orbits ({oi}, {oj}), degrees ({d1}, {d2}), "
+                                f"product degree {found}")
+    return None
 
 
 def suite_s3(run: SuiteRun, ctx, rng):

@@ -18,11 +18,11 @@ from .algebras import (
     BasedAlgebra,
     GroupAction,
     InvariantSpace,
-    add_into,
     scalar_algebra,
     trivial_action,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup
+from .linalg import add_into
 
 
 class StabilizerInvarianceError(ValueError):

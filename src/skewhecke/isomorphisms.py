@@ -22,7 +22,6 @@ from .algebras import (
     OppositeAlgebra,
     TensorAlgebra,
     TensorElement,
-    add_into,
     cocycle_perturbed_action,
     element_inverse,
     group_automorphism_action,
@@ -46,6 +45,8 @@ from .hecke import (
     classical_context,
     hecke_as_based_algebra,
 )
+from .linalg import add_into
+from .scalars import NotAUnitError
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,8 @@ def cocycle_verify(ctx: HeckeContext, chi: dict):
     """Failure witnesses for the cocycle conditions (empty list = valid).
 
     (a) chi(gg') = chi(g) . alpha_g chi(g'); (c) chi(h) = 1 for h in H;
-    each chi(g) must be a unit.
+    each chi(g) must be a unit that ``element_inverse`` inverts, which in a
+    graded A means one of degree 0.
     """
     G, A = ctx.G, ctx.A
     failures = []
@@ -528,13 +530,14 @@ def cocycle_verify(ctx: HeckeContext, chi: dict):
         if g not in chi:
             failures.append(("completeness", f"missing chi({G.name(g)})"))
             return failures
-    from .scalars import NotAUnitError
-
     for g in range(G.order):
         try:
             element_inverse(chi[g])
         except NotAUnitError:
             failures.append(("unit", f"chi({G.name(g)}) is not a unit"))
+            return failures
+        except ValueError as exc:  # a graded chi(g) with a positive-degree term
+            failures.append(("unit", f"chi({G.name(g)}): {exc}"))
             return failures
     for g in range(G.order):
         for g2 in range(G.order):

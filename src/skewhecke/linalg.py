@@ -1,13 +1,39 @@
-"""Dense exact linear algebra over a scalar field.
+"""Exact linear algebra over a scalar field: sparse sums and dense elimination.
 
-Matrices are lists of rows; rows are lists of field values.  Everything here
-uses fraction-free-ish Gaussian elimination with exact division, which is fine
-at the problem sizes this library works at (dimensions in the low hundreds).
-Pivoting is deterministic (first nonzero entry), so echelon bases are
-reproducible.
+Sparse vectors are key -> value dicts with no stored zeros, summed by
+``add_into``.  Matrices are lists of rows; rows are lists of field values.
+Everything here uses fraction-free-ish Gaussian elimination with exact
+division, which is fine at the problem sizes this library works at (dimensions
+in the low hundreds).  Pivoting is deterministic (first nonzero entry), so
+echelon bases are reproducible.
 """
 
 from __future__ import annotations
+
+
+def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
+    """out += c * coeffs in place (c None means 1); neither dict stores zeros.
+
+    The data decides the work: c == 0 returns at once, a factor of one (c or
+    an entry of coeffs) costs no multiply, and a label new to ``out`` is stored
+    with no zero test, since a field has no zero divisors.  Only a sum onto an
+    existing entry is tested, and dropped when it cancels.
+    """
+    if c is not None:
+        if c == field.zero:
+            return out
+        if c == field.one:
+            c = None
+    for l, x in coeffs.items():
+        if c is not None:
+            x = c if x == field.one else field.mul(c, x)
+        if l in out:
+            x = field.add(out[l], x)
+            if field.is_zero(x):
+                del out[l]
+                continue
+        out[l] = x
+    return out
 
 
 def rref(field, rows):
@@ -50,24 +76,7 @@ def nullspace(field, rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [field.zero] * ncols
-            v[j] = field.one
-            basis.append(v)
-        return basis
-    m, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [field.zero] * ncols
-        v[j] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(m[i][j])
-        basis.append(v)
-    return basis
+    return CoordinateSolver(field, rows, ncols).basis
 
 
 def solve(field, rows, rhs):
@@ -86,42 +95,34 @@ def solve(field, rows, rhs):
 
 
 class SpanBasis:
-    """Incrementally built echelon basis of a subspace of F^n.
-
-    Tracks which inserted vectors were independent; supports membership tests
-    and coordinates of a vector with respect to the stored (echelonised)
-    basis vectors in their original form.
-    """
+    """Incrementally built echelon basis of a subspace of F^n, with membership
+    tests."""
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
         self.rows = []      # echelon rows, each with leading 1
         self.lead = []      # leading column of each row
-        self.originals = [] # independent vectors as originally inserted
 
     def _reduce(self, v):
         f = self.field
         v = list(v)
-        coeffs = [f.zero] * len(self.rows)
-        for i, (row, lc) in enumerate(zip(self.rows, self.lead)):
+        for row, lc in zip(self.rows, self.lead):
             c = v[lc]
             if not f.is_zero(c):
-                coeffs[i] = c
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v, coeffs
+        return v
 
     def insert(self, v):
         """Insert a vector; returns True if it enlarged the span."""
         f = self.field
-        red, _ = self._reduce(v)
+        red = self._reduce(v)
         lead = next((j for j in range(self.n) if not f.is_zero(red[j])), None)
         if lead is None:
             return False
         inv = f.inv(red[lead])
         self.rows.append([f.mul(inv, x) for x in red])
         self.lead.append(lead)
-        self.originals.append(list(v))
         # keep echelon rows fully reduced against each other
         for i in range(len(self.rows) - 1):
             c = self.rows[i][lead]
@@ -132,8 +133,7 @@ class SpanBasis:
         return True
 
     def contains(self, v):
-        red, _ = self._reduce(v)
-        return all(self.field.is_zero(x) for x in red)
+        return all(self.field.is_zero(x) for x in self._reduce(v))
 
     @property
     def dim(self):
@@ -141,55 +141,55 @@ class SpanBasis:
 
 
 class CoordinateSolver:
-    """Expresses vectors in a fixed independent spanning set.
+    """The kernel {v : rows @ v = 0} in F^ncols, with exact coordinates in its basis.
 
-    Given independent vectors b_1..b_m in F^n, ``coordinates(terms)`` returns
-    the nonzero c_i of v = sum c_i b_i as {i: c_i} (increasing i), or None if v
-    is outside the span; v is given by its nonzero (column, entry) pairs.
+    One ``rref`` of ``rows`` splits the columns into pivot and free ones.
+    Basis vector i is 1 at the free column free[i], 0 at every other free
+    column, and minus the reduced entry of its column at each pivot column; the
+    pivot entries of each basis vector are kept as a sparse {column: entry}.
+    So a kernel vector's coordinates are its entries at the free columns, and
+    v is in the kernel exactly when v - sum c_i basis_i, which is 0 at every
+    free column, is 0 at the pivot columns too.
     """
 
-    def __init__(self, field, vectors, n=None):
+    def __init__(self, field, rows, ncols):
         self.field = field
-        self.vectors = [list(v) for v in vectors]
-        self.m = len(self.vectors)
-        if n is None:
-            n = len(self.vectors[0]) if self.vectors else 0
-        self.n = n
-        # rref of the augmented (n x (m+n)) matrix [B | I], B with columns
-        # b_1..b_m; then T @ B = R with R in rref, T the right-hand block.
-        aug = []
-        for i in range(n):
-            row = [self.vectors[j][i] for j in range(self.m)]
-            row += [field.one if k == i else field.zero for k in range(n)]
-            aug.append(row)
-        red, pivots = rref(field, aug)
-        self.pivots = [p for p in pivots if p < self.m]
-        if len(self.pivots) != self.m:
-            raise ValueError("spanning vectors are linearly dependent")
-        # column j of T as its nonzero (row, entry) pairs
-        self.columns = [
-            [(i, row[self.m + j]) for i, row in enumerate(red)
-             if not field.is_zero(row[self.m + j])]
-            for j in range(n)
+        red, pivots = rref(field, rows)
+        pivot_set = set(pivots)
+        self.free = [j for j in range(ncols) if j not in pivot_set]
+        self.position = {j: i for i, j in enumerate(self.free)}
+        self.pivot_entries = [
+            {pc: field.neg(row[j]) for row, pc in zip(red, pivots)
+             if not field.is_zero(row[j])}
+            for j in self.free
         ]
+        self.basis = []
+        for j, entries in zip(self.free, self.pivot_entries):
+            v = [field.zero] * ncols
+            v[j] = field.one
+            for pc, x in entries.items():
+                v[pc] = x
+            self.basis.append(v)
 
     def coordinates(self, terms):
-        """w = T v over the (j, v_j) pairs of ``terms`` (zeros skipped; pass a
-        dense v as enumerate(v)): rows of T below the pivot rows must give 0
-        (else v is outside the span), pivot rows give coordinates."""
+        """The nonzero c_i of v = sum c_i basis_i as {i: c_i} (increasing i), or
+        None if rows @ v != 0.  v is given by its (column, entry) pairs, in any
+        order; zero entries are skipped, so a dense v may be passed as
+        enumerate(v)."""
         f = self.field
-        w: dict = {}
+        position = self.position
+        coords: dict = {}
+        residual: dict = {}  # v - sum c_i basis_i at the pivot columns
         for j, x in terms:
             if f.is_zero(x):
                 continue
-            for i, t in self.columns[j]:
-                w[i] = f.add(w[i], f.mul(t, x)) if i in w else f.mul(t, x)
-        npiv = len(self.pivots)
-        coords = {}
-        for i, x in sorted(w.items()):
-            if f.is_zero(x):
-                continue
-            if i >= npiv:
-                return None
-            coords[self.pivots[i]] = x
-        return coords
+            i = position.get(j)
+            if i is None:
+                residual[j] = x
+            else:
+                coords[i] = x
+        for i, c in coords.items():
+            add_into(f, residual, self.pivot_entries[i], f.neg(c))
+        if residual:
+            return None
+        return dict(sorted(coords.items()))

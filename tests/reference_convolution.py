@@ -8,7 +8,8 @@ representatives ``reps``:
 No product skeleton, no caching, no validation.
 """
 
-from skewhecke.algebras import AlgebraElement, add_into
+from skewhecke.algebras import AlgebraElement
+from skewhecke.linalg import add_into
 from skewhecke.hecke import HeckeElement
 
 

@@ -11,6 +11,7 @@ from skewhecke.algebras import (
     MatrixAlgebra,
     OppositeAlgebra,
     PolynomialAlgebra,
+    StructureConstantAlgebra,
     TensorAlgebra,
     averaging_image,
     check_associativity,
@@ -60,6 +61,17 @@ def poly():
 )
 def test_families_associative_unital(A):
     assert check_associativity(A, max_triples=500, rng=random.Random(0)) == []
+
+
+def test_structure_constant_table_zeros_are_not_stored():
+    # an explicit zero in the table must not become a stored zero of a product
+    F5 = PrimeField(5)
+    A = StructureConstantAlgebra(
+        F5, 2, {(0, 0): {0: 1, 1: 0}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 0}},
+        {0: 1})
+    x = A.element({0: 2, 1: 3})
+    assert (x * x).coeffs == {0: 4, 1: 2}
+    assert (A.basis_element(1) * A.basis_element(1)).coeffs == {}
 
 
 def test_polynomial_associative(poly):
@@ -406,9 +418,9 @@ def unipotent_perturbed_matrix_action():
 
 
 def test_apply_matches_term_by_term_sum():
-    # covers both branches of apply: relabelled images (coefficient one, label
-    # not yet in the result) and the accumulated rest (coefficient -1, images
-    # with several terms, images landing on a label already in the result)
+    # relabelled images (coefficient one, label not yet in the result) and the
+    # rest (coefficient -1, images with several terms, images landing on a
+    # label already in the result)
     rng = random.Random(5)
     poly = PolynomialAlgebra(Q, 3, 4)
     poly2 = PolynomialAlgebra(Q, 2, 4)
@@ -427,10 +439,36 @@ def test_apply_matches_term_by_term_sum():
             x = random_algebra_element(act.A, labels, rng)
             for g in range(act.G.order):
                 assert act.apply(g, x) == reference_apply(act, g, x)
-    # the new cases reach the fallback: a -1 single label and multi-term images
+    # the last two cases have a -1 single label and multi-term images
     assert list(swap_and_negate_action(poly2).on_label(1, (1, 0)).coeffs.values()) \
         == [Q.from_int(-1)]
     assert any(len(perturbed.on_label(1, l).coeffs) > 1 for l in perturbed.A.labels())
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "GF7"])
+def test_apply_of_a_perturbed_action_is_the_label_by_label_sum(field):
+    """A non-relabelling action: beta_g = u (-) u^-1 on M_2 for g != e, with
+    u = [[2, 1], [0, 1]], so images have several terms with coefficients other
+    than one, and sums cancel.  apply must equal the plain sum over labels,
+    with the same order of terms."""
+    A = MatrixAlgebra(field, 2)
+    u = A.element({(0, 0): field.from_int(2), (0, 1): field.one, (1, 1): field.one})
+    chi = {g: (A.one() if g == 0 else u) for g in range(S3.order)}
+    act = cocycle_perturbed_action(trivial_action(S3, A), chi)
+    assert any(len(act.on_label(1, l).coeffs) > 1 for l in A.labels())
+    rng = random.Random(8)
+    for _ in range(30):
+        x = random_algebra_element(A, A.labels(), rng)
+        for g in range(S3.order):
+            expected: dict = {}
+            for l, c in x.coeffs.items():
+                for l2, c2 in act.on_label(g, l).coeffs.items():
+                    s = field.add(expected.get(l2, field.zero), field.mul(c, c2))
+                    if field.is_zero(s):
+                        expected.pop(l2, None)
+                    else:
+                        expected[l2] = s
+            assert list(act.apply(g, x).coeffs.items()) == list(expected.items())
 
 
 # -- generator-only action verification ------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from skewhecke.algebras import add_into
+from skewhecke.linalg import add_into
 from skewhecke.cli import (
     ConfigError,
     JobConfig,
@@ -522,6 +522,22 @@ def test_opposite_forward_that_keeps_the_order_names_a_witness_pair(capsys, cfg_
     assert re.search(r"^opposite\.anti_multiplicative: FAIL \(witness pair \d+\)$",
                      out, re.M)
     assert "opposite.unit: PASS" in out and "opposite.roundtrip: PASS" in out
+
+
+def test_graded_degree_failure_stops_at_its_first_witness(capsys, cfg_file, monkeypatch):
+    calls = []
+
+    def wrong_degree(self):
+        calls.append(self)
+        return 7
+
+    monkeypatch.setattr("skewhecke.hecke.HeckeElement.homogeneous_degree", wrong_degree)
+    code, out = run_cli(capsys, "verify", "graded", "--config", cfg_file(POLY))
+    assert code == 1
+    assert "graded.degree_additive: FAIL (degrees 0..2)\n" \
+        "  FAIL graded.degree_additive: witness orbits (0, 0), degrees (0, 0), " \
+        "product degree 7\n" in out
+    assert len(calls) == 1
 
 
 def test_cocycle_condition_error_prints_its_witnesses(capsys, cfg_file, monkeypatch):

@@ -20,7 +20,6 @@ from skewhecke.algebras import (
     GroupAlgebra,
     MatrixAlgebra,
     PolynomialAlgebra,
-    add_into,
     conjugation_action,
     invariants_compute,
     left_translation_action,
@@ -37,6 +36,7 @@ from skewhecke.groups import (
     symmetric_group,
     trivial_subgroup,
 )
+from skewhecke.linalg import add_into
 from skewhecke.hecke import (
     HeckeContext,
     HeckeElement,

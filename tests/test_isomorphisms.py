@@ -459,6 +459,20 @@ def test_cocycle_violation_detected():
     assert any(check == "trivial_on_H" for check, _ in exc.value.failures)
 
 
+def test_graded_cocycle_with_a_positive_degree_term_is_a_named_failure():
+    # 1 + x1 cannot be inverted in degree 0: a witness naming g, not a crash
+    ctx = polynomial_context()
+    A = ctx.A
+    g = S3.element_by_name("(1 3)")
+    chi = {k: A.one() for k in range(S3.order)}
+    chi[g] = A.one() + A.variable(1)
+    assert cocycle_verify(ctx, chi) == [
+        ("unit", "chi((1 3)): a graded element is inverted only in degree 0")]
+    with pytest.raises(CocycleConditionError) as exc:
+        cocycle_transport(ctx, chi)
+    assert exc.value.failures == cocycle_verify(ctx, chi)
+
+
 def test_coboundary_from_unit():
     A = GroupAlgebra(Q, S3)
     H = subgroup_from_generators(S3, [S3.element_by_name("(1 2 3)")])

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke import linalg
@@ -80,83 +79,112 @@ def test_span_basis_membership():
     assert not sb.contains([Q.one, Q.zero, Q.zero])
 
 
-def test_coordinate_solver_exact():
-    vectors = [
-        [Q.one, Q.zero, Q.one],
-        [Q.zero, Q.one, Fraction(2)],
-    ]
-    cs = linalg.CoordinateSolver(Q, vectors, n=3)
-    coords = cs.coordinates(enumerate([Fraction(2), Fraction(3), Fraction(8)]))
-    assert coords == {0: Fraction(2), 1: Fraction(3)}
-    assert cs.coordinates(enumerate([Q.one, Q.zero, Q.zero])) is None
-    # sparse input: absent columns are zero
-    assert cs.coordinates([(2, Fraction(8)), (0, Fraction(2)), (1, Fraction(3))]) == coords
+def field_value(field):
+    if field.characteristic == 0:
+        return st.integers(-4, 4).map(Q.from_int)
+    return st.integers(0, field.characteristic - 1)
 
 
-def dense_coordinates(field, vectors, n, v):
-    """Reference solve: T from rref([B | I]), then w = T v row by row (dense dots)."""
-    m = len(vectors)
-    aug = [[vectors[j][i] for j in range(m)]
-           + [field.one if k == i else field.zero for k in range(n)] for i in range(n)]
-    red, pivots = linalg.rref(field, aug)
-    pivots = [p for p in pivots if p < m]
-    transform = [row[m:] for row in red]
-    w = []
-    for row in transform:
-        acc = field.zero
-        for a, b in zip(row, v):
-            if not (field.is_zero(a) or field.is_zero(b)):
-                acc = field.add(acc, field.mul(a, b))
-        w.append(acc)
-    if any(not field.is_zero(x) for x in w[len(pivots):]):
-        return None
-    coords = [field.zero] * m
-    for i, pc in enumerate(pivots):
-        coords[pc] = w[i]
-    return coords
+@st.composite
+def kernel_problem(draw):
+    """(field, rows, ncols) over Q or GF(7), with repeated and zero rows allowed."""
+    field = draw(st.sampled_from([Q, F7]))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(field_value(field), min_size=ncols, max_size=ncols),
+                         max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    return field, rows, ncols
 
 
-@settings(max_examples=150)
-@given(st.sampled_from([Q, F7]), st.data())
-def test_sparse_coordinates_match_dense(field, data):
-    n = data.draw(st.integers(1, 5))
-    m = data.draw(st.integers(0, n))
-    span = linalg.SpanBasis(field, n)
-    for v in data.draw(small_matrix(field, m, n)):
-        span.insert(v)
-    vectors = span.originals
-    cs = linalg.CoordinateSolver(field, vectors, n=n)
-    inside = data.draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
-                                max_size=len(vectors)))
-    v_in = [field.zero] * n
-    for c, b in zip(inside, vectors):
-        v_in = [field.add(x, field.mul(field.from_int(c), y)) for x, y in zip(v_in, b)]
-    v_any = data.draw(small_matrix(field, 1, n))[0]
-    for v in (v_in, v_any):
-        expected = dense_coordinates(field, vectors, n, v)
+def combination(field, coeffs, vectors, ncols):
+    v = [field.zero] * ncols
+    for c, b in zip(coeffs, vectors):
+        v = [field.add(x, field.mul(c, y)) for x, y in zip(v, b)]
+    return v
+
+
+@settings(max_examples=200)
+@given(kernel_problem(), st.data())
+def test_solver_coordinates_recover_combinations(problem, data):
+    field, rows, ncols = problem
+    cs = linalg.CoordinateSolver(field, rows, ncols)
+    # the basis spans the kernel: annihilated, independent, of dimension ncols - rank
+    assert len(cs.basis) == ncols - linalg.rank(field, rows)
+    assert linalg.rank(field, cs.basis) == len(cs.basis)
+    for b in cs.basis:
+        assert all(field.is_zero(x) for x in mat_vec(field, rows, b))
+    coeffs = data.draw(st.lists(field_value(field), min_size=len(cs.basis),
+                                max_size=len(cs.basis)))
+    v = combination(field, coeffs, cs.basis, ncols)
+    assert cs.coordinates(enumerate(v)) == {
+        i: c for i, c in enumerate(coeffs) if not field.is_zero(c)}
+
+
+@settings(max_examples=200)
+@given(kernel_problem(), st.data())
+def test_solver_rejects_exactly_the_vectors_outside_the_kernel(problem, data):
+    field, rows, ncols = problem
+    cs = linalg.CoordinateSolver(field, rows, ncols)
+    v = data.draw(st.lists(field_value(field), min_size=ncols, max_size=ncols))
+    coords = cs.coordinates(enumerate(v))
+    outside = any(not field.is_zero(x) for x in mat_vec(field, rows, v))
+    assert (coords is None) == outside
+    if coords is not None:
+        dense = [coords.get(i, field.zero) for i in range(len(cs.basis))]
+        assert combination(field, dense, cs.basis, ncols) == v
+
+
+@settings(max_examples=200)
+@given(kernel_problem(), st.data())
+def test_solver_ignores_term_order_and_zero_entries(problem, data):
+    field, rows, ncols = problem
+    cs = linalg.CoordinateSolver(field, rows, ncols)
+    inside = combination(
+        field, data.draw(st.lists(field_value(field), min_size=len(cs.basis),
+                                  max_size=len(cs.basis))), cs.basis, ncols)
+    anywhere = data.draw(st.lists(field_value(field), min_size=ncols, max_size=ncols))
+    for v in (inside, anywhere):
+        expected = cs.coordinates(enumerate(v))
         if expected is not None:
-            expected = {i: c for i, c in enumerate(expected) if not field.is_zero(c)}
-        assert cs.coordinates(enumerate(v)) == expected
+            assert list(expected) == sorted(expected)
         nonzero = [(j, x) for j, x in enumerate(v) if not field.is_zero(x)]
-        assert cs.coordinates(reversed(nonzero)) == expected
-    inside = [field.from_int(c) for c in inside]
-    assert cs.coordinates(enumerate(v_in)) == {
-        i: c for i, c in enumerate(inside) if not field.is_zero(c)}
-    if len(vectors) < n:
-        # some unit vector lies outside a proper subspace
-        units = [[field.one if k == j else field.zero for k in range(n)] for j in range(n)]
-        outside = [u for u in units if not span.contains(u)]
-        assert outside
-        for u in outside:
-            assert cs.coordinates(enumerate(u)) is None
-            assert dense_coordinates(field, vectors, n, u) is None
+        assert cs.coordinates(nonzero) == expected
+        shuffled = data.draw(st.permutations(list(enumerate(v))))
+        got = cs.coordinates(shuffled)
+        assert got == expected
+        if got is not None:
+            assert list(got) == sorted(got)
 
 
-def test_coordinate_solver_rejects_dependent():
-    with pytest.raises(ValueError):
-        linalg.CoordinateSolver(
-            Q, [[Q.one, Q.zero], [Fraction(2), Q.zero]], n=2
-        )
+def naive_add(field, out, coeffs, c):
+    """out + c * coeffs as a new dict (c None means 1), zeros dropped at the end."""
+    total = dict(out)
+    for l, x in coeffs.items():
+        y = x if c is None else field.mul(c, x)
+        total[l] = field.add(total.get(l, field.zero), y)
+    return {l: x for l, x in total.items() if not field.is_zero(x)}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([Q, F7]), st.data())
+def test_add_into_matches_a_naive_sum(field, data):
+    nonzero = field_value(field).filter(lambda x: not field.is_zero(x))
+    labels = st.integers(0, 5)
+    out = data.draw(st.dictionaries(labels, nonzero, max_size=5))
+    coeffs = data.draw(st.dictionaries(labels, nonzero, max_size=5))
+    c = data.draw(st.sampled_from([None, field.zero, field.one, field.from_int(3)]))
+    if data.draw(st.booleans()):
+        # cancellation: out holds -c * coeffs on some labels
+        for l, x in coeffs.items():
+            if data.draw(st.booleans()):
+                out[l] = field.neg(x if c is None else field.mul(c, x))
+        out = {l: x for l, x in out.items() if not field.is_zero(x)}
+    expected = naive_add(field, out, coeffs, c)
+    result = linalg.add_into(field, out, coeffs, c)
+    assert result is out
+    assert result == expected
+    assert not any(field.is_zero(x) for x in result.values())
 
 
 def test_empty_matrix_nullspace_is_everything():
