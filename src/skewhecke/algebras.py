@@ -197,6 +197,15 @@ class BasedAlgebra:
     def from_scalar(self, c) -> "AlgebraElement":
         return self.one().scale(c)
 
+    def combination(self, terms) -> "AlgebraElement":
+        """sum of c * x over the pairs (x, c) of ``terms`` (c None means 1),
+        accumulated in place."""
+        f = self.field
+        out: dict = {}
+        for x, c in terms:
+            add_into(f, out, x.coeffs, c)
+        return self.element_class(self, out)
+
     # -- printing -----------------------------------------------------------
 
     def label_str(self, label) -> str:
@@ -208,12 +217,7 @@ class BasedAlgebra:
         raise ValueError(f"no literal syntax for {type(self).__name__}")
 
     def label_sort_key(self, label):
-        return (self.degree(label), repr(label))
-
-
-def element_from_vector(alg, labels, vec):
-    f = alg.field
-    return alg.element({l: c for l, c in zip(labels, vec) if not f.is_zero(c)})
+        return (self.degree(label), label)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +249,6 @@ class GroupAlgebra(BasedAlgebra):
             s = s[1:-1]
         return self.K.element_by_name(s)
 
-    def label_sort_key(self, label):
-        return (0, label)
-
 
 class FunctionAlgebra(BasedAlgebra):
     """R^G: indicator functions delta_g under the pointwise product."""
@@ -277,9 +278,6 @@ class FunctionAlgebra(BasedAlgebra):
         if not m:
             raise ValueError(f"bad indicator-function label {s!r}")
         return self.G.element_by_name(m.group(1))
-
-    def label_sort_key(self, label):
-        return (0, label)
 
 
 class PolynomialAlgebra(BasedAlgebra):
@@ -401,9 +399,6 @@ class MatrixAlgebra(BasedAlgebra):
             raise ValueError(f"matrix-unit index out of range in {s!r}")
         return (i, j)
 
-    def label_sort_key(self, label):
-        return (0, label)
-
 
 class TensorElement(AlgebraElement):
     """An element of A (x) B (or of a twisted product, see ``TensorAlgebra``)."""
@@ -471,27 +466,18 @@ class TensorAlgebra(BasedAlgebra):
 
     def product_on_basis(self, l1, l2):
         """The basis product label by label, independent of ``TensorElement``."""
-        f = self.field
-        pb = self.B.product_cached(l1[1], l2[1])
+        A, B = self.A, self.B
+        pb = B.product_cached(l1[1], l2[1])
         if not pb:
             return {}
-        A = self.A
         pa = A.basis_element(l1[0]) * self.twist(l1[1], A.basis_element(l2[0]))
-        return {
-            (a, b): f.mul(ca, cb)
-            for a, ca in pa.coeffs.items()
-            for b, cb in pb.items()
-        }
+        return self.pure(pa, B.element_class(B, pb)).coeffs
 
     def one_coeffs(self):
-        f = self.field
-        oa = self.A.one_coeffs()
-        ob = self.B.one_coeffs()
-        return {
-            (a, b): f.mul(ca, cb) for a, ca in oa.items() for b, cb in ob.items()
-        }
+        return self.pure(self.A.one(), self.B.one()).coeffs
 
     def pure(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+        """x (x) y, the outer product of the two coefficient maps."""
         f = self.field
         return self.element(
             {
@@ -586,9 +572,6 @@ class StructureConstantAlgebra(BasedAlgebra):
         if s in self.names:
             return self.names.index(s)
         raise ValueError(f"unknown basis label {s!r}")
-
-    def label_sort_key(self, label):
-        return (0, label)
 
 
 def scalar_algebra(field) -> StructureConstantAlgebra:
@@ -851,7 +834,7 @@ def element_inverse(a: AlgebraElement) -> AlgebraElement:
     x = linalg.solve(f, rows, rhs)
     if x is None:
         raise NotAUnitError("element is not a unit")
-    inv = element_from_vector(A, labels, x)
+    inv = A.element(dict(zip(labels, x)))
     if a * inv != A.one() or inv * a != A.one():
         raise NotAUnitError("element has no two-sided inverse")
     return inv
@@ -917,7 +900,7 @@ class InvariantSpace:
                     for l in labels]
             rows.extend([col[i] for col in cols] for i in range(len(labels)))
         self.solver = linalg.CoordinateSolver(A.field, rows, len(labels))
-        self.basis = [element_from_vector(A, labels, v) for v in self.solver.basis]
+        self.basis = [A.element(dict(zip(labels, v))) for v in self.solver.basis]
 
     def coordinates(self, a: AlgebraElement):
         index = self.index
@@ -935,10 +918,7 @@ def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=Non
     span = linalg.SpanBasis(f, len(labels))
     out = []
     for l in labels:
-        img: dict = {}
-        for s in S:
-            add_into(f, img, action.on_label(s, l).coeffs)
-        img = A.element_class(A, img).scale(inv)
+        img = A.combination((action.on_label(s, l), None) for s in S).scale(inv)
         if span.insert(img.to_vector(labels)):
             out.append(img)
     return out
@@ -991,10 +971,7 @@ class InvariantSubalgebra(BasedAlgebra):
         return self.space().basis[label]
 
     def include(self, x: AlgebraElement) -> AlgebraElement:
-        out: dict = {}
-        for l, c in x.coeffs.items():
-            add_into(self.field, out, self.include_label(l).coeffs, c)
-        return self.A.element_class(self.A, out)
+        return self.A.combination((self.include_label(l), c) for l, c in x.coeffs.items())
 
     def express(self, a: AlgebraElement):
         """Express an invariant element of A in this basis; None if not invariant.

@@ -50,7 +50,6 @@ from .hecke import (
     classical_context,
     structure_constants,
 )
-from .linalg import add_into
 from .scalars import NotAUnitError, field_make
 from .skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent, subgroup_sum
 from .isomorphisms import (
@@ -177,7 +176,7 @@ def parse_algebra_element(A, s: str):
     s = s.strip()
     if s in ("0", ""):
         return A.zero()
-    out: dict = {}
+    terms = []
     for term in _split_top(s, "+"):
         sign = field.one
         term = term.strip()
@@ -193,8 +192,8 @@ def parse_algebra_element(A, s: str):
             if rest.startswith("*"):
                 rest = rest[1:].strip()
         b = A.one() if rest in ("", "1") else A.basis_element(A.parse_label(rest))
-        add_into(field, out, b.coeffs, field.mul(sign, coeff))
-    return A.element_class(A, out)
+        terms.append((b, field.mul(sign, coeff)))
+    return A.combination(terms)
 
 
 def parse_hecke_element(ctx: HeckeContext, s: str) -> HeckeElement:
@@ -353,11 +352,9 @@ def suite_decomp(run: SuiteRun, ctx, rng):
 def _random_invariant(ctx, rng):
     """A random element of A^H: orbit 0 is the coset H, whose stabilizer is H."""
     f = ctx.field
-    out: dict = {}
-    for d in ctx.A.degrees(ctx.degree_cap):
-        for b in ctx.orbit_space(0, d).basis:
-            add_into(f, out, b.coeffs, f.from_int(rng.randint(-2, 2)))
-    return ctx.A.element_class(ctx.A, out)
+    return ctx.A.combination((b, f.from_int(rng.randint(-2, 2)))
+                             for d in ctx.A.degrees(ctx.degree_cap)
+                             for b in ctx.orbit_space(0, d).basis)
 
 
 def suite_matrix(run: SuiteRun, ctx, rng):

@@ -72,22 +72,24 @@ def parse_cycles(s: str, n: int):
     depth_items: list[list[int]] = []
     i = 0
     while i < len(s):
-        if s[i] == "(":
-            j = s.index(")", i)
-            body = s[i + 1 : j].replace(",", " ")
-            if " " in body.strip():
-                pts = [int(t) - 1 for t in body.split()]
-            else:
-                pts = [int(ch) - 1 for ch in body.strip()]
-            for pt in pts:
-                if not 0 <= pt < n:
-                    raise ValueError(f"point {pt + 1} out of range in {s!r}")
-            depth_items.append(pts)
-            i = j + 1
-        elif s[i].isspace():
+        if s[i].isspace():
             i += 1
-        else:
+            continue
+        j = s.find(")", i)
+        if s[i] != "(" or j < 0:
             raise ValueError(f"bad cycle notation: {s!r}")
+        body = s[i + 1 : j].replace(",", " ")
+        if " " in body.strip():
+            pts = [int(t) - 1 for t in body.split()]
+        else:
+            pts = [int(ch) - 1 for ch in body.strip()]
+        for pt in pts:
+            if not 0 <= pt < n:
+                raise ValueError(f"point {pt + 1} out of range in {s!r}")
+        if len(set(pts)) < len(pts):  # a point repeated within one cycle
+            raise ValueError(f"bad cycle notation: {s!r}")
+        depth_items.append(pts)
+        i = j + 1
     # compose cycles left to right as maps applied right-to-left
     for pts in reversed(depth_items):
         new = list(perm)
@@ -137,10 +139,6 @@ class FiniteGroup:
                             f"non-associative at ({a},{b},{c})"
                         )
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -172,8 +170,20 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _group_on(elements, mul, name, perms=None):
+    """(G, index): the group on ``elements``, identity first, under ``mul``;
+    element i is elements[i], printed as name(elements[i]), and index maps each
+    element back to i."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    names = [name(e) for e in elements]
+    return FiniteGroup(table, names=names, perms=perms, check=False), index
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on n points; identity first, remaining permutations in lex order."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     order = 1
     for k in range(2, n + 1):
         order *= k
@@ -182,19 +192,15 @@ def symmetric_group(n: int) -> FiniteGroup:
     _check_order(f"symmetric({n})", order)
     perms = sorted(itertools.permutations(range(n)))
     # lex order already puts the identity first
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[perm_compose(p, q)] for q in perms] for p in perms]
-    names = [perm_cycle_notation(p) for p in perms]
-    return FiniteGroup(table, names=names, perms=perms, check=False)
+    return _group_on(perms, perm_compose, perm_cycle_notation, perms)[0]
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n >= 1 required")
     _check_order(f"cyclic({n})", n)
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    names = ["id"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
-    return FiniteGroup(table, names=names, check=False)
+    names = ["id", "t"] + [f"t^{i}" for i in range(2, n)]
+    return _group_on(range(n), lambda a, b: (a + b) % n, names.__getitem__)[0]
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -217,22 +223,17 @@ def dihedral_group(n: int) -> FiniteGroup:
         r = perm_compose(rot, r)
     for p in list(perms):
         perms.append(perm_compose(ref, p))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[perm_compose(p, q)] for q in perms] for p in perms]
-    names = [perm_cycle_notation(p) for p in perms]
-    return FiniteGroup(table, names=names, perms=perms, check=False)
+    return _group_on(perms, perm_compose, perm_cycle_notation, perms)[0]
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup):
     """Returns (G, embed1, embed2, project1, project2); pairs in lex order."""
     pairs = [(a, b) for a in range(G1.order) for b in range(G2.order)]
-    index = {p: i for i, p in enumerate(pairs)}
-    table = [
-        [index[(G1.mul(a, c), G2.mul(b, d))] for (c, d) in pairs]
-        for (a, b) in pairs
-    ]
-    names = [f"({G1.name(a)},{G2.name(b)})" for (a, b) in pairs]
-    G = FiniteGroup(table, names=names, check=False)
+    G, index = _group_on(
+        pairs,
+        lambda x, y: (G1.mul(x[0], y[0]), G2.mul(x[1], y[1])),
+        lambda p: f"({G1.name(p[0])},{G2.name(p[1])})",
+    )
     embed1 = [index[(a, 0)] for a in range(G1.order)]
     embed2 = [index[(0, b)] for b in range(G2.order)]
     project1 = [a for (a, b) in pairs]
@@ -273,15 +274,11 @@ def semidirect_product(N: FiniteGroup, K: FiniteGroup, act) -> SemidirectProduct
                         f"action is not a homomorphism K -> Aut(N) at ({k1},{k2},{a})"
                     )
     pairs = [(a, b) for a in range(N.order) for b in range(K.order)]
-    index = {p: i for i, p in enumerate(pairs)}
-    table = []
-    for (n1, k1) in pairs:
-        row = []
-        for (n2, k2) in pairs:
-            row.append(index[(N.mul(n1, act(k1, n2)), K.mul(k1, k2))])
-        table.append(row)
-    names = [f"({N.name(a)};{K.name(b)})" for (a, b) in pairs]
-    G = FiniteGroup(table, names=names, check=False)
+    G, index = _group_on(
+        pairs,
+        lambda x, y: (N.mul(x[0], act(x[1], y[0])), K.mul(x[1], y[1])),
+        lambda p: f"({N.name(p[0])};{K.name(p[1])})",
+    )
     return SemidirectProduct(
         group=G,
         embed_n=[index[(a, 0)] for a in range(N.order)],
@@ -294,13 +291,11 @@ def semidirect_product(N: FiniteGroup, K: FiniteGroup, act) -> SemidirectProduct
 def power_group(L: FiniteGroup, k: int):
     """L^k as a FiniteGroup, plus the tuple list (for factor-permuting actions)."""
     tuples = list(itertools.product(range(L.order), repeat=k))
-    index = {t: i for i, t in enumerate(tuples)}
-    table = [
-        [index[tuple(L.mul(a[i], b[i]) for i in range(k))] for b in tuples]
-        for a in tuples
-    ]
-    names = ["(" + ",".join(L.name(x) for x in t) + ")" for t in tuples]
-    G = FiniteGroup(table, names=names, check=False)
+    G, index = _group_on(
+        tuples,
+        lambda a, b: tuple(map(L.mul, a, b)),
+        lambda t: "(" + ",".join(map(L.name, t)) + ")",
+    )
     return G, tuples, index
 
 
@@ -323,16 +318,16 @@ def group_make(spec) -> FiniteGroup:
 class Subgroup:
     def __init__(self, group: FiniteGroup, elements, check=True):
         self.group = group
-        self.elements = tuple(sorted(set(elements)))
+        self.members = frozenset(elements)
+        self.elements = tuple(sorted(self.members))
         if check:
-            if 0 not in self.elements:
+            if 0 not in self.members:
                 raise GroupAxiomError("subgroup must contain the identity")
-            es = set(self.elements)
             for a in self.elements:
-                if group.inverse(a) not in es:
+                if group.inverse(a) not in self.members:
                     raise GroupAxiomError(f"not closed under inversion at {a}")
                 for b in self.elements:
-                    if group.mul(a, b) not in es:
+                    if group.mul(a, b) not in self.members:
                         raise GroupAxiomError(f"not closed at ({a},{b})")
 
     @property
@@ -340,7 +335,7 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
+        return a in self.members
 
     def __eq__(self, other):
         return (
@@ -359,9 +354,7 @@ class Subgroup:
         for a in self.elements:
             if a not in current:
                 gens.append(a)
-                current = set(
-                    subgroup_from_generators(self.group, gens).elements
-                )
+                current = subgroup_from_generators(self.group, gens).members
                 if len(current) == self.order:
                     break
         return tuple(gens)
@@ -372,40 +365,30 @@ class Subgroup:
 
     def as_group(self):
         """This subgroup as a standalone FiniteGroup plus the embedding list."""
-        elems = list(self.elements)
-        index = {e: i for i, e in enumerate(elems)}
-        # reorder so identity is first (it is: sorted, and 0 in subgroup)
-        table = [
-            [index[self.group.mul(a, b)] for b in elems] for a in elems
-        ]
-        names = [self.group.name(e) for e in elems]
-        perms = None
-        if self.group.perms is not None:
-            perms = [self.group.perms[e] for e in elems]
-        K = FiniteGroup(table, names=names, perms=perms, check=False)
-        return K, elems
+        G, elems = self.group, list(self.elements)  # sorted: the identity 0 first
+        perms = None if G.perms is None else [G.perms[e] for e in elems]
+        return _group_on(elems, G.mul, G.name, perms)[0], elems
 
     def __repr__(self):
         return f"Subgroup(order={self.order})"
 
 
 def subgroup_from_generators(G: FiniteGroup, gens) -> Subgroup:
-    elems = {0}
-    frontier = [0]
+    """The closure of {e} under right multiplication by ``gens``, breadth
+    first: each element found is multiplied by each generator once."""
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
             raise IndexError(f"generator index {g} out of range")
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for g in gens:
-                x = G.mul(a, g)
-                if x not in elems:
-                    elems.add(x)
-                    changed = True
-    return Subgroup(G, elems, check=False)
+    found = [0]
+    seen = {0}
+    for a in found:  # grows while it is scanned
+        for g in gens:
+            x = G.mul(a, g)
+            if x not in seen:
+                seen.add(x)
+                found.append(x)
+    return Subgroup(G, seen, check=False)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -417,9 +400,8 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    hs = set(H.elements)
     return all(
-        G.conjugate(s, h) in hs for s in range(G.order) for h in H.elements
+        G.conjugate(s, h) in H.members for s in range(G.order) for h in H.elements
     )
 
 
@@ -429,7 +411,7 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, s: int) -> Subgroup:
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     assert H.group is K.group
-    return Subgroup(H.group, set(H.elements) & set(K.elements), check=False)
+    return Subgroup(H.group, H.members & K.members, check=False)
 
 
 def left_cosets(G: FiniteGroup, H: Subgroup):
@@ -457,9 +439,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
         raise GroupAxiomError("subgroup is not normal")
     cosets, coset_of = left_cosets(G, N)
     reps = [c[0] for c in cosets]
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
-    names = [f"[{G.name(r)}]" for r in reps]
-    Q = FiniteGroup(table, names=names, check=False)
+    Q, _ = _group_on(reps, lambda a, b: reps[coset_of[G.mul(a, b)]],
+                     lambda r: f"[{G.name(r)}]")
     return Q, coset_of
 
 

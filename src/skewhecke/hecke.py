@@ -18,6 +18,7 @@ from .algebras import (
     BasedAlgebra,
     GroupAction,
     InvariantSpace,
+    InvariantSubalgebra,
     scalar_algebra,
     trivial_action,
 )
@@ -60,7 +61,11 @@ class HeckeContext:
                 raise ValueError(f"invalid group action:\n{report}")
         self.cosets = CosetSpace(G, H)
         self.orbits = self.cosets.double_cosets
-        self._orbit_cache = {}
+        # the values at orbit oi: A^{H cap gHg^-1}, g the representative
+        self.orbit_algebras = [
+            InvariantSubalgebra(A, orbit.stabilizer.generators(), action)
+            for orbit in self.orbits
+        ]
 
     # -- double-coset module structure ---------------------------------------
 
@@ -76,14 +81,8 @@ class HeckeContext:
         return MatrixModel(self)
 
     def orbit_space(self, oi, degree=None) -> InvariantSpace:
-        """A^{H cap gHg^-1} in one degree, g the representative of orbit oi; cached."""
-        key = (oi, degree)
-        space = self._orbit_cache.get(key)
-        if space is None:
-            stab = self.orbits[oi].stabilizer
-            space = InvariantSpace(self.A, stab.generators(), self.action, degree)
-            self._orbit_cache[key] = space
-        return space
+        """The values at orbit oi in one degree: ``orbit_algebras[oi].space``."""
+        return self.orbit_algebras[oi].space(degree)
 
     def module_basis(self, degree=None):
         """List of (orbit_index, invariant AlgebraElement) pairs."""
@@ -189,16 +188,12 @@ class HeckeContext:
     def random_element(self, rng, degree=None, coeff_range=(-3, 3)) -> "HeckeElement":
         lo, hi = coeff_range
         degrees = [degree] if degree is not None else self.A.degrees(self.degree_cap)
-        vals = {}
-        for oi in range(len(self.orbits)):
-            v: dict = {}
-            for d in degrees:
-                for b in self.orbit_space(oi, d).basis:
-                    c = self.field.from_int(rng.randint(lo, hi))
-                    add_into(self.field, v, b.coeffs, c)
-            if v:
-                vals[oi] = self.A.element_class(self.A, v)
-        return HeckeElement(self, vals)
+        f = self.field
+        return HeckeElement(self, {
+            oi: self.A.combination((b, f.from_int(rng.randint(lo, hi)))
+                                   for d in degrees for b in self.orbit_space(oi, d).basis)
+            for oi in range(len(self.orbits))
+        })
 
     def __repr__(self):
         return (

@@ -45,7 +45,6 @@ from .hecke import (
     classical_context,
     hecke_as_based_algebra,
 )
-from .linalg import add_into
 from .scalars import NotAUnitError
 
 
@@ -320,11 +319,10 @@ class StoneModel:
         ctx = self.ctx
         model = ctx.matrix_model
         seed = model.pure(ctx.A.basis_element(0), m)
-        coeffs: dict = {}
-        for g in range(ctx.G.order):
-            add_into(ctx.field, coeffs, model.diagonal.apply(g, seed).coeffs)
+        fixed = model.combination((model.diagonal.apply(g, seed), None)
+                                  for g in range(ctx.G.order))
         try:
-            return from_matrix(model.element_class(model, coeffs))
+            return from_matrix(fixed)
         except ValueError as exc:
             # the sum is fixed by construction: a witness means a defect
             raise ArithmeticError("matrix is not in the image (bug: map is onto)") from exc
@@ -359,11 +357,9 @@ def pull_map(source: HeckeContext, target: HeckeContext, value_at):
 def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
     """For N normal in G with N <= H: pass to (G/N, H/N, A^N)."""
     G, H, A = ctx.G, ctx.H, ctx.A
-    if not is_normal(G, N):
-        raise ValueError("subgroup is not normal")
-    if not set(N.elements) <= set(H.elements):
+    Q, proj = quotient_group(G, N)  # refuses an N that is not normal
+    if not N.members <= H.members:
         raise ValueError("normal subgroup is not contained in H")
-    Q, proj = quotient_group(G, N)
     section = [proj.index(q) for q in range(Q.order)]
     HQ = Subgroup(Q, {proj[h] for h in H.elements}, check=False)
     AN = InvariantSubalgebra(A, N.generators(), ctx.action)
@@ -435,7 +431,7 @@ def product_transport(ctx1: HeckeContext, ctx2: HeckeContext) -> Transport:
 
 def intermediate_embed(ctx: HeckeContext, K: Subgroup) -> Transport:
     """For H <= K <= G: extend-by-zero embedding of the (K, H) context."""
-    if not set(ctx.H.elements) <= set(K.elements):
+    if not ctx.H.members <= K.members:
         raise ValueError("H is not contained in K")
     Kgrp, embed = K.as_group()
     pos = {g: i for i, g in enumerate(embed)}

@@ -121,6 +121,31 @@ def test_opposite_reverses_products():
     assert Aop.from_op(Aop.to_op(x) * Aop.to_op(y)) == y * x
 
 
+@settings(max_examples=200)
+@given(st.sampled_from([Q, PrimeField(7)]), st.data())
+def test_combination_matches_a_naive_sum(field, data):
+    A = MatrixAlgebra(field, 2)
+    values = st.integers(-3, 3).map(field.from_int)
+    nonzero = values.filter(lambda x: not field.is_zero(x))
+    elements = st.dictionaries(st.sampled_from(A.labels()), nonzero, max_size=4).map(
+        lambda coeffs: A.element_class(A, coeffs))
+    coeffs = st.sampled_from([None, field.zero, field.one]) | values
+    terms = data.draw(st.lists(st.tuples(elements, coeffs), max_size=5))
+    if terms and data.draw(st.booleans()):
+        # cancellation: the first term again, negated
+        x, c = terms[0]
+        terms.append((x, field.neg(field.one if c is None else c)))
+    naive: dict = {}
+    for x, c in terms:
+        for l, v in x.coeffs.items():
+            v = v if c is None else field.mul(c, v)
+            naive[l] = field.add(naive.get(l, field.zero), v)
+    result = A.combination(iter(terms))
+    assert type(result) is A.element_class and result.alg is A
+    assert result.coeffs == {l: v for l, v in naive.items() if not field.is_zero(v)}
+    assert not any(field.is_zero(v) for v in result.coeffs.values())
+
+
 # -- actions -----------------------------------------------------------------
 
 

@@ -305,6 +305,9 @@ def _config(group, subgroup, algebra, action):
                  id="cycle_point_out_of_range"),
     pytest.param(_config("cyclic(0)", "trivial", "scalar", "trivial"), id="cyclic_0"),
     pytest.param(_config("cyclic(-2)", "trivial", "scalar", "trivial"), id="cyclic_negative"),
+    pytest.param(_config("symmetric(0)", "trivial", "scalar", "trivial"), id="symmetric_0"),
+    pytest.param(_config("symmetric(-1)", "trivial", "scalar", "trivial"),
+                 id="symmetric_negative"),
     pytest.param(_config("dihedral(4)", "(1 2)", "scalar", "trivial"),
                  id="element_not_in_group"),
     pytest.param(_config("symmetric(8)", "trivial", "scalar", "trivial"), id="symmetric_8"),
@@ -325,6 +328,17 @@ def test_element_not_in_group_is_named(capsys, cfg_file):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: element '(1 2)' is not in this group of order 8\n")
+
+
+@pytest.mark.parametrize("cycle", ["(1 1)", "(2 2 3)", "(1 2 1)", "(1 2"])
+def test_malformed_cycle_is_named(capsys, cfg_file, cycle):
+    # a repeated point or an unclosed cycle is refused, not reinterpreted
+    code = main(["dims", "--config",
+                 cfg_file(_config("symmetric(4)", cycle, "scalar", "trivial"))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: bad cycle notation: {cycle!r}\n"
 
 
 CORNER_GF2 = STONE.replace("rationals", "prime_field(2)")

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pathlib
+import re
 import tracemalloc
 
 import pytest
@@ -71,6 +73,17 @@ def test_parse_cycles_compact_form():
     assert parse_cycles("id", 3) == (0, 1, 2)
 
 
+@pytest.mark.parametrize("s", ["(1 1)", "(2 2 3)", "(1 2 1)", "(1 2", "(1 2)(3", "(1 2) x"])
+def test_parse_cycles_refuses_malformed_cycles(s):
+    with pytest.raises(ValueError, match=re.escape(f"bad cycle notation: {s!r}")):
+        parse_cycles(s, 4)
+
+
+def test_parse_cycles_accepts_disjoint_cycles():
+    assert parse_cycles("(1 2)(3 4)", 4) == (1, 0, 3, 2)
+    assert parse_cycles("(1,2,3) (4)", 4) == (1, 2, 0, 3)
+
+
 # -- group constructors ------------------------------------------------------
 
 
@@ -95,6 +108,79 @@ def test_group_axioms(G, order):
         for b in range(n):
             for c in range(n):
                 assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_symmetric_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        symmetric_group(n)
+    with pytest.raises(ValueError, match="n >= 1 required"):
+        group_make(f"symmetric({n})")
+
+
+def test_symmetric_of_one_point_is_trivial():
+    G = symmetric_group(1)
+    assert (G.names, G.table, G.perms) == (("id",), ((0,),), ((0,),))
+
+
+def cube_semidirect_s3():
+    """(Z/2)^3 x| S3, S3 permuting the three factors."""
+    N, tuples, index = power_group(cyclic_group(2), 3)
+
+    def act(k, n):
+        p, t, out = S3.perms[k], tuples[n], [0, 0, 0]
+        for i in range(3):
+            out[p[i]] = t[i]
+        return index[tuple(out)]
+
+    return semidirect_product(N, S3, act).group
+
+
+def klein_four():
+    return subgroup_from_generators(
+        S4, [S4.element_by_name("(1 2)(3 4)"), S4.element_by_name("(1 3)(2 4)")])
+
+
+# sha256 of repr((names, table, perms)) of each table builder's group, recorded
+# before the builders shared one construction
+@pytest.mark.parametrize("build, digest", [
+    pytest.param(lambda: symmetric_group(3),
+                 "6ce7b1d6d93f9d4d11dc744761121d2ed3bc541149a42294b5def72c0bbea54b",
+                 id="symmetric_3"),
+    pytest.param(lambda: symmetric_group(4),
+                 "27fd37f5d6c611a7c54e1534362a0d6e7dad492625aa4b27fa116c6e318075ae",
+                 id="symmetric_4"),
+    pytest.param(lambda: dihedral_group(3),
+                 "1998de82d045a04c50d272c352dd707e9deed2dcf199d918e3416c40549d91f1",
+                 id="dihedral_3"),
+    pytest.param(lambda: dihedral_group(4),
+                 "8cb1df142478bfe08e8c82582a82c5df10296a5540e9d183213c021375023bbf",
+                 id="dihedral_4"),
+    pytest.param(lambda: dihedral_group(5),
+                 "3aa5866a69c534a21be922a3a8b8abdc19a1af7c84b5f31928cd9bde63884ae1",
+                 id="dihedral_5"),
+    pytest.param(lambda: cyclic_group(4),
+                 "5c674544d051fc35733e029b72a5f458a84adc39201b6e47e51869b272c3a76a",
+                 id="cyclic_4"),
+    pytest.param(lambda: direct_product(S3, cyclic_group(2))[0],
+                 "f5404faecdf11a51c948b503f4d549329fbafb5db9a8eecdf2cb31c48b48fbdd",
+                 id="S3_times_C2"),
+    pytest.param(cube_semidirect_s3,
+                 "2c03e2c67499011dca91bb4ae486ae08751205393d9d7fb777d31aa560be31ec",
+                 id="C2_cubed_by_S3"),
+    pytest.param(lambda: power_group(cyclic_group(2), 3)[0],
+                 "8d89ab7f44b254ddf80ad8eee882718bef06135f4311fd33444719163975d7f3",
+                 id="C2_cubed"),
+    pytest.param(lambda: d4_subgroup().as_group()[0],
+                 "2771e391bd71b6a3861e6808d026534b5609a4cf13c49a1b58a475b6e025614c",
+                 id="D4_in_S4"),
+    pytest.param(lambda: quotient_group(S4, klein_four())[0],
+                 "26877e4e390c6c1bee9050a52e8b7eb51e8241d1530995c74f9c33cae285d281",
+                 id="S4_mod_V4"),
+])
+def test_table_builders_keep_names_table_and_perms(build, digest):
+    G = build()
+    assert hashlib.sha256(repr((G.names, G.table, G.perms)).encode()).hexdigest() == digest
 
 
 def test_bad_table_rejected():
@@ -169,6 +255,31 @@ def test_subgroup_generators_regenerate():
     assert H.order == 8
     regenerated = subgroup_from_generators(S4, H.generators())
     assert regenerated.elements == H.elements
+
+
+def products_closure(G, gens):
+    """{e} and gens closed under all pairwise products, to a fixed point."""
+    elems = {0, *gens}
+    while True:
+        grown = elems | {G.mul(a, b) for a in elems for b in elems}
+        if grown == elems:
+            return elems
+        elems = grown
+
+
+def test_subgroup_from_generators_is_the_closure_for_every_pair_of_s4():
+    for a in range(S4.order):
+        for b in range(S4.order):
+            H = subgroup_from_generators(S4, [a, b])
+            assert set(H.elements) == products_closure(S4, [a, b])
+
+
+def test_members_is_the_frozen_element_set():
+    H, V4 = d4_subgroup(), klein_four()
+    assert H.members == frozenset(H.elements) and isinstance(H.members, frozenset)
+    assert [g for g in range(S4.order) if g in H] == list(H.elements)
+    assert intersection(H, V4) == V4
+    assert is_normal(S4, V4) and not is_normal(S4, H)
 
 
 def greedy_generators(H):
