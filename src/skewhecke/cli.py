@@ -698,10 +698,9 @@ def main(argv=None):
             code = cmd_sc(ctx, write)
         else:
             code = cmd_verify(ctx, cfg, args.suite, seed, write)
-        text = "\n".join(lines) + "\n"
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_lines(fh, lines)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -711,8 +710,14 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 3
     if not out_path:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
     return code
+
+
+def _write_lines(stream, lines):
+    """Each line and its newline, one at a time: the output is never joined
+    into a second copy of itself."""
+    stream.writelines(f"{line}\n" for line in lines)
 
 
 if __name__ == "__main__":

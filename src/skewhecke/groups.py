@@ -90,8 +90,9 @@ def parse_cycles(s: str, n: int):
             raise ValueError(f"bad cycle notation: {s!r}")
         depth_items.append(pts)
         i = j + 1
-    # compose cycles left to right as maps applied right-to-left
-    for pts in reversed(depth_items):
+    # the written product c1 c2 ... is the map c1 o c2 o ..., applied right to
+    # left as ``mul`` composes: fold the cycles in their written order
+    for pts in depth_items:
         new = list(perm)
         for k, pt in enumerate(pts):
             new[pt] = perm[pts[(k + 1) % len(pts)]]
@@ -514,7 +515,8 @@ class CosetSpace:
         return orbits
 
     def product_skeleton(self):
-        """Convolution as group data, built on first use: (oi, oj) -> [(o, [(h, m)])].
+        """Convolution as group data, built on first use: (oi, oj) -> [(o, [(h, m)])],
+        the target orbits o increasing.
 
         For g the representative of target orbit o, each coset kH of orbit oi
         with k^{-1}gH in orbit oj gives h, the oi-transversal element at kH,

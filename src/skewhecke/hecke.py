@@ -4,9 +4,14 @@ Elements are stored in the double-coset normal form: one value per H-orbit of
 left cosets, each value fixed by the orbit's stabilizer H \\cap gHg^{-1}.  The
 full coset assignment is recovered on demand via the H-transversal of each
 orbit.  Which coset pairs (kH, k^{-1}gH) meet at each target orbit depends
-on (G, H) alone: the coset space records it once as a product skeleton, and a
-convolution visits only its entries for pairs of nonzero orbit values.  Module
-coordinates are solved only on the orbits an element is carried by.
+on (G, H) alone: the coset space records it once as a product skeleton, whose
+entry for an orbit pair lists the (h, m) with values v, w adding
+sum alpha_h(v) alpha_m(w) at a target orbit.  One helper, ``_skeleton_sum``,
+forms that sum from two image caches: ``convolve`` passes those of one
+product, each alpha_h(v) formed once per call, and ``structure_constants``
+those of a whole pair of basis blocks, each image formed once per block pair.
+Module coordinates are solved only on the orbits an element is carried by,
+at offsets laid out once per degree.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class HeckeContext:
             InvariantSubalgebra(A, orbit.stabilizer.generators(), action)
             for orbit in self.orbits
         ]
+        self._layouts = {}  # degree -> coordinate_layout(degree)
 
     # -- double-coset module structure ---------------------------------------
 
@@ -84,13 +90,24 @@ class HeckeContext:
         """The values at orbit oi in one degree: ``orbit_algebras[oi].space``."""
         return self.orbit_algebras[oi].space(degree)
 
+    def coordinate_layout(self, degree=None):
+        """(space, offset) for each orbit in one degree: ``orbit_space(oi,
+        degree)`` and the position of its first vector in module_basis(degree);
+        laid out once per degree."""
+        layout = self._layouts.get(degree)
+        if layout is None:
+            layout, offset = [], 0
+            for oi in range(len(self.orbits)):
+                space = self.orbit_space(oi, degree)
+                layout.append((space, offset))
+                offset += len(space.basis)
+            self._layouts[degree] = layout
+        return layout
+
     def module_basis(self, degree=None):
         """List of (orbit_index, invariant AlgebraElement) pairs."""
-        out = []
-        for oi in range(len(self.orbits)):
-            for v in self.orbit_space(oi, degree).basis:
-                out.append((oi, v))
-        return out
+        return [(oi, v) for oi, (space, _) in enumerate(self.coordinate_layout(degree))
+                for v in space.basis]
 
     def basis_hecke_elements(self, degree=None):
         return [
@@ -111,22 +128,21 @@ class HeckeContext:
         """Nonzero coordinates of phi as (position in module_basis(degree), c)
         pairs, increasing; only the orbits phi is carried by are solved."""
         terms = []
-        offset = 0
-        for oi in range(len(self.orbits)):
-            space = self.orbit_space(oi, degree)
-            v = phi.values.get(oi)
-            if v is not None:
-                c = space.coordinates(v)
-                if c is None:
-                    # raises, naming the stabilizer generator that moves v's part
-                    self.validate_value(oi, self.A.element(
-                        {l: x for l, x in v.coeffs.items() if l in space.index}))
-                    raise ArithmeticError(
-                        f"fixed value at orbit {oi} outside its basis (bug)"
-                    )
-                terms.extend((offset + t, x) for t, x in c.items())
-            offset += len(space.basis)
+        for oi in sorted(phi.values):
+            terms.extend(self._value_terms(oi, phi.values[oi], degree))
         return terms
+
+    def _value_terms(self, oi, v: AlgebraElement, degree=None):
+        """The module_coordinate_terms of the element with the single value v
+        at orbit oi."""
+        space, offset = self.coordinate_layout(degree)[oi]
+        c = space.coordinates(v)
+        if c is None:
+            # raises, naming the stabilizer generator that moves v's part
+            self.validate_value(oi, self.A.element(
+                {l: x for l, x in v.coeffs.items() if l in space.index}))
+            raise ArithmeticError(f"fixed value at orbit {oi} outside its basis (bug)")
+        return [(offset + t, x) for t, x in c.items()]
 
     # -- element constructors -------------------------------------------------
 
@@ -202,6 +218,29 @@ class HeckeContext:
         )
 
 
+class _Images(dict):
+    """g -> alpha_g(x), each image formed on its first lookup."""
+
+    __slots__ = ("apply", "x")
+
+    def __init__(self, apply, x):
+        super().__init__()
+        self.apply = apply
+        self.x = x
+
+    def __missing__(self, g):
+        image = self[g] = self.apply(g, self.x)
+        return image
+
+
+def _skeleton_sum(field, total: dict, terms, left: _Images, right: _Images) -> dict:
+    """total += sum alpha_h(v) alpha_m(w) over the (h, m) of one skeleton
+    entry, v and w the values whose images ``left`` and ``right`` hold."""
+    for h, m in terms:
+        add_into(field, total, (left[h] * right[m]).coeffs)
+    return total
+
+
 class HeckeElement:
     __slots__ = ("ctx", "values")
 
@@ -268,8 +307,10 @@ class HeckeElement:
 
         Values v of phi at orbit oi and w of psi at orbit oj add
         sum alpha_h(v) alpha_m(w) at each target orbit that the coset space's
-        product skeleton lists for (oi, oj); each alpha_h(v) is formed once per
-        call, and every output value is checked against its orbit stabilizer.
+        product skeleton lists for (oi, oj), summed by ``_skeleton_sum``; each
+        alpha_h(v) is formed once per call and each alpha_m(w) once per pair
+        (oi, oj), and every output value is checked against its orbit
+        stabilizer.
         """
         self._check(other)
         ctx = self.ctx
@@ -277,14 +318,11 @@ class HeckeElement:
         apply = ctx.action.apply
         totals: dict = {}
         for oi, v in self.values.items():
-            left = {}  # h -> alpha_h(v)
+            left = _Images(apply, v)
             for oj, w in other.values.items():
+                right = _Images(apply, w)
                 for o, terms in skeleton.get((oi, oj), ()):
-                    total = totals.setdefault(o, {})
-                    for h, m in terms:
-                        if h not in left:
-                            left[h] = apply(h, v)
-                        add_into(ctx.field, total, (left[h] * apply(m, w)).coeffs)
+                    _skeleton_sum(ctx.field, totals.setdefault(o, {}), terms, left, right)
         vals = {}
         for o in sorted(totals):
             if totals[o]:
@@ -367,29 +405,58 @@ def structure_constants(ctx: HeckeContext, degree_cap=None):
     """Materialize the product on the double-coset module basis.
 
     Returns (basis, rows) where basis is the module-basis descriptor list and
-    rows are (i, j, k, coeff) with basis_i * basis_j = sum_k c ... basis_k.
-    For graded contexts the basis covers degrees 0..degree_cap and outputs are
-    expressed in the degree-(d_i + d_j) basis.
+    rows are (i, j, k, coeff) with basis_i * basis_j = sum_k c ... basis_k, in
+    the order of i, then j, then k.  For graded contexts the basis covers
+    degrees 0..degree_cap and outputs are expressed in the degree-(d_i + d_j)
+    basis; a k past the basis is written ("deg", d, t), t the position in
+    module_basis(d).
+
+    The basis falls into blocks, one per (orbit, degree).  For each pair of a
+    left block at orbit oi and a right block at oj with a skeleton entry, each
+    alpha_h of the entry is applied to every left basis value once, each
+    alpha_m to every right basis value once, and the dim_i x dim_j products
+    are summed from those images by ``_skeleton_sum``, as ``convolve`` sums
+    one product; the images are dropped after the pair.  Every product value
+    is checked against its orbit stabilizer and solved in its orbit space.
     """
     if degree_cap is None:
         degree_cap = ctx.degree_cap
     if ctx.graded and degree_cap is None:
         raise ValueError("graded context needs a degree cap")
     basis = []
+    blocks = []  # (index of its first basis vector, orbit, degree, values)
     start_of = {}
     for d in ctx.A.degrees(degree_cap):
         start_of[d] = len(basis)
-        basis.extend((oi, v, d or 0) for oi, v in ctx.module_basis(d))
-    elements = [HeckeElement(ctx, {oi: v}) for oi, v, _ in basis]
+        for oi, (space, _) in enumerate(ctx.coordinate_layout(d)):
+            if space.basis:
+                blocks.append((len(basis), oi, d, space.basis))
+                basis.extend((oi, v, d or 0) for v in space.basis)
+    skeleton = ctx.cosets.product_skeleton()
+    apply, f, A = ctx.action.apply, ctx.field, ctx.A
     rows = []
-    for i, (_, _, di) in enumerate(basis):
-        for j, (_, _, dj) in enumerate(basis):
-            prod = elements[i].convolve(elements[j])
+    for start_i, oi, di, left_values in blocks:
+        block_rows = [[] for _ in left_values]  # the rows of each i of the block
+        for start_j, oj, dj, right_values in blocks:
+            entries = skeleton.get((oi, oj))
+            if entries is None:
+                continue
             dk = di + dj if ctx.graded else None
             start = start_of.get(dk)
-            for t, c in ctx.module_coordinate_terms(prod, degree=dk):
-                k = ("deg", dk, t) if start is None else start + t
-                rows.append((i, j, k, c))
+            left = [_Images(apply, v) for v in left_values]
+            right = [_Images(apply, w) for w in right_values]
+            for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
+                for j, images_w in enumerate(right, start_j):
+                    for o, terms in entries:
+                        total = _skeleton_sum(f, {}, terms, images_v, images_w)
+                        if not total:
+                            continue
+                        value = A.element_class(A, total)
+                        ctx.validate_value(o, value)
+                        out.extend((i, j, ("deg", dk, t) if start is None else start + t, c)
+                                   for t, c in ctx._value_terms(o, value, dk))
+        for out in block_rows:
+            rows.extend(out)
     return basis, rows
 
 

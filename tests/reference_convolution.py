@@ -1,11 +1,15 @@
-"""The convolution by its definition, for differential tests.
+"""Plain references for differential tests.
 
-Expands both factors over every left coset and walks all cosets kH with
-representatives ``reps``:
+``reference_convolve`` is the convolution by its definition.  It expands both
+factors over every left coset and walks all cosets kH with representatives
+``reps``:
 
     (phi * psi)(gH) = sum_kH phi(kH) alpha_k psi(k^-1 gH).
 
 No product skeleton, no caching, no validation.
+
+``reference_structure_constants`` is the multiplication table one basis pair
+at a time: ``convolve`` on each pair, then ``module_coordinate_terms``.
 """
 
 from skewhecke.algebras import AlgebraElement
@@ -33,3 +37,25 @@ def reference_convolve(phi, psi, reps):
 def alternative_reps(cs):
     """The largest element of each coset: representatives other than cs.reps."""
     return [max(coset) for coset in cs.cosets]
+
+
+def reference_structure_constants(ctx, degree_cap=None):
+    """(basis, rows) of ``hecke.structure_constants``, by a product per pair."""
+    if degree_cap is None:
+        degree_cap = ctx.degree_cap
+    basis = []
+    start_of = {}
+    for d in ctx.A.degrees(degree_cap):
+        start_of[d] = len(basis)
+        basis.extend((oi, v, d or 0) for oi, v in ctx.module_basis(d))
+    elements = [HeckeElement(ctx, {oi: v}) for oi, v, _ in basis]
+    rows = []
+    for i, (_, _, di) in enumerate(basis):
+        for j, (_, _, dj) in enumerate(basis):
+            prod = elements[i].convolve(elements[j])
+            dk = di + dj if ctx.graded else None
+            start = start_of.get(dk)
+            for t, c in ctx.module_coordinate_terms(prod, degree=dk):
+                k = ("deg", dk, t) if start is None else start + t
+                rows.append((i, j, k, c))
+    return basis, rows

@@ -20,6 +20,7 @@ from skewhecke.algebras import (
     GroupAlgebra,
     MatrixAlgebra,
     PolynomialAlgebra,
+    cocycle_perturbed_action,
     conjugation_action,
     invariants_compute,
     left_translation_action,
@@ -40,6 +41,7 @@ from skewhecke.linalg import add_into
 from skewhecke.hecke import (
     HeckeContext,
     HeckeElement,
+    StabilizerInvarianceError,
     classical_context,
     classical_structure_constants_counting,
     structure_constants,
@@ -55,7 +57,11 @@ from skewhecke.isomorphisms import (
 from skewhecke.scalars import PrimeField, Rationals, field_make
 from skewhecke.skewgroup import SkewGroupAlgebra
 
-from reference_convolution import alternative_reps, reference_convolve
+from reference_convolution import (
+    alternative_reps,
+    reference_convolve,
+    reference_structure_constants,
+)
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -89,6 +95,17 @@ def matrix_trivial(field, G, H, n=2):
     return HeckeContext(G, H, A, trivial_action(G, A))
 
 
+def cocycle_perturbed(field, G, H, u_name):
+    """Conjugation on the group algebra perturbed by the coboundary chi of the
+    unit u = 2 + u_name: beta_g(l) = chi(g) (g l g^-1) chi(g)^-1 has images of
+    several terms, so beta permutes no labels.  H must fix u."""
+    ctx = conjugation(field, G, H)
+    A = ctx.A
+    u = A.element({0: field.from_int(2), G.element_by_name(u_name): field.one})
+    beta = cocycle_perturbed_action(ctx.action, coboundary_from_unit(ctx, u))
+    return HeckeContext(G, H, A, beta)
+
+
 CASES = {
     "functions_q": lambda: functions(Q, S3, gens(S3, "(1 2)")),
     "functions_gf5": lambda: functions(F5, S3, gens(S3, "(1 2)")),
@@ -99,6 +116,9 @@ CASES = {
     "h_full": lambda: conjugation(Q, S3, full_subgroup(S3)),
     "h_normal": lambda: functions(Q, S3, gens(S3, "(1 2 3)")),
     "dihedral4_gf3": lambda: conjugation(F3, D4, gens(D4, "(1 3)")),
+    "polynomial_h_trivial": lambda: polynomial(Q, S3, trivial_subgroup(S3), 1),
+    "polynomial_h_full_gf5": lambda: polynomial(F5, S3, full_subgroup(S3), 2),
+    "cocycle_perturbed": lambda: cocycle_perturbed(Q, S3, gens(S3, "(1 2)"), "(1 2)"),
 }
 
 
@@ -156,6 +176,42 @@ def test_structure_constant_rows_rebuild_products(name):
         for j in range(len(basis)):
             expected = reference_convolve(element(i), element(j), ctx.cosets.reps)
             assert rebuilt.get((i, j), ctx.zero()) == expected, (i, j)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_structure_constants_match_the_per_pair_reference(name):
+    # the block table against convolve and module_coordinate_terms on each
+    # basis pair: same basis, same rows in the same order
+    ctx = case(name)
+    basis, rows = structure_constants(ctx)
+    expected_basis, expected_rows = reference_structure_constants(ctx)
+    assert basis == expected_basis
+    assert rows == expected_rows
+    if name == "cocycle_perturbed":
+        assert any(len(ctx.action.on_label(g, l).coeffs) > 1
+                   for g in range(ctx.G.order) for l in ctx.A.labels())
+
+
+def test_table_refuses_a_product_outside_its_fixed_space(monkeypatch):
+    # alpha_(2 3) doubled: some products at orbit 0 are no longer fixed by its
+    # stabilizer <(1 2)>; the table must refuse them as convolve does
+    ctx = functions(Q, S3, gens(S3, "(1 2)"))
+    bad = S3.element_by_name("(2 3)")
+    apply = ctx.action.apply
+    monkeypatch.setattr(ctx.action, "apply",
+                        lambda g, x: apply(g, x).scale(2) if g == bad else apply(g, x))
+    witnesses = set()
+    elements = ctx.basis_hecke_elements()
+    for x in elements:
+        for y in elements:
+            try:
+                x.convolve(y)
+            except StabilizerInvarianceError as exc:
+                witnesses.add((exc.orbit, exc.witness_h))
+    assert witnesses == {(0, S3.element_by_name("(1 2)"))}
+    with pytest.raises(StabilizerInvarianceError) as exc:
+        structure_constants(ctx)
+    assert (exc.value.orbit, exc.value.witness_h) in witnesses
 
 
 @pytest.mark.parametrize("G, H", [

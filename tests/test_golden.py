@@ -45,3 +45,11 @@ def test_cli_output_matches_golden(tmp_path, name, command):
                  "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.{command}.txt").read_bytes()
+
+
+def test_stdout_prints_the_golden_too(capsys):
+    # the stdout path of the writer, which the goldens above do not reach
+    assert main(["sc", "--config", str(GOLDEN / "polynomial_s3.cfg")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "polynomial_s3.sc.txt").read_text(encoding="utf-8")
+    assert captured.err == ""

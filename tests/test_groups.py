@@ -84,6 +84,15 @@ def test_parse_cycles_accepts_disjoint_cycles():
     assert parse_cycles("(1,2,3) (4)", 4) == (1, 2, 0, 3)
 
 
+def test_a_written_product_of_cycles_is_their_product_in_the_group():
+    # overlapping cycles compose as mul does: "(1 2)(2 3)" is (1 2) * (2 3)
+    assert S3.name(S3.element_by_name("(1 2)(2 3)")) == "(1 2 3)"
+    for a in range(1, S4.order):
+        for b in range(1, S4.order):
+            assert S4.element_by_name(S4.name(a) + S4.name(b)) == S4.mul(a, b), \
+                (S4.name(a), S4.name(b))
+
+
 # -- group constructors ------------------------------------------------------
 
 
