@@ -52,8 +52,7 @@ def print_orbits(ctx):
 
 
 def print_structure_constants(ctx):
-    cap = ctx.degree_cap if ctx.graded else None
-    basis, rows = structure_constants(ctx, degree_cap=cap)
+    basis, rows = structure_constants(ctx)
     print(f"  module basis: {len(basis)} elements")
     for i, j, k, c in rows:
         print(f"    e{i} * e{j} -> {ctx.field.format(c)} . e{k}")

@@ -29,7 +29,6 @@ from .algebras import (
     PolynomialAlgebra,
     TensorAlgebra,
     action_make,
-    check_associativity,
     conjugation_action,
     element_inverse,
     invariants_compute,
@@ -43,7 +42,6 @@ from .hecke import (
     HeckeContext,
     HeckeElement,
     classical_context,
-    classical_structure_constants_counting,
     hecke_as_based_algebra,
     structure_constants,
 )

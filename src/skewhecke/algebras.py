@@ -581,32 +581,6 @@ def scalar_algebra(field) -> StructureConstantAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# structural checks
-
-
-def check_associativity(A: BasedAlgebra, degree_cap=None, max_triples=None, rng=None):
-    """Associativity + unitality on basis triples; exhaustive when small.
-
-    Returns a list of violation witnesses (empty = pass).
-    """
-    labels = A.labels_up_to(degree_cap)
-    one = A.one()
-    failures = []
-    for l in labels:
-        b = A.basis_element(l)
-        if one * b != b or b * one != b:
-            failures.append(("unit", l))
-    triples = [(a, b, c) for a in labels for b in labels for c in labels]
-    if max_triples is not None and len(triples) > max_triples and rng is not None:
-        triples = [triples[rng.randrange(len(triples))] for _ in range(max_triples)]
-    for la, lb, lc in triples:
-        ea, eb, ec = A.basis_element(la), A.basis_element(lb), A.basis_element(lc)
-        if (ea * eb) * ec != ea * (eb * ec):
-            failures.append(("associativity", (la, lb, lc)))
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # group actions
 
 
@@ -907,21 +881,6 @@ class InvariantSpace:
         return self.solver.coordinates(
             (index[l], x) for l, x in a.coeffs.items() if l in index
         )
-
-
-def averaging_image(A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
-    """Image basis of the averaging operator (1/|S|) sum alpha_s; needs |S| a unit."""
-    labels = A.basis_labels(degree)
-    f = A.field
-    S = list(S_elements)
-    inv = f.inv(f.from_int(len(S)))
-    span = linalg.SpanBasis(f, len(labels))
-    out = []
-    for l in labels:
-        img = A.combination((action.on_label(s, l), None) for s in S).scale(inv)
-        if span.insert(img.to_vector(labels)):
-            out.append(img)
-    return out
 
 
 class InvariantSubalgebra(BasedAlgebra):

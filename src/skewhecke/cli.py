@@ -256,8 +256,7 @@ def cmd_mul(ctx: HeckeContext, lit1: str, lit2: str, write):
 
 
 def cmd_sc(ctx: HeckeContext, write):
-    cap = ctx.degree_cap if ctx.graded else None
-    basis, rows = structure_constants(ctx, degree_cap=cap)
+    basis, rows = structure_constants(ctx)
     for i, (oi, v, d) in enumerate(basis):
         rep = ctx.orbits[oi].rep_element
         deg = f", degree {d}" if ctx.graded else ""

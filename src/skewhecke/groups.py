@@ -37,13 +37,6 @@ def perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def perm_inverse(p):
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def perm_cycle_notation(p) -> str:
     """Cycle notation with 1-indexed points, 'id' for the identity."""
     seen = [False] * len(p)
@@ -408,11 +401,6 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 def conjugate_subgroup(G: FiniteGroup, H: Subgroup, s: int) -> Subgroup:
     return Subgroup(G, [G.conjugate(s, h) for h in H.elements], check=False)
-
-
-def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
-    assert H.group is K.group
-    return Subgroup(H.group, H.members & K.members, check=False)
 
 
 def left_cosets(G: FiniteGroup, H: Subgroup):

@@ -23,7 +23,6 @@ from .algebras import (
     BasedAlgebra,
     GroupAction,
     InvariantSpace,
-    InvariantSubalgebra,
     scalar_algebra,
     trivial_action,
 )
@@ -66,11 +65,6 @@ class HeckeContext:
                 raise ValueError(f"invalid group action:\n{report}")
         self.cosets = CosetSpace(G, H)
         self.orbits = self.cosets.double_cosets
-        # the values at orbit oi: A^{H cap gHg^-1}, g the representative
-        self.orbit_algebras = [
-            InvariantSubalgebra(A, orbit.stabilizer.generators(), action)
-            for orbit in self.orbits
-        ]
         self._layouts = {}  # degree -> coordinate_layout(degree)
 
     # -- double-coset module structure ---------------------------------------
@@ -87,18 +81,21 @@ class HeckeContext:
         return MatrixModel(self)
 
     def orbit_space(self, oi, degree=None) -> InvariantSpace:
-        """The values at orbit oi in one degree: ``orbit_algebras[oi].space``."""
-        return self.orbit_algebras[oi].space(degree)
+        """The values at orbit oi in one degree: A^{H cap gHg^-1}, g the
+        orbit's representative; read from ``coordinate_layout(degree)``."""
+        return self.coordinate_layout(degree)[oi][0]
 
     def coordinate_layout(self, degree=None):
-        """(space, offset) for each orbit in one degree: ``orbit_space(oi,
-        degree)`` and the position of its first vector in module_basis(degree);
-        laid out once per degree."""
+        """(space, offset) for each orbit in one degree: the orbit's fixed
+        space and the position of its first vector in module_basis(degree);
+        built and laid out once per degree, the context's one cache of fixed
+        spaces."""
         layout = self._layouts.get(degree)
         if layout is None:
             layout, offset = [], 0
-            for oi in range(len(self.orbits)):
-                space = self.orbit_space(oi, degree)
+            for orbit in self.orbits:
+                space = InvariantSpace(self.A, orbit.stabilizer.generators(),
+                                       self.action, degree)
                 layout.append((space, offset))
                 offset += len(space.basis)
             self._layouts[degree] = layout
@@ -376,38 +373,13 @@ def classical_context(field, G, H) -> HeckeContext:
     return HeckeContext(G, H, A, trivial_action(G, A), verify_action=False)
 
 
-def classical_structure_constants_counting(field, cosets: CosetSpace):
-    """Structure constants of H_R(G,H) by direct double-coset counting.
-
-    Independent of the convolution implementation: c_{ijk} counts left cosets
-    kH inside double coset i with k^{-1} g_k H inside double coset j, for g_k
-    the representative of double coset k.
-    """
-    G = cosets.G
-    orbits = cosets.double_cosets
-    out = {}
-    for i, Di in enumerate(orbits):
-        for j in range(len(orbits)):
-            for k, Dk in enumerate(orbits):
-                g = Dk.rep_element
-                count = 0
-                for ci in Di.coset_indices:
-                    krep = cosets.reps[ci]
-                    target = cosets.coset_of[G.mul(G.inverse(krep), g)]
-                    if cosets.orbit_of_coset[target] == j:
-                        count += 1
-                if count:
-                    out[(i, j, k)] = field.from_int(count)
-    return out
-
-
-def structure_constants(ctx: HeckeContext, degree_cap=None):
+def structure_constants(ctx: HeckeContext):
     """Materialize the product on the double-coset module basis.
 
     Returns (basis, rows) where basis is the module-basis descriptor list and
     rows are (i, j, k, coeff) with basis_i * basis_j = sum_k c ... basis_k, in
     the order of i, then j, then k.  For graded contexts the basis covers
-    degrees 0..degree_cap and outputs are expressed in the degree-(d_i + d_j)
+    degrees 0..ctx.degree_cap and outputs are expressed in the degree-(d_i + d_j)
     basis; a k past the basis is written ("deg", d, t), t the position in
     module_basis(d).
 
@@ -417,16 +389,15 @@ def structure_constants(ctx: HeckeContext, degree_cap=None):
     alpha_m to every right basis value once, and the dim_i x dim_j products
     are summed from those images by ``_skeleton_sum``, as ``convolve`` sums
     one product; the images are dropped after the pair.  Every product value
-    is checked against its orbit stabilizer and solved in its orbit space.
+    is solved in its orbit space, whose solve refuses a value that the orbit
+    stabilizer moves (``StabilizerInvarianceError``, naming the generator).
     """
-    if degree_cap is None:
-        degree_cap = ctx.degree_cap
-    if ctx.graded and degree_cap is None:
+    if ctx.graded and ctx.degree_cap is None:
         raise ValueError("graded context needs a degree cap")
     basis = []
     blocks = []  # (index of its first basis vector, orbit, degree, values)
     start_of = {}
-    for d in ctx.A.degrees(degree_cap):
+    for d in ctx.A.degrees(ctx.degree_cap):
         start_of[d] = len(basis)
         for oi, (space, _) in enumerate(ctx.coordinate_layout(d)):
             if space.basis:
@@ -452,7 +423,6 @@ def structure_constants(ctx: HeckeContext, degree_cap=None):
                         if not total:
                             continue
                         value = A.element_class(A, total)
-                        ctx.validate_value(o, value)
                         out.extend((i, j, ("deg", dk, t) if start is None else start + t, c)
                                    for t, c in ctx._value_terms(o, value, dk))
         for out in block_rows:

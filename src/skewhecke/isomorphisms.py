@@ -34,7 +34,6 @@ from .groups import (
     conjugate_subgroup,
     direct_product,
     full_subgroup,
-    is_normal,
     quotient_group,
     semidirect_product,
 )
@@ -602,61 +601,3 @@ def opposite_transport(ctx: HeckeContext) -> Transport:
                      forward=pull_map(ctx, target, forward),
                      backward=pull_map(target, ctx, backward))
 
-
-# ---------------------------------------------------------------------------
-# degenerate shapes with independent descriptions
-
-
-def special_case_trivial_action(ctx: HeckeContext) -> Transport:
-    """Trivial action: the algebra is A tensor the classical Hecke algebra."""
-    if ctx.action.name != "trivial":
-        raise ValueError("requires the trivial action")
-    cl = classical_context(ctx.field, ctx.G, ctx.H)
-    B, _, _ = hecke_as_based_algebra(cl)
-    # B's basis element oi is the indicator of orbit oi: phi |-> sum phi(oi) (x) oi
-    T = TensorAlgebra(ctx.A, B)
-    return Transport(source=ctx, target=T,
-                     forward=lambda phi: T.from_components(phi.values),
-                     backward=lambda x: ctx.from_values(T.components(x)))
-
-
-def special_case_full_subgroup(ctx: HeckeContext) -> Transport:
-    """H = G: evaluation at the unique coset identifies the algebra with A^G.
-
-    This is ``quotient_transport`` by N = G, read at the one coset of G/G.
-    """
-    if ctx.H.order != ctx.G.order:
-        raise ValueError("requires H = G")
-    q = quotient_transport(ctx, ctx.H)
-    return Transport(source=ctx, target=q.target.A,
-                     forward=lambda phi: q.forward(phi).value(0),
-                     backward=lambda a: q.backward(q.target.from_values({0: a})))
-
-
-def special_case_trivial_subgroup(ctx: HeckeContext) -> Transport:
-    """H = 1: the algebra is the skew group algebra A x| G."""
-    from .skewgroup import SkewGroupAlgebra
-
-    if ctx.H.order != 1:
-        raise ValueError("requires H = 1")
-    sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
-    # |H| = 1: corner_lift is to_corner, phi |-> sum phi(g).g, inverted by from_corner
-    return Transport(source=ctx, target=sga,
-                     forward=lambda phi: corner_lift(ctx, sga, phi),
-                     backward=lambda x: from_corner(ctx, sga, x))
-
-
-def special_case_normal_subgroup(ctx: HeckeContext) -> Transport:
-    """H normal in G: the algebra is A^H x| (G/H).
-
-    ``quotient_transport`` by N = H lands in the (G/H, 1, A^H) context, which
-    ``special_case_trivial_subgroup`` identifies with A^H x| (G/H).
-    """
-    if not is_normal(ctx.G, ctx.H):
-        raise ValueError("requires H normal in G")
-    q = quotient_transport(ctx, ctx.H)
-    t = special_case_trivial_subgroup(q.target)
-    return Transport(source=ctx, target=t.target,
-                     forward=lambda phi: t.forward(q.forward(phi)),
-                     backward=lambda x: q.backward(t.backward(x)),
-                     info=q.info)

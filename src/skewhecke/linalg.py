@@ -70,15 +70,6 @@ def rank(field, rows):
     return len(rref(field, rows)[1])
 
 
-def nullspace(field, rows, ncols=None):
-    """Basis of the right nullspace {x : rows @ x = 0} as a list of vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    return CoordinateSolver(field, rows, ncols).basis
-
-
 def solve(field, rows, rhs):
     """One solution x of rows @ x = rhs, or None if inconsistent."""
     if not rows:

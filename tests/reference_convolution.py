@@ -10,6 +10,9 @@ No product skeleton, no caching, no validation.
 
 ``reference_structure_constants`` is the multiplication table one basis pair
 at a time: ``convolve`` on each pair, then ``module_coordinate_terms``.
+
+``classical_structure_constants_counting`` is the table of H_R(G, H) by
+counting cosets, with no convolution at all.
 """
 
 from skewhecke.algebras import AlgebraElement
@@ -59,3 +62,28 @@ def reference_structure_constants(ctx, degree_cap=None):
                 k = ("deg", dk, t) if start is None else start + t
                 rows.append((i, j, k, c))
     return basis, rows
+
+
+def classical_structure_constants_counting(field, cosets):
+    """Structure constants of H_R(G,H) by direct double-coset counting.
+
+    Independent of the convolution implementation: c_{ijk} counts left cosets
+    kH inside double coset i with k^{-1} g_k H inside double coset j, for g_k
+    the representative of double coset k.
+    """
+    G = cosets.G
+    orbits = cosets.double_cosets
+    out = {}
+    for i, Di in enumerate(orbits):
+        for j in range(len(orbits)):
+            for k, Dk in enumerate(orbits):
+                g = Dk.rep_element
+                count = 0
+                for ci in Di.coset_indices:
+                    krep = cosets.reps[ci]
+                    target = cosets.coset_of[G.mul(G.inverse(krep), g)]
+                    if cosets.orbit_of_coset[target] == j:
+                        count += 1
+                if count:
+                    out[(i, j, k)] = field.from_int(count)
+    return out

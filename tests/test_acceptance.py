@@ -33,7 +33,6 @@ from skewhecke.hecke import (
     HeckeContext,
     HeckeElement,
     classical_context,
-    classical_structure_constants_counting,
     structure_constants,
 )
 from skewhecke.isomorphisms import (
@@ -52,16 +51,20 @@ from skewhecke.isomorphisms import (
     quotient_transport,
     relativise,
     semidirect_transport,
-    special_case_full_subgroup,
-    special_case_normal_subgroup,
-    special_case_trivial_action,
-    special_case_trivial_subgroup,
     to_corner,
     to_matrix,
     verify_algebra_map,
 )
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent
+
+from reference_convolution import classical_structure_constants_counting
+from reference_shapes import (
+    special_case_full_subgroup,
+    special_case_normal_subgroup,
+    special_case_trivial_action,
+    special_case_trivial_subgroup,
+)
 
 Q = Rationals()
 S3 = symmetric_group(3)
@@ -268,7 +271,7 @@ def _invariant_matrix_dimension(ctx):
                         row[dst + t2], ctx.field.neg(ctx.field.one)
                     )
                     rows.append(row)
-    return len(linalg.nullspace(ctx.field, rows, ncols=nvar))
+    return len(linalg.CoordinateSolver(ctx.field, rows, nvar).basis)
 
 
 def test_acceptance_04_matrix_model():

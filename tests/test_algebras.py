@@ -13,8 +13,6 @@ from skewhecke.algebras import (
     PolynomialAlgebra,
     StructureConstantAlgebra,
     TensorAlgebra,
-    averaging_image,
-    check_associativity,
     cocycle_perturbed_action,
     conjugation_action,
     element_inverse,
@@ -31,6 +29,8 @@ from skewhecke.groups import (
     symmetric_group,
 )
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
+
+from reference_shapes import averaging_image, check_associativity
 
 Q = Rationals()
 S3 = symmetric_group(3)

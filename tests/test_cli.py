@@ -17,7 +17,6 @@ from skewhecke.cli import (
     parse_hecke_element,
 )
 from skewhecke.groups import CosetSpace
-from skewhecke.hecke import classical_structure_constants_counting
 from skewhecke.isomorphisms import (
     CocycleConditionError,
     conjugate_transport,
@@ -27,6 +26,8 @@ from skewhecke.isomorphisms import (
 )
 from skewhecke.scalars import Rationals
 from skewhecke.skewgroup import SkewGroupElement
+
+from reference_convolution import classical_structure_constants_counting
 
 CLASSICAL = """\
 field = rationals

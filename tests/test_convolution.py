@@ -43,7 +43,6 @@ from skewhecke.hecke import (
     HeckeElement,
     StabilizerInvarianceError,
     classical_context,
-    classical_structure_constants_counting,
     structure_constants,
 )
 from skewhecke.isomorphisms import (
@@ -59,6 +58,7 @@ from skewhecke.skewgroup import SkewGroupAlgebra
 
 from reference_convolution import (
     alternative_reps,
+    classical_structure_constants_counting,
     reference_convolve,
     reference_structure_constants,
 )
@@ -192,16 +192,20 @@ def test_structure_constants_match_the_per_pair_reference(name):
                    for g in range(ctx.G.order) for l in ctx.A.labels())
 
 
-def test_table_refuses_a_product_outside_its_fixed_space(monkeypatch):
+@pytest.mark.parametrize("make", [
+    lambda: functions(Q, S3, gens(S3, "(1 2)")),
+    lambda: polynomial(Q, S3, gens(S3, "(1 2)"), 2),
+], ids=["functions", "polynomial_graded"])
+def test_table_refuses_a_product_outside_its_fixed_space(monkeypatch, make):
     # alpha_(2 3) doubled: some products at orbit 0 are no longer fixed by its
     # stabilizer <(1 2)>; the table must refuse them as convolve does
-    ctx = functions(Q, S3, gens(S3, "(1 2)"))
+    ctx = make()
     bad = S3.element_by_name("(2 3)")
     apply = ctx.action.apply
     monkeypatch.setattr(ctx.action, "apply",
                         lambda g, x: apply(g, x).scale(2) if g == bad else apply(g, x))
     witnesses = set()
-    elements = ctx.basis_hecke_elements()
+    elements = [x for d in ctx.A.degrees(ctx.degree_cap) for x in ctx.basis_hecke_elements(d)]
     for x in elements:
         for y in elements:
             try:
@@ -298,6 +302,19 @@ def transports(ctx):
     return opposite_transport(ctx), quotient
 
 
+def right_coset_unit(ctx, start):
+    """The function on G with value 1 + (start + r) mod 4 on the r-th right
+    coset Hx, the cosets in order of their least element.  Its values are
+    units over Q and GF(5); left translation by H fixes it, and the first two
+    cosets get different values, so G moves it unless H = G."""
+    G, H = ctx.G, ctx.H
+    least = [min(G.mul(h, x) for h in H.elements) for x in range(G.order)]
+    rank = {r: i for i, r in enumerate(sorted(set(least)))}
+    f = ctx.field
+    return ctx.A.element({x: f.from_int(1 + (start + rank[r]) % 4)
+                          for x, r in enumerate(least)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(contexts(), st.integers(0, 10**6))
 def test_random_tuples_convolve_and_matrix_model(ctx, seed):
@@ -326,9 +343,16 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
         # the induced action, graded or finite
         assert quotient.forward(product) == quotient.forward(x) * quotient.forward(y)
         assert quotient.backward(quotient.forward(x)) == x
-    # the coboundary of an invertible scalar u of A^G (element_inverse solves
-    # a graded A in degree 0, where u lies)
-    u = ctx.A.from_scalar(ctx.field.from_int(random.Random(seed).randint(1, 4)))
+    # the coboundary of a unit u that H fixes: on R^G a function constant on
+    # each right coset Hx, which G moves unless H = G; elsewhere an invertible
+    # scalar (element_inverse solves a graded A in degree 0, where u lies)
+    start = random.Random(seed).randint(1, 4)
+    if ctx.action.name == "left_translation":
+        u = right_coset_unit(ctx, start)
+        moved = ctx.action.moved_by(u, full_subgroup(ctx.G).generators())
+        assert (moved is not None) == (ctx.H.order < ctx.G.order)
+    else:
+        u = ctx.A.from_scalar(ctx.field.from_int(start))
     cocycle = cocycle_transport(ctx, coboundary_from_unit(ctx, u))
     assert cocycle.forward(product) == cocycle.forward(x) * cocycle.forward(y)
     assert cocycle.backward(cocycle.forward(x)) == x

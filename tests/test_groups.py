@@ -19,12 +19,10 @@ from skewhecke.groups import (
     dihedral_group,
     direct_product,
     group_make,
-    intersection,
     is_normal,
     parse_cycles,
     perm_compose,
     perm_cycle_notation,
-    perm_inverse,
     power_group,
     quotient_group,
     semidirect_product,
@@ -33,6 +31,8 @@ from skewhecke.groups import (
     trivial_subgroup,
     full_subgroup,
 )
+
+from reference_shapes import intersection, perm_inverse
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)

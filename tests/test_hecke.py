@@ -5,7 +5,6 @@ import pytest
 from skewhecke.algebras import (
     FunctionAlgebra,
     PolynomialAlgebra,
-    check_associativity,
     invariants_compute,
     left_translation_action,
     permutation_variable_action,
@@ -22,13 +21,17 @@ from skewhecke.hecke import (
     HeckeElement,
     StabilizerInvarianceError,
     classical_context,
-    classical_structure_constants_counting,
     hecke_as_based_algebra,
     structure_constants,
 )
 from skewhecke.scalars import PrimeField, Rationals
 
-from reference_convolution import alternative_reps, reference_convolve
+from reference_convolution import (
+    alternative_reps,
+    classical_structure_constants_counting,
+    reference_convolve,
+)
+from reference_shapes import check_associativity
 
 Q = Rationals()
 S3 = symmetric_group(3)

@@ -40,16 +40,19 @@ from skewhecke.isomorphisms import (
     quotient_transport,
     relativise,
     semidirect_transport,
-    special_case_full_subgroup,
-    special_case_normal_subgroup,
-    special_case_trivial_action,
-    special_case_trivial_subgroup,
     to_corner,
     to_matrix,
     verify_algebra_map,
 )
 from skewhecke.scalars import PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, hecke_idempotent
+
+from reference_shapes import (
+    special_case_full_subgroup,
+    special_case_normal_subgroup,
+    special_case_trivial_action,
+    special_case_trivial_subgroup,
+)
 
 Q = Rationals()
 S3 = symmetric_group(3)

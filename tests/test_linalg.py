@@ -44,7 +44,7 @@ def test_rref_pivots_and_rank(m):
 @settings(max_examples=200)
 @given(small_matrix(Q, 3, 5))
 def test_nullspace_annihilated(m):
-    ns = linalg.nullspace(Q, m, ncols=5)
+    ns = linalg.CoordinateSolver(Q, m, 5).basis
     assert len(ns) == 5 - linalg.rank(Q, m)
     for v in ns:
         assert all(Q.is_zero(c) for c in mat_vec(Q, m, v))
@@ -188,5 +188,5 @@ def test_add_into_matches_a_naive_sum(field, data):
 
 
 def test_empty_matrix_nullspace_is_everything():
-    ns = linalg.nullspace(Q, [], ncols=3)
+    ns = linalg.CoordinateSolver(Q, [], 3).basis
     assert len(ns) == 3

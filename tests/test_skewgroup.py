@@ -7,7 +7,6 @@ from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAlgebra,
     MatrixAlgebra,
-    check_associativity,
     conjugation_action,
     left_translation_action,
     scalar_algebra,
@@ -20,6 +19,8 @@ from skewhecke.groups import (
 )
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent
+
+from reference_shapes import check_associativity
 
 Q = Rationals()
 S3 = symmetric_group(3)
