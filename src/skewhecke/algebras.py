@@ -607,6 +607,7 @@ class GroupAction:
         self._on_label = on_label
         self.name = name
         self._cache = {}
+        self._tables = {}  # g -> {label: label_image(g, label)}, filled on use
         self.verified = False
 
     def on_label(self, g: int, label) -> AlgebraElement:
@@ -617,14 +618,47 @@ class GroupAction:
             self._cache[key] = out
         return out
 
+    def label_image(self, g: int, label):
+        """The label m with alpha_g(label) = m, when that image is one label
+        with coefficient one; None when it is anything else, zero included.
+
+        The label table of alpha, read by ``apply``, ``verify`` and
+        ``InvariantSpace``: every action the CLI builds relabels, and the data
+        decides, one (g, label) at a time, cached per g.
+        """
+        table = self._tables.get(g)
+        if table is None:
+            table = self._tables[g] = {}
+        try:
+            return table[label]
+        except KeyError:
+            pass
+        coeffs = self.on_label(g, label).coeffs
+        image = None
+        if len(coeffs) == 1:
+            [(m, c)] = coeffs.items()
+            if c == self.A.field.one:
+                image = m
+        table[label] = image
+        return image
+
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
-        """alpha_g(x) = sum over labels l of x of c_l alpha_g(l)."""
+        """alpha_g(x) = sum over labels l of x of c_l alpha_g(l).
+
+        When alpha_g sends the labels of x to distinct labels, each with
+        coefficient one, the sum is a relabelling of x's coefficients; an image
+        that is not one such label (zero included), or two labels that
+        collide, take the sum term by term.
+        """
         if g == 0:
             return x
-        f = self.A.field
-        out: dict = {}
-        for l, c in x.coeffs.items():
-            add_into(f, out, self.on_label(g, l).coeffs, c)
+        coeffs, image = x.coeffs, self.label_image
+        out = {image(g, l): c for l, c in coeffs.items()}
+        if None in out or len(out) != len(coeffs):
+            f = self.A.field
+            out = {}
+            for l, c in coeffs.items():
+                add_into(f, out, self.on_label(g, l).coeffs, c)
         return self.A.element_class(self.A, out)
 
     def moved_by(self, x: AlgebraElement, gens):
@@ -656,10 +690,18 @@ class GroupAction:
         pairs where some left key of l1 or of a label of alpha_s(l1) meets some
         right key of l2 or of a label of alpha_s(l2) are visited
         (``_keyed_partners``); on any other pair l1 l2 = 0 and every label
-        product in alpha_s(l1) alpha_s(l2) is 0, so both sides are 0.  The
-        cost is |S| |G| |labels| images for composition, S the generators,
-        plus two products per visited pair: |S| |labels|^2 pairs without keys,
-        at most 3 |S| |labels| for the function algebra under translation.
+        product in alpha_s(l1) alpha_s(l2) is 0, so both sides are 0.
+
+        The identity and composition checks read the label table
+        (``label_image``) first: where its entries show alpha_s alpha_k(l) =
+        alpha_{sk}(l) as one label, the check passes; anywhere else (entries
+        that disagree, an image that is not one coefficient-one label) the
+        images are formed and compared as elements, so every failure and
+        witness comes from that comparison.  The cost is |S| |G| |labels|
+        table reads for composition, S the generators, each an image formed
+        and applied where alpha does not relabel, plus two products per
+        visited pair: |S| |labels|^2 pairs without keys, at most 3 |S| |labels|
+        for the function algebra under translation.
         """
         A, G = self.A, self.G
         labels = A.labels_up_to(degree_cap)
@@ -668,14 +710,19 @@ class GroupAction:
         if A.graded:
             products = [l for l1 in labels for l2 in labels for l in A.product_cached(l1, l2)]
             checked = list(dict.fromkeys(labels + products))
+        image = self.label_image
         failures = []
         for l in checked:
-            if self.on_label(0, l) != A.basis_element(l):
+            if image(0, l) != l and self.on_label(0, l) != A.basis_element(l):
                 failures.append(("identity", l))
-        for s in gens:
+        for s in gens:  # never e, so apply(s, .) reads the table as this check does
             for k in range(G.order):
                 sk = G.mul(s, k)
                 for l in checked:
+                    m = image(k, l)
+                    n = None if m is None else image(s, m)
+                    if n is not None and n == image(sk, l):
+                        continue  # both sides are the label n
                     if self.apply(s, self.on_label(k, l)).coeffs != self.on_label(sk, l).coeffs:
                         failures.append(("composition", (s, k, l)))
                         break
@@ -855,17 +902,35 @@ def invariants_compute(A: BasedAlgebra, S_elements, action: GroupAction, degree=
 class InvariantSpace:
     """A^S in one degree (all of A if degree is None): basis and exact coordinates.
 
-    The invariance conditions alpha_s(a) = a, one block of rows per s in
-    S_elements, are reduced once by a ``linalg.CoordinateSolver``, whose kernel
-    basis is ``basis``; ``index`` maps each label of the degree to its column.
-    ``coordinates(a)`` returns the nonzero {i: c} with part_d(a) = sum c
-    basis[i], where part_d(a) keeps the terms of a whose labels lie in the
-    degree, or None when that part is not S-fixed.
+    ``index`` maps each label of the degree to its column.  ``coordinates(a)``
+    returns the nonzero {i: c} with part_d(a) = sum c basis[i], where part_d(a)
+    keeps the terms of a whose labels lie in the degree, or None when that part
+    is not S-fixed.  The data decides how:
+
+    - When every s in S_elements permutes the labels of the degree
+      (``GroupAction.label_image``), A^S is spanned by the orbit sums of the
+      labels, in any characteristic.  ``orbits`` lists each orbit's labels in
+      column order, the orbits ordered by their largest column; the basis is
+      their sums, and a's coordinate at an orbit is its entry at that column,
+      provided a is constant on the orbit.  This is the basis an elimination
+      finds: the largest column of each orbit is its free column.
+    - Otherwise the invariance conditions alpha_s(a) = a, one block of rows
+      per s, are reduced once by a ``linalg.CoordinateSolver`` (``solver``),
+      whose kernel basis is ``basis``.
     """
 
     def __init__(self, A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
         labels = A.basis_labels(degree)  # a graded A refuses degree None
         self.index = {l: j for j, l in enumerate(labels)}
+        self.field = A.field
+        self.solver = None
+        self.orbits = _label_orbits(labels, self.index, S_elements, action)
+        if self.orbits is not None:
+            one = A.field.one
+            self._orbit_of = {l: i for i, orbit in enumerate(self.orbits) for l in orbit}
+            self.basis = [A.element_class(A, dict.fromkeys(orbit, one))
+                          for orbit in self.orbits]
+            return
         rows = []
         for s in S_elements:
             if s == 0:
@@ -877,10 +942,54 @@ class InvariantSpace:
         self.basis = [A.element(dict(zip(labels, v))) for v in self.solver.basis]
 
     def coordinates(self, a: AlgebraElement):
-        index = self.index
-        return self.solver.coordinates(
-            (index[l], x) for l, x in a.coeffs.items() if l in index
-        )
+        if self.solver is not None:
+            index = self.index
+            return self.solver.coordinates(
+                (index[l], x) for l, x in a.coeffs.items() if l in index
+            )
+        coeffs, orbit_of, zero = a.coeffs, self._orbit_of, self.field.zero
+        out: dict = {}
+        for l in coeffs:
+            i = orbit_of.get(l)
+            if i is None or i in out:
+                continue
+            orbit = self.orbits[i]
+            c = coeffs.get(orbit[-1], zero)  # the entry at the largest column
+            for m in orbit:
+                if coeffs.get(m, zero) != c:
+                    return None
+            out[i] = c
+        return {i: c for i, c in sorted(out.items()) if c != zero}
+
+
+def _label_orbits(labels, index, S_elements, action: GroupAction):
+    """The orbits of the group generated by S_elements on ``labels``, each in
+    column order and ordered by its largest column; None unless every s
+    permutes the labels, each alpha_s(l) one coefficient-one label among them.
+    """
+    parent = list(range(len(labels)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for s in S_elements:
+        if s == 0:
+            continue
+        images = set()
+        for j, l in enumerate(labels):
+            k = index.get(action.label_image(s, l))
+            if k is None:
+                return None
+            images.add(k)
+            parent[root(j)] = root(k)
+        if len(images) != len(labels):
+            return None
+    orbits: dict = {}
+    for j, l in enumerate(labels):
+        orbits.setdefault(root(j), []).append(l)
+    return sorted(orbits.values(), key=lambda orbit: index[orbit[-1]])
 
 
 class InvariantSubalgebra(BasedAlgebra):
