@@ -2,16 +2,17 @@
 
 Elements are stored in the double-coset normal form: one value per H-orbit of
 left cosets, each value fixed by the orbit's stabilizer H \\cap gHg^{-1}.  The
-full coset assignment is recovered on demand via the H-transversal of each
-orbit.  Which coset pairs (kH, k^{-1}gH) meet at each target orbit depends
-on (G, H) alone: the coset space records it once as a product skeleton, whose
-entry for an orbit pair lists the (h, m) with values v, w adding
-sum alpha_h(v) alpha_m(w) at a target orbit.  One helper, ``_skeleton_sum``,
-forms that sum from two image caches: ``convolve`` passes those of one
-product, each alpha_h(v) formed once per call, and ``structure_constants``
-those of a whole pair of basis blocks, each image formed once per block pair.
-Module coordinates are solved only on the orbits an element is carried by,
-at offsets laid out once per degree.
+value at any coset is read in one place, ``HeckeElement.at``, by
+phi(h xH) = alpha_h phi(xH) with h from the orbit's H-transversal; ``expand``
+reads every coset through it.  Which coset pairs (kH, k^{-1}gH) meet at each
+target orbit depends on (G, H) alone: the coset space records it once as a
+product skeleton, whose entry for an orbit pair lists the (h, m) with values
+v, w adding sum alpha_h(v) alpha_m(w) at a target orbit.  One helper,
+``_skeleton_sum``, forms that sum from two image caches: ``convolve`` passes
+those of one product, each alpha_h(v) formed once per call, and
+``structure_constants`` those of a whole pair of basis blocks, each image
+formed once per block pair.  Module coordinates are solved only on the
+orbits an element is carried by, at offsets laid out once per degree.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class HeckeContext:
         self.action = action
         self.field = A.field
         self.degree_cap = degree_cap
-        if verify_action and not action.verified:
+        if verify_action:
             report = action.verify(degree_cap=degree_cap)
             if not report.ok:
                 raise ValueError(f"invalid group action:\n{report}")
@@ -285,19 +286,20 @@ class HeckeElement:
 
     # -- expansion and convolution --------------------------------------------
 
-    def expand(self):
-        """Full assignment coset index -> value, via phi(h gH) = alpha_h phi(gH)."""
+    def at(self, g) -> AlgebraElement:
+        """phi(gH) = alpha_h phi(xH), xH the representative coset of gH's
+        orbit and h the orbit's transversal element at gH."""
         ctx = self.ctx
-        out = {}
-        for oi, orbit in enumerate(ctx.orbits):
-            v = self.values.get(oi)
-            for ci in orbit.coset_indices:
-                if v is None:
-                    out[ci] = ctx.A.zero()
-                else:
-                    h = orbit.transversal[ci]
-                    out[ci] = ctx.action.apply(h, v)
-        return out
+        ci = ctx.cosets.coset_of[g]
+        oi = ctx.cosets.orbit_of_coset[ci]
+        v = self.values.get(oi)
+        if v is None:
+            return ctx.A.zero()
+        return ctx.action.apply(ctx.orbits[oi].transversal[ci], v)
+
+    def expand(self):
+        """Full assignment coset index -> value, read by ``at``."""
+        return {ci: self.at(k) for ci, k in enumerate(self.ctx.cosets.reps)}
 
     def convolve(self, other: "HeckeElement") -> "HeckeElement":
         """(phi * psi)(gH) = sum over cosets kH of phi(kH) alpha_k psi(k^-1 gH).

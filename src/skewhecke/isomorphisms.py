@@ -331,26 +331,14 @@ class StoneModel:
 # transports along group operations
 
 
-def pull_map(source: HeckeContext, target: HeckeContext, value_at):
-    """The map phi |-> psi with psi(xH') = value_at(at, x) at each target orbit rep x.
+def pull_map(target: HeckeContext, value_at):
+    """The map phi |-> psi with psi(xH') = value_at(phi.at, x) at each target orbit rep x.
 
-    ``at(y)`` is phi(yH) in the source.  Images go through ``from_values``, so
-    every value is checked against its orbit stabilizer.
+    ``phi.at(y)`` is phi(yH) in phi's context.  Images go through
+    ``from_values``, so every value is checked against its orbit stabilizer.
     """
-    coset_of = source.cosets.coset_of
-
-    def apply(phi: HeckeElement) -> HeckeElement:
-        exp = phi.expand()
-
-        def at(y):
-            return exp[coset_of[y]]
-
-        return target.from_values(
-            {oi: value_at(at, orbit.rep_element)
-             for oi, orbit in enumerate(target.orbits)}
-        )
-
-    return apply
+    return lambda phi: target.from_values(
+        {oi: value_at(phi.at, orbit.rep_element) for oi, orbit in enumerate(target.orbits)})
 
 
 def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
@@ -373,8 +361,8 @@ def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
 
     return Transport(
         source=ctx, target=target,
-        forward=pull_map(ctx, target, express),
-        backward=pull_map(target, ctx, lambda at, g: AN.include(at(proj[g]))),
+        forward=pull_map(target, express),
+        backward=pull_map(ctx, lambda at, g: AN.include(at(proj[g]))),
         info={"quotient_order": Q.order},
     )
 
@@ -400,17 +388,9 @@ def product_transport(ctx1: HeckeContext, ctx2: HeckeContext) -> Transport:
     BT = TensorAlgebra(B1, B2)
 
     def pair_image(phi1: HeckeElement, phi2: HeckeElement) -> HeckeElement:
-        exp1 = phi1.expand()
-        exp2 = phi2.expand()
-        values = {}
-        for oi, orbit in enumerate(target.orbits):
-            p = orbit.rep_element
-            v = Ap.pure(
-                exp1[ctx1.cosets.coset_of[p1[p]]],
-                exp2[ctx2.cosets.coset_of[p2[p]]],
-            )
-            values[oi] = v
-        return target.from_values(values)
+        return target.from_values({
+            oi: Ap.pure(phi1.at(p1[orbit.rep_element]), phi2.at(p2[orbit.rep_element]))
+            for oi, orbit in enumerate(target.orbits)})
 
     image_cache = {}
 
@@ -444,7 +424,7 @@ def intermediate_embed(ctx: HeckeContext, K: Subgroup) -> Transport:
         return at(pos[g]) if g in pos else zero
 
     return Transport(source=source, target=ctx,
-                     forward=pull_map(source, ctx, extend_by_zero),
+                     forward=pull_map(ctx, extend_by_zero),
                      info={"index": ctx.cosets.n, "sub_index": source.cosets.n})
 
 
@@ -461,8 +441,8 @@ def conjugate_transport(ctx: HeckeContext, s: int) -> Transport:
         return lambda at, x: ctx.action.apply(t, at(G.mul(G.mul(ti, x), t)))
 
     return Transport(source=ctx, target=target,
-                     forward=pull_map(ctx, target, conjugated_by(s)),
-                     backward=pull_map(target, ctx, conjugated_by(si)),
+                     forward=pull_map(target, conjugated_by(s)),
+                     backward=pull_map(ctx, conjugated_by(si)),
                      info={"conjugator": G.name(s)})
 
 
@@ -493,8 +473,8 @@ def semidirect_transport(field, N, K, act, H: Subgroup) -> Transport:
         })
 
     return Transport(source=source, target=target,
-                     forward=pull_map(source, target, coefficient),
-                     backward=pull_map(target, source, group_element),
+                     forward=pull_map(target, coefficient),
+                     backward=pull_map(source, group_element),
                      info={"dim": source.dimension(),
                            "classical_dim": target.dimension()})
 
@@ -563,8 +543,8 @@ def cocycle_transport(ctx: HeckeContext, chi: dict) -> Transport:
     inv_chi = {g: element_inverse(u) for g, u in chi.items()}
     return Transport(
         source=ctx, target=target,
-        forward=pull_map(ctx, target, lambda at, g: at(g) * inv_chi[g]),
-        backward=pull_map(target, ctx, lambda at, g: at(g) * chi[g]),
+        forward=pull_map(target, lambda at, g: at(g) * inv_chi[g]),
+        backward=pull_map(ctx, lambda at, g: at(g) * chi[g]),
     )
 
 
@@ -598,6 +578,6 @@ def opposite_transport(ctx: HeckeContext) -> Transport:
         return Aop.from_op(actop.apply(x, at(G.inverse(x))))
 
     return Transport(source=ctx, target=target,
-                     forward=pull_map(ctx, target, forward),
-                     backward=pull_map(target, ctx, backward))
+                     forward=pull_map(target, forward),
+                     backward=pull_map(ctx, backward))
 

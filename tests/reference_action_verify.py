@@ -3,9 +3,9 @@
 The same checks in the same order, with multiplicativity tested on every
 label pair (l1, l2) for each generator s, whatever the algebra's
 ``product_keys`` say.  No pair is skipped and nothing is cached beyond
-``on_label``; the action's ``verified`` flag is left alone.  Images of
-elements are ``reference_apply``, the linear extension of ``on_label``, so
-no check reads the action's label table or its ``apply``.
+``on_label``.  Images of elements are ``reference_apply``, the linear
+extension of ``on_label``, so no check reads the action's label table or its
+``apply``.
 """
 
 from skewhecke.algebras import ActionReport

@@ -512,7 +512,7 @@ def test_conjugate_forward_without_alpha_is_a_failed_check(capsys, cfg_file,
     def untwisted(ctx, s):
         tr = conjugate_transport(ctx, s)
         G, si = ctx.G, ctx.G.inverse(s)
-        forward = pull_map(ctx, tr.target, lambda at, x: at(G.mul(G.mul(si, x), s)))
+        forward = pull_map(tr.target, lambda at, x: at(G.mul(G.mul(si, x), s)))
         return replace(tr, forward=forward)
 
     monkeypatch.setattr("skewhecke.cli.conjugate_transport", untwisted)

@@ -4,6 +4,7 @@ import pytest
 
 from skewhecke.algebras import (
     FunctionAlgebra,
+    GroupAction,
     PolynomialAlgebra,
     invariants_compute,
     left_translation_action,
@@ -73,6 +74,23 @@ def test_graded_dimensions():
     # degree 1: orbit 0 invariants {x1+x2, x3}, orbit 1 all of degree 1
     assert ctx.dimension(degree=0) == 2
     assert ctx.dimension(degree=1) == 5
+
+
+def test_context_verifies_its_action_at_its_own_degree_cap():
+    # alpha doubles every degree-3 image: no check at cap 1 reaches degree 3,
+    # so a context at cap 1 builds, and one at cap 3 on the same action refuses it
+    A = PolynomialAlgebra(Q, 3, 6)
+    good = permutation_variable_action(S3, A)
+
+    def on_label(g, label):
+        image = good.on_label(g, label)
+        return image.scale(Q.from_int(2)) if sum(label) == 3 else image
+
+    action = GroupAction(S3, A, on_label)
+    assert not action.verify(degree_cap=3).ok
+    HeckeContext(S3, s2_subgroup(), A, action, degree_cap=1)
+    with pytest.raises(ValueError, match="invalid group action"):
+        HeckeContext(S3, s2_subgroup(), A, action, degree_cap=3)
 
 
 def test_from_values_rejects_non_invariant_value():
