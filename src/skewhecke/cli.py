@@ -19,6 +19,7 @@ indicator functions ``delta[(1 2)]``, matrix units ``E[1,2]``).
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -709,7 +710,16 @@ def main(argv=None):
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 3
     if not out_path:
-        _write_lines(sys.stdout, lines)
+        try:
+            _write_lines(sys.stdout, lines)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+            # the interpreter flushes stdout again at exit; let that land nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 2
     return code
 
 

@@ -2,10 +2,11 @@
 
 Sparse vectors are key -> value dicts with no stored zeros, summed by
 ``add_into``.  Matrices are lists of rows; rows are lists of field values.
-Everything here uses fraction-free-ish Gaussian elimination with exact
-division, which is fine at the problem sizes this library works at (dimensions
-in the low hundreds).  Pivoting is deterministic (first nonzero entry), so
-echelon bases are reproducible.
+``SpanBasis`` is the one Gaussian elimination: it reduces each incoming row
+against the rows kept so far, divides by the pivot, and keeps its rows fully
+reduced, all in exact arithmetic (fine at the dimensions this library works
+at, the low hundreds).  ``rref`` is its rows ordered by leading column; a
+matrix has one reduced row echelon form, so the result is reproducible.
 """
 
 from __future__ import annotations
@@ -37,33 +38,15 @@ def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = field.inv(m[r][c])
-        m[r] = [field.mul(pv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form: the rows of the ``SpanBasis`` of ``rows``,
+    ordered by leading column.  Returns (nonzero_rows, pivot_columns)."""
+    if not rows:
+        return [], []
+    sb = SpanBasis(field, len(rows[0]))
+    for r in rows:
+        sb.insert(r)
+    order = sorted(range(sb.dim), key=sb.lead.__getitem__)
+    return [sb.rows[i] for i in order], [sb.lead[i] for i in order]
 
 
 def rank(field, rows):
@@ -108,7 +91,10 @@ class SpanBasis:
         """Insert a vector; returns True if it enlarged the span."""
         f = self.field
         red = self._reduce(v)
-        lead = next((j for j in range(self.n) if not f.is_zero(red[j])), None)
+        # red is 0 at every kept leading column, so only the others are tested
+        taken = set(self.lead)
+        lead = next((j for j in range(self.n)
+                     if j not in taken and not f.is_zero(red[j])), None)
         if lead is None:
             return False
         inv = f.inv(red[lead])

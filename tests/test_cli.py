@@ -1,6 +1,9 @@
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -374,6 +377,40 @@ def test_unwritable_out_path_exits_2(capsys, cfg_file, tmp_path, target):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def cli_process(args, stdout):
+    """``python -m skewhecke.cli <args>`` in a child process, its stderr piped."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "skewhecke.cli", *args],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def assert_one_error_line(proc):
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # 16 395 lines, more than a pipe buffer holds: the reader closes after one
+    proc = cli_process(["sc", "--config", str(GOLDEN / "polynomial_s4_gf7.cfg")],
+                       subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# 0:")
+    proc.stdout.close()
+    assert_one_error_line(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(["dims", "--config", str(GOLDEN / "functions_s3.cfg")], full)
+    assert_one_error_line(proc)
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):

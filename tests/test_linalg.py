@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke import linalg
 from skewhecke.scalars import PrimeField, Rationals
 
 Q = Rationals()
+F2 = PrimeField(2)
 F7 = PrimeField(7)
 
 
@@ -39,6 +41,63 @@ def test_rref_pivots_and_rank(m):
         for k in range(len(red)):
             if k != i:
                 assert Q.is_zero(red[k][pc])
+
+
+@st.composite
+def elimination_input(draw):
+    """(field, rows) over Q, GF(2) or GF(7): up to 8 rows of width 1..5, so often
+    more rows than columns, with zero and repeated rows mixed in."""
+    field = draw(st.sampled_from([Q, F2, F7]))
+    ncols = draw(st.integers(1, 5))
+    if field.characteristic == 0:
+        entry = st.builds(lambda a, b: Q.mul(Q.from_int(a), Q.inv(Q.from_int(b))),
+                          st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, field.characteristic - 1)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = (list(draw(st.sampled_from(rows))) if rows and draw(st.booleans())
+                 else [field.zero] * ncols)
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return field, rows
+
+
+@settings(max_examples=300)
+@given(elimination_input())
+def test_rref_is_the_reduced_echelon_form_of_the_span(problem):
+    field, rows = problem
+    before = [list(r) for r in rows]
+    red, pivots = linalg.rref(field, rows)
+    assert rows == before  # the input is not modified
+    assert len(red) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for row, pc in zip(red, pivots):
+        assert all(field.is_zero(x) for x in row[:pc])
+        assert row[pc] == field.one
+        assert all(field.is_zero(row[p]) for p in pivots if p != pc)
+    # the span is kept: each input row is the combination its pivot entries give
+    ncols = len(rows[0]) if rows else 0
+    for r in rows:
+        assert combination(field, [r[p] for p in pivots], red, ncols) == r
+    span = linalg.SpanBasis(field, ncols)
+    for r in rows:
+        span.insert(r)
+    assert linalg.rank(field, rows) == span.dim == len(pivots)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "GF2", "GF7"])
+def test_rref_of_empty_and_zero_matrices(field):
+    assert linalg.rref(field, []) == ([], [])
+    assert linalg.rref(field, [[]]) == ([], [])
+    assert linalg.rref(field, [[field.zero] * 3] * 4) == ([], [])
+    assert linalg.rank(field, [[field.zero] * 3] * 4) == 0
+
+
+@pytest.mark.parametrize("field", [Q, F2, F7], ids=["Q", "GF2", "GF7"])
+def test_solve_with_zero_width_rows(field):
+    assert linalg.solve(field, [[], []], [field.zero, field.zero]) == []
+    assert linalg.solve(field, [[], []], [field.zero, field.one]) is None
 
 
 @settings(max_examples=200)
