@@ -308,17 +308,11 @@ class PolynomialAlgebra(BasedAlgebra):
             raise ValueError(
                 f"degree {d} beyond enumeration cap {self.degree_cap}"
             )
-        out = []
-        for bars in itertools.combinations(range(d + self.nvars - 1), self.nvars - 1):
-            exps = []
-            prev = -1
-            for b in bars:
-                exps.append(b - prev - 1)
-                prev = b
-            exps.append(d + self.nvars - 2 - prev)
-            out.append(tuple(exps))
-        out.sort(reverse=True)  # lex-descending: x1^d first
-        return out
+        variables = range(self.nvars)
+        return sorted(  # lex-descending: x1^d first
+            (tuple(map(c.count, variables))
+             for c in itertools.combinations_with_replacement(variables, d)),
+            reverse=True)
 
     def labels(self):
         raise ValueError("polynomial algebras have no finite basis; use enumerate_degree")
@@ -607,7 +601,7 @@ class GroupAction:
         self._on_label = on_label
         self.name = name
         self._cache = {}
-        self._tables = {}  # g -> {label: label_image(g, label)}, filled on use
+        self._labels, self._position, self._tables = [], {}, {}  # see _table
 
     def on_label(self, g: int, label) -> AlgebraElement:
         key = (g, label)
@@ -617,43 +611,66 @@ class GroupAction:
             self._cache[key] = out
         return out
 
-    def label_image(self, g: int, label):
-        """The label m with alpha_g(label) = m, when that image is one label
-        with coefficient one; None when it is anything else, zero included.
+    def _index_labels(self, labels):
+        """Give each label not yet indexed the next position; a table built
+        before may hold None for a label indexed now, so the tables go."""
+        for l in labels:
+            if l not in self._position:
+                self._position[l] = len(self._labels)
+                self._labels.append(l)
+                self._tables.clear()
 
-        The label table of alpha, read by ``apply``, ``verify`` and
-        ``InvariantSpace``: every action the CLI builds relabels, and the data
-        decides, one (g, label) at a time, cached per g.
+    def _table(self, g: int) -> tuple:
+        """alpha_g's label table, built once: at the position of each indexed
+        label l, the position of alpha_g(l) when that image is one
+        coefficient-one label among the indexed labels, else None (zero
+        included).  A finite A indexes its labels on first use, a graded A
+        those that ``verify`` and ``InvariantSpace`` read.  Only an image that
+        is not an indexed label is kept as an element, for ``on_label``.
         """
         table = self._tables.get(g)
         if table is None:
-            table = self._tables[g] = {}
-        try:
-            return table[label]
-        except KeyError:
-            pass
-        coeffs = self.on_label(g, label).coeffs
-        image = None
-        if len(coeffs) == 1:
-            [(m, c)] = coeffs.items()
-            if c == self.A.field.one:
-                image = m
-        table[label] = image
-        return image
+            if not self._labels and not self.A.graded:
+                self._index_labels(self.A.labels())
+            position, one = self._position, self.A.field.one
+            entries = []
+            for l in self._labels:
+                x, j = self._on_label(g, l), None
+                if len(x.coeffs) == 1:
+                    [(m, c)] = x.coeffs.items()
+                    j = position.get(m) if c == one else None
+                if j is None:
+                    self._cache[(g, l)] = x
+                entries.append(j)
+            table = self._tables[g] = tuple(entries)
+        return table
+
+    def label_image(self, g: int, label):
+        """The label m with alpha_g(label) = m, read off alpha_g's table by
+        position (``_table``); None where the table has no entry or None."""
+        table, j = self._table(g), self._position.get(label)
+        j = None if j is None else table[j]
+        return None if j is None else self._labels[j]
 
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
         """alpha_g(x) = sum over labels l of x of c_l alpha_g(l).
 
-        When alpha_g sends the labels of x to distinct labels, each with
-        coefficient one, the sum is a relabelling of x's coefficients; an image
-        that is not one such label (zero included), or two labels that
+        When alpha_g's table sends the labels of x to distinct labels, the
+        sum is a relabelling of x's coefficients; a label the table does not
+        send to one label (an image of several terms, a coefficient other
+        than one, zero, a label outside the index), or two labels that
         collide, take the sum term by term.
         """
         if g == 0:
             return x
-        coeffs, image = x.coeffs, self.label_image
-        out = {image(g, l): c for l, c in coeffs.items()}
-        if None in out or len(out) != len(coeffs):
+        coeffs, table, at, labels = x.coeffs, self._table(g), self._position.get, self._labels
+        out = {}
+        for l, c in coeffs.items():
+            j = at(l)
+            if j is None or table[j] is None:
+                break
+            out[labels[table[j]]] = c
+        if len(out) != len(coeffs):  # a label not relabelled, or a collision
             f = self.A.field
             out = {}
             for l, c in coeffs.items():
@@ -691,17 +708,16 @@ class GroupAction:
         (``_keyed_partners``); on any other pair l1 l2 = 0 and every label
         product in alpha_s(l1) alpha_s(l2) is 0, so both sides are 0.
 
-        The identity and composition checks read the label table
-        (``label_image``) first: where its entries show alpha_s alpha_k(l) =
-        alpha_{sk}(l) as one label, the check passes; anywhere else (entries
-        that disagree, an image that is not one coefficient-one label) the
-        images are formed and compared as elements, so every failure and
-        witness comes from that comparison.  The cost is |S| |G| |labels|
-        table reads for composition, S the generators, each an image formed
-        and applied where alpha does not relabel, plus, per visited pair, the
-        cached basis product l1 l2 and one product of images: |S| |labels|^2
-        pairs without keys, at most 3 |S| |labels| for the function algebra
-        under translation.
+        Identity and composition read the label tables by position (``_table``,
+        indexed over the checked labels): alpha_e = id is T_e == (0, 1, ...,
+        n-1), and alpha_s alpha_k = alpha_{sk} one tuple compose per (s, k),
+        T_s[T_k[i]] == T_sk[i] at every position i.  Only for a k whose tables
+        disagree or hold a None are images formed and compared as elements,
+        label by label, so every failure and witness comes from that
+        comparison.  The cost is |G| tables of |labels| entries, built once,
+        and |S| |G| tuple composes, S the generators, plus, per visited pair,
+        the cached basis product l1 l2 and one product of images: |S| |labels|^2
+        pairs without keys, at most 3 |S| |labels| for R^G under translation.
         """
         A, G = self.A, self.G
         labels = A.labels_up_to(degree_cap)
@@ -710,19 +726,24 @@ class GroupAction:
         if A.graded:
             products = [l for l1 in labels for l2 in labels for l in A.product_cached(l1, l2)]
             checked = list(dict.fromkeys(labels + products))
-        image = self.label_image
+        self._index_labels(checked)
+        positions = list(map(self._position.__getitem__, checked))
+        tables = [self._table(g) for g in range(G.order)]
+        complete = [None not in t for t in tables]
         failures = []
-        for l in checked:
-            if image(0, l) != l and self.on_label(0, l) != A.basis_element(l):
-                failures.append(("identity", l))
+        if tables[0] != tuple(range(len(tables[0]))):  # else alpha_e fixes every label
+            failures = [("identity", l) for l, i in zip(checked, positions)
+                        if tables[0][i] != i and self.on_label(0, l) != A.basis_element(l)]
         for s in gens:  # never e, so apply(s, .) reads the table as this check does
+            T_s = tables[s]
             for k in range(G.order):
                 sk = G.mul(s, k)
-                for l in checked:
-                    m = image(k, l)
-                    n = None if m is None else image(s, m)
-                    if n is not None and n == image(sk, l):
-                        continue  # both sides are the label n
+                T_k, T_sk = tables[k], tables[sk]
+                if complete[k] and complete[sk] and tuple(map(T_s.__getitem__, T_k)) == T_sk:
+                    continue  # every alpha_s alpha_k(l) is the label alpha_sk(l)
+                for l, i in zip(checked, positions):
+                    if T_k[i] is not None and T_sk[i] is not None and T_s[T_k[i]] == T_sk[i]:
+                        continue  # both sides are the label at T_sk[i]
                     if self.apply(s, self.on_label(k, l)).coeffs != self.on_label(sk, l).coeffs:
                         failures.append(("composition", (s, k, l)))
                         break
@@ -732,17 +753,14 @@ class GroupAction:
                 failures.append(("unit", s))
             images = [self.on_label(s, l) for l in labels]
             partners = _keyed_partners(A.product_keys, labels, images)
-            for i, l1 in enumerate(labels):
-                x1 = images[i]
-                for j in partners[i]:
-                    l2 = labels[j]
-                    lhs = self.apply(s, A.element_class(A, A.product_cached(l1, l2)))
+            for l1, x1, js in zip(labels, images, partners):
+                for j in js:
+                    lhs = self.apply(s, A.element_class(A, A.product_cached(l1, labels[j])))
                     if lhs.coeffs != (x1 * images[j]).coeffs:
-                        failures.append(("multiplicativity", (s, l1, l2)))
+                        failures.append(("multiplicativity", (s, l1, labels[j])))
                         break
             if A.graded:
-                for l in labels:
-                    img = self.on_label(s, l)
+                for l, img in zip(labels, images):
                     if not img.is_zero and img.homogeneous_degree() != A.degree(l):
                         failures.append(("degree", (s, l)))
         return ActionReport(ok=not failures, failures=failures)
@@ -964,8 +982,11 @@ class InvariantSpace:
 def _label_orbits(labels, index, S_elements, action: GroupAction):
     """The orbits of the group generated by S_elements on ``labels``, each in
     column order and ordered by its largest column; None unless every s
-    permutes the labels, each alpha_s(l) one coefficient-one label among them.
+    permutes the labels, each alpha_s(l) one coefficient-one label among them
+    (read off alpha_s's label table).
     """
+    action._index_labels(labels)
+    column = {action._position[l]: j for j, l in enumerate(labels)}  # position -> column
     parent = list(range(len(labels)))
 
     def root(j):
@@ -976,15 +997,11 @@ def _label_orbits(labels, index, S_elements, action: GroupAction):
     for s in S_elements:
         if s == 0:
             continue
-        images = set()
-        for j, l in enumerate(labels):
-            k = index.get(action.label_image(s, l))
-            if k is None:
-                return None
-            images.add(k)
-            parent[root(j)] = root(k)
-        if len(images) != len(labels):
+        images = [column.get(p) for p in map(action._table(s).__getitem__, column)]
+        if None in images or len(set(images)) != len(labels):
             return None
+        for j, k in enumerate(images):
+            parent[root(j)] = root(k)
     orbits: dict = {}
     for j, l in enumerate(labels):
         orbits.setdefault(root(j), []).append(l)

@@ -19,6 +19,7 @@ indicator functions ``delta[(1 2)]``, matrix units ``E[1,2]``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import re
@@ -77,6 +78,13 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest algebra basis built from a configuration (matrix(64) fits): an action
+# keeps a label table of |G|.|labels| positions, |G| up to
+# groups.MAX_GROUP_ORDER, and its verification visits label pairs.  The other
+# families are bounded by the group order cap already.
+MAX_BASIS_SIZE = 4096
+
+
 @dataclass
 class JobConfig:
     field: str = "rationals"
@@ -111,7 +119,29 @@ def parse_config(text: str) -> JobConfig:
     return cfg
 
 
+def _basis_size(alg: str, degree_cap: int) -> int:
+    """The number of basis labels of a matrix(n) or polynomial(nvars) spec,
+    from the spec alone: n^2 matrix units, or the monomials up to degree
+    2 * degree_cap, a context's enumeration cap.  0 for any other family and
+    for a polynomial spec its constructor refuses."""
+    if alg.startswith("matrix(") and alg.endswith(")"):
+        return int(alg[7:-1]) ** 2
+    if alg.startswith("polynomial(") and alg.endswith(")"):
+        nvars, top = int(alg[11:-1]), 2 * degree_cap
+        if nvars < 1 or top < 0:
+            return 0
+        # C(nvars + top, top), in at most 64 factors: exact unless both nvars
+        # and top pass 64, where C(nvars + top, 64) is a lower bound far past
+        # any cap
+        return math.comb(nvars + top, min(nvars, top, 64))
+    return 0
+
+
 def build_context(cfg: JobConfig) -> HeckeContext:
+    alg = cfg.algebra.strip().lower()
+    if _basis_size(alg, cfg.degree_cap) > MAX_BASIS_SIZE:
+        raise ConfigError(f"algebra {cfg.algebra.strip()} has a basis of over "
+                          f"{MAX_BASIS_SIZE} labels; larger algebras are not built")
     field = field_make(cfg.field)
     G = group_make(cfg.group)
     sub = cfg.subgroup.strip().lower()
@@ -122,7 +152,6 @@ def build_context(cfg: JobConfig) -> HeckeContext:
     else:
         gens = [G.element_by_name(t.strip()) for t in _split_top(cfg.subgroup, ",")]
         H = subgroup_from_generators(G, gens)
-    alg = cfg.algebra.strip().lower()
     if alg == "scalar":
         A = scalar_algebra(field)
     elif alg == "functions":

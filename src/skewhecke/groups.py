@@ -34,24 +34,19 @@ def _check_order(spec: str, order: int):
 
 def perm_compose(p, q):
     """(p*q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_cycle_notation(p) -> str:
     """Cycle notation with 1-indexed points, 'id' for the identity."""
-    seen = [False] * len(p)
-    out = []
+    seen, out = set(), []
     for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
+        if i in seen or p[i] == i:
             continue
         cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
+        while p[cyc[-1]] != i:
+            cyc.append(p[cyc[-1]])
+        seen.update(cyc)
         out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
     return "".join(out) if out else "id"
 
@@ -106,15 +101,10 @@ class FiniteGroup:
         self.perms = tuple(perms) if perms is not None else None
         if check:
             self._check_axioms()
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        for a, row in enumerate(self.table):
+            if 0 not in row:
                 raise GroupAxiomError(f"element {a} has no inverse")
-        self.inv_table = tuple(inv)
+        self.inv_table = tuple(row.index(0) for row in self.table)
 
     def _check_axioms(self):
         n = self.order
@@ -208,15 +198,8 @@ def dihedral_group(n: int) -> FiniteGroup:
             return cyclic_group(2)
         G, _, _, _, _ = direct_product(cyclic_group(2), cyclic_group(2))
         return G
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    perms = []
-    r = tuple(range(n))
-    for _ in range(n):
-        perms.append(r)
-        r = perm_compose(rot, r)
-    for p in list(perms):
-        perms.append(perm_compose(ref, p))
+    # the rotations j -> j + i, then the reflections j -> -(j + i), mod n
+    perms = [tuple(sign * (j + i) % n for j in range(n)) for sign in (1, -1) for i in range(n)]
     return _group_on(perms, perm_compose, perm_cycle_notation, perms)[0]
 
 

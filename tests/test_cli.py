@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from skewhecke import cli
 from skewhecke.linalg import add_into
 from skewhecke.cli import (
     ConfigError,
@@ -324,6 +325,38 @@ def test_bad_config_exits_2(capsys, cfg_file, text):
     assert code == 2
     assert err.startswith("error:")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("algebra, degree_cap", [
+    ("matrix(1000000)", 2),
+    ("matrix(65)", 2),  # 4225 matrix units, just past the cap
+    ("polynomial(3)", 10**12),
+    ("polynomial(10000)", 1),
+    (f"polynomial({10**9})", 10**9),  # both past 64: a lower bound is counted
+])
+def test_oversized_algebra_is_refused_before_it_is_built(capsys, cfg_file, monkeypatch,
+                                                        algebra, degree_cap):
+    def not_built(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "MatrixAlgebra", not_built)
+    monkeypatch.setattr(cli, "PolynomialAlgebra", not_built)
+    text = _config("symmetric(3)", "(1 2)", algebra, "permute_variables")
+    code = main(["dims", "--config", cfg_file(text + f"degree_cap = {degree_cap}\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: algebra {algebra} has a basis of over "
+                            f"{cli.MAX_BASIS_SIZE} labels; larger algebras are not built\n")
+
+
+@pytest.mark.parametrize("algebra, degree_cap, size", [
+    ("matrix(64)", 2, 4096), ("polynomial(4)", 2, 70), ("polynomial(3)", 0, 1),
+    ("polynomial(1)", 2048, 4097), ("polynomial(4096)", 0, 1), ("functions", 9, 0),
+])
+def test_basis_size_counts_from_the_spec(algebra, degree_cap, size):
+    # monomials up to degree 2 * degree_cap: C(nvars + 2 * degree_cap, nvars)
+    assert cli._basis_size(algebra, degree_cap) == size
 
 
 def test_element_not_in_group_is_named(capsys, cfg_file):
