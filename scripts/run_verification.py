@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the full CLI verification suite over a battery of job configurations.
 
-Each configuration exercises a different coefficient family and action; the
-reports are written to the given output directory (default: ./verification).
+Each configuration exercises a different coefficient family and action and is
+read from ``tests/data/golden/<name>.cfg``; the reports are written to the
+given output directory (default: ./verification).  With seed 0 each report
+equals ``tests/data/golden/<name>.verify.txt``.
 
 Usage: python3 scripts/run_verification.py [--seed N] [--outdir DIR]
 """
@@ -13,51 +15,9 @@ import sys
 
 from skewhecke.cli import main as cli_main
 
-CONFIGS = {
-    "classical_s3": """\
-field = rationals
-group = symmetric(3)
-subgroup = (1 2)
-algebra = scalar
-action = trivial
-""",
-    "classical_s4_d4": """\
-field = rationals
-group = symmetric(4)
-subgroup = (1 2 3 4), (1 3)
-algebra = scalar
-action = trivial
-""",
-    "functions_s3": """\
-field = rationals
-group = symmetric(3)
-subgroup = (1 2)
-algebra = functions
-action = left_translation
-""",
-    "group_algebra_conjugation": """\
-field = rationals
-group = symmetric(3)
-subgroup = (1 2)
-algebra = group(self)
-action = conjugation
-""",
-    "polynomial_s3": """\
-field = rationals
-group = symmetric(3)
-subgroup = (1 2)
-algebra = polynomial(3)
-action = permute_variables
-degree_cap = 2
-""",
-    "functions_s3_gf5": """\
-field = prime_field(5)
-group = symmetric(3)
-subgroup = (1 2)
-algebra = functions
-action = left_translation
-""",
-}
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
+CONFIGS = ("classical_s3", "classical_s4_d4", "functions_s3",
+           "group_algebra_conjugation", "polynomial_s3", "functions_s3_gf5")
 
 
 def main():
@@ -68,13 +28,11 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     failed = []
-    for name, text in CONFIGS.items():
-        cfg_path = outdir / f"{name}.cfg"
-        cfg_path.write_text(text)
+    for name in CONFIGS:
         report_path = outdir / f"{name}.txt"
         code = cli_main([
             "verify", "all",
-            "--config", str(cfg_path),
+            "--config", str(GOLDEN / f"{name}.cfg"),
             "--seed", str(args.seed),
             "--out", str(report_path),
         ])

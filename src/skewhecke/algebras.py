@@ -625,8 +625,8 @@ class GroupAction:
         label l, the position of alpha_g(l) when that image is one
         coefficient-one label among the indexed labels, else None (zero
         included).  A finite A indexes its labels on first use, a graded A
-        those that ``verify`` and ``InvariantSpace`` read.  Only an image that
-        is not an indexed label is kept as an element, for ``on_label``.
+        those that ``verify`` and ``permutation`` read.  Only an image that is
+        not an indexed label is kept as an element, for ``on_label``.
         """
         table = self._tables.get(g)
         if table is None:
@@ -645,12 +645,14 @@ class GroupAction:
             table = self._tables[g] = tuple(entries)
         return table
 
-    def label_image(self, g: int, label):
-        """The label m with alpha_g(label) = m, read off alpha_g's table by
-        position (``_table``); None where the table has no entry or None."""
-        table, j = self._table(g), self._position.get(label)
-        j = None if j is None else table[j]
-        return None if j is None else self._labels[j]
+    def permutation(self, g: int, labels):
+        """alpha_g on ``labels``, read off alpha_g's table: at i the index in
+        ``labels`` of alpha_g(labels[i]); None unless alpha_g permutes them."""
+        self._index_labels(labels if self.A.graded else self.A.labels())
+        table, position = self._table(g), self._position
+        index = {position[l]: i for i, l in enumerate(labels)}  # position -> index
+        images = [index.get(table[p]) for p in index]
+        return None if None in images or len(set(images)) != len(labels) else images
 
     def apply(self, g: int, x: AlgebraElement) -> AlgebraElement:
         """alpha_g(x) = sum over labels l of x of c_l alpha_g(l).
@@ -659,7 +661,8 @@ class GroupAction:
         sum is a relabelling of x's coefficients; a label the table does not
         send to one label (an image of several terms, a coefficient other
         than one, zero, a label outside the index), or two labels that
-        collide, take the sum term by term.
+        collide, take the sum term by term.  The table is read in place: a
+        ``permutation`` list per g would hold a second copy of every table.
         """
         if g == 0:
             return x
@@ -727,13 +730,12 @@ class GroupAction:
             products = [l for l1 in labels for l2 in labels for l in A.product_cached(l1, l2)]
             checked = list(dict.fromkeys(labels + products))
         self._index_labels(checked)
-        positions = list(map(self._position.__getitem__, checked))
         tables = [self._table(g) for g in range(G.order)]
         complete = [None not in t for t in tables]
         failures = []
         if tables[0] != tuple(range(len(tables[0]))):  # else alpha_e fixes every label
-            failures = [("identity", l) for l, i in zip(checked, positions)
-                        if tables[0][i] != i and self.on_label(0, l) != A.basis_element(l)]
+            failures = [("identity", l) for l in checked
+                        if self.on_label(0, l) != A.basis_element(l)]
         for s in gens:  # never e, so apply(s, .) reads the table as this check does
             T_s = tables[s]
             for k in range(G.order):
@@ -741,9 +743,7 @@ class GroupAction:
                 T_k, T_sk = tables[k], tables[sk]
                 if complete[k] and complete[sk] and tuple(map(T_s.__getitem__, T_k)) == T_sk:
                     continue  # every alpha_s alpha_k(l) is the label alpha_sk(l)
-                for l, i in zip(checked, positions):
-                    if T_k[i] is not None and T_sk[i] is not None and T_s[T_k[i]] == T_sk[i]:
-                        continue  # both sides are the label at T_sk[i]
+                for l in checked:
                     if self.apply(s, self.on_label(k, l)).coeffs != self.on_label(sk, l).coeffs:
                         failures.append(("composition", (s, k, l)))
                         break
@@ -925,7 +925,7 @@ class InvariantSpace:
     is not S-fixed.  The data decides how:
 
     - When every s in S_elements permutes the labels of the degree
-      (``GroupAction.label_image``), A^S is spanned by the orbit sums of the
+      (``GroupAction.permutation``), A^S is spanned by the orbit sums of the
       labels, in any characteristic.  ``orbits`` lists each orbit's labels in
       column order, the orbits ordered by their largest column; the basis is
       their sums, and a's coordinate at an orbit is its entry at that column,
@@ -982,11 +982,8 @@ class InvariantSpace:
 def _label_orbits(labels, index, S_elements, action: GroupAction):
     """The orbits of the group generated by S_elements on ``labels``, each in
     column order and ordered by its largest column; None unless every s
-    permutes the labels, each alpha_s(l) one coefficient-one label among them
-    (read off alpha_s's label table).
+    permutes the labels (``GroupAction.permutation``).
     """
-    action._index_labels(labels)
-    column = {action._position[l]: j for j, l in enumerate(labels)}  # position -> column
     parent = list(range(len(labels)))
 
     def root(j):
@@ -997,8 +994,8 @@ def _label_orbits(labels, index, S_elements, action: GroupAction):
     for s in S_elements:
         if s == 0:
             continue
-        images = [column.get(p) for p in map(action._table(s).__getitem__, column)]
-        if None in images or len(set(images)) != len(labels):
+        images = action.permutation(s, labels)
+        if images is None:
             return None
         for j, k in enumerate(images):
             parent[root(j)] = root(k)

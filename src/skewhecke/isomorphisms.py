@@ -304,9 +304,10 @@ class StoneModel:
 
     @staticmethod
     def applies(ctx: HeckeContext) -> bool:
-        """Whether ctx has the function algebra of G under left translation."""
-        return isinstance(ctx.A, FunctionAlgebra) and ctx.A.G is ctx.G \
-            and ctx.action.name == "left_translation"
+        """Whether ctx has R^G under left translation: alpha_g delta_k = delta_{gk}."""
+        A, G = ctx.A, ctx.G
+        return isinstance(A, FunctionAlgebra) and A.G is G and all(
+            ctx.action.permutation(g, A.labels()) == list(G.table[g]) for g in range(G.order))
 
     def apply(self, phi: HeckeElement):
         """sum over a, b of M[a,b](e) E[a,b], M = to_matrix(phi)."""
@@ -351,7 +352,8 @@ def quotient_transport(ctx: HeckeContext, N: Subgroup) -> Transport:
     HQ = Subgroup(Q, {proj[h] for h in H.elements}, check=False)
     AN = InvariantSubalgebra(A, N.generators(), ctx.action)
     actQ = AN.induced_action(Q, section)
-    target = HeckeContext(Q, HQ, AN, actQ, verify_action=False)
+    target = HeckeContext(Q, HQ, AN, actQ, verify_action=False,
+                          degree_cap=ctx.degree_cap)
 
     def express(at, q):
         v = AN.express(at(section[q]))

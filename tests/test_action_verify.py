@@ -168,7 +168,8 @@ def test_zero_image_is_dropped():
     A = FunctionAlgebra(Q, S3)
     act = GroupAction(S3, A, lambda g, l: A.zero() if g and l == 1 else A.basis_element(l))
     d = A.basis_element
-    assert act.label_image(2, 1) is None and act.label_image(2, 3) == 3
+    assert act.permutation(2, A.labels()) is None
+    assert act.permutation(2, [0, 2, 3, 4, 5]) == [0, 1, 2, 3, 4]
     assert act.apply(2, d(1).scale(5) + d(3)) == d(3)
     assert act.apply(2, d(1)).is_zero
     assert_apply_is_the_plain_sum(act)

@@ -186,6 +186,63 @@ def test_moved_by_names_the_first_moving_generator_in_order():
     assert act.moved_by(A.one(), [t12, t23]) is None
 
 
+# -- GroupAction.permutation ----------------------------------------------------
+
+
+def test_permutation_of_left_translation_is_the_group_table():
+    A = FunctionAlgebra(Q, S3)
+    act = left_translation_action(S3, A)
+    assert [act.permutation(g, A.labels()) for g in range(S3.order)] \
+        == [list(row) for row in S3.table]
+
+
+# (1 2) on the degree-2 monomials x1^2, x1x2, x1x3, x2^2, x2x3, x3^2
+SWAP_12_DEGREE_2 = [3, 1, 4, 0, 2, 5]
+
+
+def test_permutation_of_a_fresh_graded_action_on_one_degree():
+    A = PolynomialAlgebra(Q, 3, 2)
+    act = permutation_variable_action(S3, A)
+    assert act.permutation(t("(1 2)"), A.basis_labels(2)) == SWAP_12_DEGREE_2
+
+
+def test_permutation_of_signed_variables_in_degrees_one_and_two():
+    # x_i -> sgn(g) x_{g(i)}: an odd g scales a degree-d monomial by (-1)^d
+    A = PolynomialAlgebra(Q, 3, 2)
+    plain = permutation_variable_action(S3, A)
+    even = subgroup_from_generators(S3, [t("(1 2 3)")]).members
+    act = GroupAction(S3, A, lambda g, l: plain.on_label(g, l).scale(
+        Q.from_int(1 if g in even else (-1) ** sum(l))))
+    assert act.permutation(t("(1 2)"), A.basis_labels(1)) is None
+    assert act.permutation(t("(1 2)"), A.basis_labels(2)) == SWAP_12_DEGREE_2
+    assert act.permutation(t("(1 2 3)"), A.basis_labels(1)) is not None
+
+
+def test_permutation_is_none_unless_the_labels_are_permuted():
+    # a zero image: tests/test_action_verify.py::test_zero_image_is_dropped
+    A = FunctionAlgebra(Q, S3)
+    collapse = GroupAction(S3, A, lambda g, l: A.basis_element(0 if g else l))
+    assert collapse.permutation(1, A.labels()) is None
+    assert collapse.permutation(0, A.labels()) == A.labels()
+    # images outside the given labels; alpha_g's table still covers all of A,
+    # so apply relabels without forming any image a second time
+    calls, g = [], t("(1 2 3)")
+    act = GroupAction(S3, A, lambda g, l: calls.append(l) or A.basis_element(S3.mul(g, l)))
+    assert act.permutation(g, [0, g]) is None  # alpha_g(delta_g) = delta_{g^2}
+    act.apply(g, A.one())
+    assert sorted(calls) == A.labels()
+
+
+def test_permutation_indexes_the_given_label_order():
+    A = FunctionAlgebra(Q, S3)
+    act = left_translation_action(S3, A)
+    shuffled = [4, 0, 5, 2, 1, 3]
+    for labels in (shuffled, A.labels()):  # the first call indexes shuffled
+        for g in range(S3.order):
+            assert act.permutation(g, labels) \
+                == [labels.index(S3.mul(g, k)) for k in labels]
+
+
 def test_action_on_element_linear(poly):
     act = permutation_variable_action(S3, poly)
     x1, x3 = poly.variable(1), poly.variable(3)

@@ -1,15 +1,16 @@
 """``sc``, ``dims`` and ``verify`` output, byte for byte, against recorded goldens.
 
-``tests/data/golden/<name>.cfg`` holds a job configuration (the six of
-``scripts/run_verification.py``, graded polynomials over GF(7) on
-(S4, <(1 2)>) and functions on (S4, <(1 2), (1 2 3)>) under left
-translation); ``<name>.<command>.txt`` is the output the CLI printed for it,
-with the arguments in ``ARGS``, when the file was recorded.  The ``verify``
-goldens pin the details of each check (``corner dim N, module dim N``, ranks,
-pair counts) as well as its status.  A change that alters any byte of these
-outputs, reordering rows included, fails here; where a change of output is
-intended, rewrite the file with ``skewhecke <command> <ARGS> --config
-<name>.cfg --out <name>.<command>.txt`` and say why in the change log.
+``tests/data/golden/<name>.cfg`` holds a job configuration (the six that
+``scripts/run_verification.py`` reads from here, so an edit to one changes
+that battery too, graded polynomials over GF(7) on (S4, <(1 2)>) and functions
+on (S4, <(1 2), (1 2 3)>) under left translation); ``<name>.<command>.txt`` is
+the output the CLI printed for it, with the arguments in ``ARGS``, when the
+file was recorded.  The ``verify`` goldens pin the details of each check
+(``corner dim N, module dim N``, ranks, pair counts) as well as its status.  A
+change that alters any byte of these outputs, reordering rows included, fails
+here; where a change of output is intended, rewrite the file with ``skewhecke
+<command> <ARGS> --config <name>.cfg --out <name>.<command>.txt`` and say why
+in the change log.
 ``s3_tables.txt``, one dot in its name, is the stdout of
 ``scripts/s3_tables.py``, which CI compares; it is not a CLI golden.
 """

@@ -4,6 +4,7 @@ import pytest
 
 from skewhecke.algebras import (
     FunctionAlgebra,
+    GroupAction,
     GroupAlgebra,
     PolynomialAlgebra,
     TensorAlgebra,
@@ -14,6 +15,7 @@ from skewhecke.algebras import (
     permutation_variable_action,
     trivial_action,
 )
+from skewhecke.cli import JobConfig, SuiteRun, build_context, suite_stone
 from skewhecke.groups import (
     Subgroup,
     cyclic_group,
@@ -23,7 +25,7 @@ from skewhecke.groups import (
     trivial_subgroup,
     full_subgroup,
 )
-from skewhecke.hecke import HeckeContext, classical_context
+from skewhecke.hecke import HeckeContext, classical_context, structure_constants
 from skewhecke.isomorphisms import (
     CocycleConditionError,
     StoneModel,
@@ -244,6 +246,26 @@ def test_stone_preimages_and_matrix_units():
     ) == ctx.identity()
 
 
+def test_stone_model_applies_exactly_to_left_translation():
+    A = FunctionAlgebra(Q, S3)
+    H = s2_subgroup()
+    translate = GroupAction(S3, A, lambda g, k: A.basis_element(S3.mul(g, k)),
+                            name="translate")
+    ctx = HeckeContext(S3, H, A, translate)
+    assert StoneModel.applies(ctx)
+    lines = []
+    run = SuiteRun(lines.append)
+    suite_stone(run, ctx, random.Random(0))
+    assert run.executed and not run.failed, lines
+    # delta_k -> delta_{k g^-1} is an action, but not the left translation
+    right = GroupAction(S3, A, lambda g, k: A.basis_element(S3.mul(k, S3.inverse(g))),
+                        name="left_translation")
+    assert not StoneModel.applies(HeckeContext(S3, H, A, right))
+    # the CLI's action, which the functions_* verify goldens run the Stone suite on
+    assert StoneModel.applies(build_context(JobConfig(algebra="functions",
+                                                      action="left_translation")))
+
+
 # -- transports along group operations ---------------------------------------
 
 
@@ -276,6 +298,17 @@ def test_quotient_transport_s4_d4_mod_v4():
     for _ in range(5):
         phi = ctx.random_element(rng)
         assert tr.backward(tr.forward(phi)) == phi
+
+
+def test_graded_quotient_keeps_the_degree_cap():
+    A = PolynomialAlgebra(Q, 3, 4)
+    N = subgroup_from_generators(S3, [S3.element_by_name("(1 2 3)")])
+    ctx = HeckeContext(S3, N, A, permutation_variable_action(S3, A), degree_cap=2)
+    tr = quotient_transport(ctx, N)
+    assert tr.target.degree_cap == 2
+    structure_constants(tr.target)
+    assert [tr.target.dimension(d) for d in range(3)] \
+        == [ctx.dimension(d) for d in range(3)] == [2, 2, 4]
 
 
 def test_quotient_transport_requires_containment():
