@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -33,6 +34,14 @@ def _keyed_pairs(keys, left: dict, right: dict):
     for l2, c2 in right:
         buckets.setdefault(right_key(l2), []).append((l2, c2))
     return [(l1, c1, buckets.get(left_key(l1), ())) for l1, c1 in left.items()]
+
+
+def _blocks(coeffs: dict) -> dict:
+    """A tensor coefficient map {(l, b): c} as {b: {l: c}}, the A-blocks."""
+    out: dict = {}
+    for (l, b), c in coeffs.items():
+        out.setdefault(b, {})[l] = c
+    return out
 
 
 class AlgebraElement:
@@ -60,16 +69,10 @@ class AlgebraElement:
         return type(self)(self.alg, {l: f.mul(c, x) for l, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        """Sum of c1 c2 (l1 * l2), visiting only the pairs product_keys allows."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         alg = self.alg
-        f = alg.field
-        out: dict = {}
-        for l1, c1, partners in _keyed_pairs(alg.product_keys, self.coeffs, other.coeffs):
-            for l2, c2 in partners:
-                add_into(f, out, alg.product_cached(l1, l2), f.mul(c1, c2))
-        return alg.element_class(alg, out)
+        return alg.element_class(alg, alg.mul_into({}, self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
@@ -127,6 +130,7 @@ class BasedAlgebra:
     def __init__(self, field):
         self.field = field
         self._product_cache = {}
+        self._product_rows = defaultdict(dict)  # l1 -> {l2: _product_cache[(l1, l2)]}
 
     # -- basis interface ----------------------------------------------------
 
@@ -173,6 +177,39 @@ class BasedAlgebra:
         if out is None:
             out = self.product_on_basis(l1, l2)
             self._product_cache[key] = out
+        return out
+
+    def mul_into(self, out: dict, a: dict, b: dict, c=None) -> dict:
+        """out += c * (a b) in place on coefficient maps (c None means 1): the
+        one loop that multiplies basis labels, over the pairs product_keys
+        allows, under ``add_into``'s contract (c == 0 returns at once, a factor
+        of one costs no multiply, a cancelled label is deleted).  Rows {l1: {l2:
+        l1 l2}} hash l2 alone; a row misses through ``product_cached``."""
+        f = self.field
+        one, mul, add, is_zero = f.one, f.mul, f.add, f.is_zero
+        if c is not None:
+            if c == f.zero:
+                return out
+            if c == one:
+                c = None
+        rows = self._product_rows
+        for l1, c1, partners in _keyed_pairs(self.product_keys, a, b):
+            if c is not None:
+                c1 = mul(c, c1)
+            row = rows[l1]
+            for l2, c2 in partners:
+                p = row.get(l2)
+                if p is None:
+                    p = row[l2] = self.product_cached(l1, l2)
+                c12 = mul(c1, c2)
+                for l3, k in p.items():
+                    x = c12 if k == one else mul(c12, k)
+                    if l3 in out:
+                        x = add(out[l3], x)
+                        if is_zero(x):
+                            del out[l3]
+                            continue
+                    out[l3] = x
         return out
 
     def one_coeffs(self) -> dict:
@@ -400,26 +437,10 @@ class TensorElement(AlgebraElement):
     __slots__ = ()
 
     def __mul__(self, other):
-        """(sum_b x_b (x) b)(sum_c y_c (x) c) = sum over b, c of x_b twist(b, y_c) (x) bc.
-
-        Both factors are grouped by B-label and whole A-blocks are multiplied,
-        visiting only the pairs (b, c) that B's product_keys allow.
-        """
         if not isinstance(other, AlgebraElement) or other.alg is not self.alg:
             return NotImplemented
         T = self.alg
-        B, f = T.B, T.field
-        out: dict = {}
-        for b, x, partners in _keyed_pairs(B.product_keys, T.components(self),
-                                           T.components(other)):
-            for c, y in partners:
-                bc = B.product_cached(b, c)
-                if bc:
-                    xy = (x * T.twist(b, y)).coeffs
-                    for d, k in bc.items():
-                        add_into(f, out.setdefault(d, {}), xy, k)
-        return T.element_class(
-            T, {(l, d): c for d, coeffs in out.items() for l, c in coeffs.items()})
+        return T.element_class(T, T.mul_into({}, self.coeffs, other.coeffs))
 
 
 class TensorAlgebra(BasedAlgebra):
@@ -444,6 +465,26 @@ class TensorAlgebra(BasedAlgebra):
         """b y = twist(b, y) b: y moved from the right of b to its left."""
         return y
 
+    def mul_into(self, out, a, b, c=None):
+        """out += c (a b) by A-blocks: (sum_b x_b (x) b)(sum_e y_e (x) e) is the
+        sum over b, e of x_b twist(b, y_e) (x) be.  Whole blocks multiply through
+        A.mul_into, over only the pairs (b, e) that B's product_keys allow."""
+        A, B, f = self.A, self.B, self.field
+        if c == f.zero:
+            return out
+        blocks = _blocks(out)
+        right = {e: A.element_class(A, y) for e, y in _blocks(b).items()}
+        for e1, x, partners in _keyed_pairs(B.product_keys, _blocks(a), right):
+            for e2, y in partners:
+                be = B.product_cached(e1, e2)
+                if be:
+                    ty = self.twist(e1, y).coeffs
+                    for d, k in be.items():
+                        A.mul_into(blocks.setdefault(d, {}), x, ty, k if c is None else f.mul(c, k))
+        out.clear()
+        out.update(((l, d), v) for d, block in blocks.items() for l, v in block.items())
+        return out
+
     def labels(self):
         return [(a, b) for a in self.A.labels() for b in self.B.labels()]
 
@@ -459,7 +500,7 @@ class TensorAlgebra(BasedAlgebra):
         return out
 
     def product_on_basis(self, l1, l2):
-        """The basis product label by label, independent of ``TensorElement``."""
+        """The basis product label by label, independent of the block loop of mul_into."""
         A, B = self.A, self.B
         pb = B.product_cached(l1[1], l2[1])
         if not pb:
@@ -485,11 +526,8 @@ class TensorAlgebra(BasedAlgebra):
 
     def components(self, x: AlgebraElement) -> dict:
         """x as {b: its A-block}; B-labels absent from x are omitted."""
-        out: dict = {}
-        for (l, b), c in x.coeffs.items():
-            out.setdefault(b, {})[l] = c
         A = self.A
-        return {b: A.element_class(A, coeffs) for b, coeffs in out.items()}
+        return {b: A.element_class(A, coeffs) for b, coeffs in _blocks(x.coeffs).items()}
 
     def from_components(self, blocks) -> TensorElement:
         """sum over b of blocks[b] (x) b, for a map b -> element of A."""
@@ -542,7 +580,7 @@ class StructureConstantAlgebra(BasedAlgebra):
         super().__init__(field)
         self.size = size
         # (i, j) -> {k: c}, missing means zero; zero entries are dropped, as
-        # add_into needs every product_cached dict free of stored zeros
+        # mul_into needs every product_cached dict free of stored zeros
         self._products = {
             key: {k: c for k, c in row.items() if not field.is_zero(c)}
             for key, row in products.items()

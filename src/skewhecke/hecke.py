@@ -231,11 +231,11 @@ class _Images(dict):
         return image
 
 
-def _skeleton_sum(field, total: dict, terms, left: _Images, right: _Images) -> dict:
+def _skeleton_sum(A: BasedAlgebra, total: dict, terms, left: _Images, right: _Images) -> dict:
     """total += sum alpha_h(v) alpha_m(w) over the (h, m) of one skeleton
     entry, v and w the values whose images ``left`` and ``right`` hold."""
     for h, m in terms:
-        add_into(field, total, (left[h] * right[m]).coeffs)
+        A.mul_into(total, left[h].coeffs, right[m].coeffs)
     return total
 
 
@@ -321,7 +321,7 @@ class HeckeElement:
             for oj, w in other.values.items():
                 right = _Images(apply, w)
                 for o, terms in skeleton.get((oi, oj), ()):
-                    _skeleton_sum(ctx.field, totals.setdefault(o, {}), terms, left, right)
+                    _skeleton_sum(ctx.A, totals.setdefault(o, {}), terms, left, right)
         vals = {}
         for o in sorted(totals):
             if totals[o]:
@@ -406,7 +406,7 @@ def structure_constants(ctx: HeckeContext):
                 blocks.append((len(basis), oi, d, space.basis))
                 basis.extend((oi, v, d or 0) for v in space.basis)
     skeleton = ctx.cosets.product_skeleton()
-    apply, f, A = ctx.action.apply, ctx.field, ctx.A
+    apply, A = ctx.action.apply, ctx.A
     rows = []
     for start_i, oi, di, left_values in blocks:
         block_rows = [[] for _ in left_values]  # the rows of each i of the block
@@ -421,7 +421,7 @@ def structure_constants(ctx: HeckeContext):
             for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
                 for j, images_w in enumerate(right, start_j):
                     for o, terms in entries:
-                        total = _skeleton_sum(f, {}, terms, images_v, images_w)
+                        total = _skeleton_sum(A, {}, terms, images_v, images_w)
                         if not total:
                             continue
                         value = A.element_class(A, total)

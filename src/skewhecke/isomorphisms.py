@@ -155,7 +155,7 @@ class Transport:
 
 
 class HeckeMatrix(TensorElement):
-    """An element of a context's ``MatrixModel``; its product is ``TensorElement``'s."""
+    """An element of a context's ``MatrixModel``; it multiplies by ``TensorAlgebra.mul_into``."""
 
     __slots__ = ()
 

@@ -56,7 +56,8 @@ def _canonical(x):
 class Rationals:
     """The field of rational numbers: integral values are ``int``, the rest
     ``Fraction``.  Nearly every value met in practice is integral, and ``int``
-    arithmetic skips the gcd that every ``Fraction`` operation pays."""
+    arithmetic skips the gcd that every ``Fraction`` operation pays; add, sub
+    and mul canonicalise inline, one Python call per operation."""
 
     characteristic = 0
 
@@ -67,13 +68,13 @@ class Rationals:
         return int(n)
 
     def add(self, a, b):
-        return _canonical(a + b)
+        return x if type(x := a + b) is int or x.denominator != 1 else x.numerator
 
     def sub(self, a, b):
-        return _canonical(a - b)
+        return x if type(x := a - b) is int or x.denominator != 1 else x.numerator
 
     def mul(self, a, b):
-        return _canonical(a * b)
+        return x if type(x := a * b) is int or x.denominator != 1 else x.numerator
 
     def neg(self, a):
         return -a

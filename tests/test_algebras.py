@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke.algebras import (
+    BasedAlgebra,
     FunctionAlgebra,
     GroupAction,
     GroupAlgebra,
@@ -20,6 +21,7 @@ from skewhecke.algebras import (
     left_translation_action,
     permutation_variable_action,
     scalar_algebra,
+    tensor_product_action,
     trivial_action,
 )
 from skewhecke.groups import (
@@ -28,7 +30,9 @@ from skewhecke.groups import (
     subgroup_from_generators,
     symmetric_group,
 )
+from skewhecke.hecke import HeckeContext
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
+from skewhecke.skewgroup import SkewGroupAlgebra
 
 from reference_shapes import averaging_image, check_associativity
 
@@ -468,6 +472,93 @@ def test_declared_product_keys():
     assert MatrixAlgebra(Q, 2).product_keys is not None
     assert OppositeAlgebra(MatrixAlgebra(Q, 2)).product_keys is not None
     assert GroupAlgebra(Q, S3).product_keys is None
+
+
+def mul_into_cases(field):
+    """name -> (algebra, labels): every keyed_algebras family, a structure-constant
+    algebra whose basis products have several terms (and one is zero), a skew
+    group algebra, and the matrix model of a context whose coefficients are a
+    tensor product, so that block products nest one kernel in another."""
+    cases = {name: (A, A.labels_up_to(cap)) for name, (A, cap) in keyed_algebras(field).items()}
+    n = field.from_int
+    table = {(i, j): {(i + j) % 3: n(1), (i * j + 1) % 3: n(2 + i), 2: n(j - 1)}
+             for i in range(3) for j in range(3) if (i, j) != (2, 2)}
+    sc = StructureConstantAlgebra(field, 3, table, {0: n(1)})
+    cases["structure_constants"] = (sc, sc.labels())
+    F = FunctionAlgebra(field, S3)
+    sga = SkewGroupAlgebra(F, S3, left_translation_action(S3, F))
+    cases["skew_group"] = (sga, sga.labels())
+    T = TensorAlgebra(FunctionAlgebra(field, S3), MatrixAlgebra(field, 2))
+    ids = range(S3.order)
+    act = tensor_product_action(S3, ids, ids, left_translation_action(S3, T.A),
+                                trivial_action(S3, T.B), T)
+    H = subgroup_from_generators(S3, [t("(1 2)")])
+    model = HeckeContext(S3, H, T, act, verify_action=False).matrix_model
+    cases["matrix_model_over_tensor"] = (model, model.labels())
+    return cases
+
+
+def _algebras_within(A):
+    """A and the algebras it is built from (tensor factors, opposite's A)."""
+    out = [A]
+    for part in (getattr(A, "A", None), getattr(A, "B", None)):
+        if isinstance(part, BasedAlgebra):
+            out.extend(_algebras_within(part))
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("name", list(mul_into_cases(Q)))
+def test_mul_into_matches_the_all_pairs_product(field, name):
+    """out += c (x y) against reference_mul, for c in {None, 0, 1, -1, 3}, onto
+    an empty and a non-empty out, and onto -c (x y), which cancels to {}."""
+    A, labels = mul_into_cases(field)[name]
+    rng = random.Random(13)
+    density = min(0.6, 20 / len(labels))
+    cs = [None] + [field.from_int(c) for c in (0, 1, -1, 3)]
+    runs = []  # (x, y, z, c, c x y into {}, z + c x y into z)
+    for c in cs:
+        for _ in range(4):
+            x, y, z = (random_algebra_element(A, labels, rng, density) for _ in range(3))
+            out = {}
+            assert A.mul_into(out, x.coeffs, y.coeffs, c) is out
+            onto = A.mul_into(dict(z.coeffs), x.coeffs, y.coeffs, c)
+            runs.append((x, y, z, c, out, onto))
+    # the kernel visits only the pairs that product_keys allows: a product off
+    # the keys' buckets would enter the cache before any reference product
+    for B in _algebras_within(A):
+        if B.product_keys is not None:
+            left_key, right_key = B.product_keys
+            assert all(left_key(l1) == right_key(l2) for l1, l2 in B._product_cache)
+    for x, y, z, c, out, onto in runs:
+        expected = reference_mul(x, y).scale(field.one if c is None else c)
+        assert out == expected.coeffs
+        assert onto == (z + expected).coeffs
+        if not expected.is_zero:
+            assert A.mul_into(dict((-expected).coeffs), x.coeffs, y.coeffs, c) == {}
+
+
+def test_product_rows_share_the_product_cache():
+    """Every row entry is the _product_cache dict of its pair, also for labels
+    above a graded algebra's enumeration cap and through an opposite algebra."""
+    poly = PolynomialAlgebra(Q, 2, 2)
+    M = MatrixAlgebra(Q, 3)
+    op = OppositeAlgebra(M)
+    rng = random.Random(3)
+    high = [(3, 0), (2, 2), (0, 5)]  # degrees past the cap of 2
+    for A, labels in ((poly, poly.labels_up_to(2) + high), (op, op.labels())):
+        for _ in range(10):
+            x = random_algebra_element(A, labels, rng)
+            y = random_algebra_element(A, labels, rng)
+            assert x * y == reference_mul(x, y)
+    assert any(sum(l1) > 2 for l1 in poly._product_rows)
+    for A in (poly, op):
+        assert A._product_rows
+        for l1, row in A._product_rows.items():
+            for l2, p in row.items():
+                assert p is A._product_cache[(l1, l2)]
+                if A is op:
+                    assert p is M._product_cache[(l2, l1)]
 
 
 def reference_apply(act, g, x):
