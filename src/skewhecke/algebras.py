@@ -10,9 +10,9 @@ monomials).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -20,20 +20,6 @@ from . import linalg
 from .groups import full_subgroup
 from .linalg import add_into
 from .scalars import NotAUnitError
-
-
-def _keyed_pairs(keys, left: dict, right: dict):
-    """(l1, c1, partners) for each item of ``left`` in order: partners are the
-    (l2, c2) items of ``right``, in order, whose product with l1 may be nonzero
-    under ``keys`` (the algebra's product_keys), every item when it is None."""
-    right = list(right.items())
-    if keys is None:
-        return [(l1, c1, right) for l1, c1 in left.items()]
-    left_key, right_key = keys
-    buckets: dict = {}
-    for l2, c2 in right:
-        buckets.setdefault(right_key(l2), []).append((l2, c2))
-    return [(l1, c1, buckets.get(left_key(l1), ())) for l1, c1 in left.items()]
 
 
 def _blocks(coeffs: dict) -> dict:
@@ -130,7 +116,7 @@ class BasedAlgebra:
     def __init__(self, field):
         self.field = field
         self._product_cache = {}
-        self._product_rows = defaultdict(dict)  # l1 -> {l2: _product_cache[(l1, l2)]}
+        self._product_rows = {}  # l1 -> {l2: l1 l2 as an entry, see _entry}
 
     # -- basis interface ----------------------------------------------------
 
@@ -179,12 +165,31 @@ class BasedAlgebra:
             self._product_cache[key] = out
         return out
 
+    def _entry(self, l1, l2):
+        """l1 l2 as an entry of l1's row: its label if it is one coefficient-one
+        label, else its product_cached dict."""
+        p = self.product_cached(l1, l2)
+        return next(iter(p)) if len(p) == 1 and self.field.one in p.values() else p
+
+    @functools.cached_property
+    def _partners(self) -> dict:
+        """right key -> its labels in label order (a keyed basis is finite)."""
+        index: dict = {}
+        for l2 in self.labels():
+            index.setdefault(self.product_keys[1](l2), []).append(l2)
+        return index
+
+    def _row(self, l1) -> dict:
+        """l1's new row: an entry for each l2 the product_keys allow, none without."""
+        partners = self._partners.get(self.product_keys[0](l1), ()) if self.product_keys else ()
+        row = self._product_rows[l1] = {l2: self._entry(l1, l2) for l2 in partners}
+        return row
+
     def mul_into(self, out: dict, a: dict, b: dict, c=None) -> dict:
         """out += c * (a b) in place on coefficient maps (c None means 1): the
-        one loop that multiplies basis labels, over the pairs product_keys
-        allows, under ``add_into``'s contract (c == 0 returns at once, a factor
-        of one costs no multiply, a cancelled label is deleted).  Rows {l1: {l2:
-        l1 l2}} hash l2 alone; a row misses through ``product_cached``."""
+        one loop that multiplies basis labels, under ``add_into``'s contract.
+        With product_keys each l2 of l1's row is looked up in b, else each l2 of
+        b in the row; a one-label entry costs one multiply and one accumulate."""
         f = self.field
         one, mul, add, is_zero = f.one, f.mul, f.add, f.is_zero
         if c is not None:
@@ -192,16 +197,27 @@ class BasedAlgebra:
                 return out
             if c == one:
                 c = None
-        rows = self._product_rows
-        for l1, c1, partners in _keyed_pairs(self.product_keys, a, b):
+        rows, keyed, get = self._product_rows, self.product_keys is not None, b.get
+        for l1, c1 in a.items():
             if c is not None:
                 c1 = mul(c, c1)
-            row = rows[l1]
-            for l2, c2 in partners:
-                p = row.get(l2)
-                if p is None:
-                    p = row[l2] = self.product_cached(l1, l2)
+            row = rows.get(l1) or self._row(l1)  # an empty row is rebuilt, losing nothing
+            for l2, v in (row.items() if keyed else b.items()):
+                c2 = get(l2) if keyed else v
+                if c2 is None:  # keyed, and l2 is not in b
+                    continue
+                p = v if keyed else row.get(l2)
+                if p is None:  # not keyed: the pair's first product
+                    p = row[l2] = self._entry(l1, l2)
                 c12 = mul(c1, c2)
+                if not isinstance(p, dict):  # l1 l2 is the label p
+                    if p not in out:
+                        out[p] = c12
+                    elif is_zero(x := add(out[p], c12)):
+                        del out[p]
+                    else:
+                        out[p] = x
+                    continue
                 for l3, k in p.items():
                     x = c12 if k == one else mul(c12, k)
                     if l3 in out:
@@ -467,20 +483,29 @@ class TensorAlgebra(BasedAlgebra):
 
     def mul_into(self, out, a, b, c=None):
         """out += c (a b) by A-blocks: (sum_b x_b (x) b)(sum_e y_e (x) e) is the
-        sum over b, e of x_b twist(b, y_e) (x) be.  Whole blocks multiply through
-        A.mul_into, over only the pairs (b, e) that B's product_keys allow."""
-        A, B, f = self.A, self.B, self.field
+        sum over b, e of x_b twist(b, y_e) (x) be, over the pairs of B's rows; x_b
+        twist(b, y) is formed once per distinct block y and added to each target."""
+        A, B, f, keyed = self.A, self.B, self.field, self.B.product_keys is not None
         if c == f.zero:
             return out
         blocks = _blocks(out)
-        right = {e: A.element_class(A, y) for e, y in _blocks(b).items()}
-        for e1, x, partners in _keyed_pairs(B.product_keys, _blocks(a), right):
-            for e2, y in partners:
-                be = B.product_cached(e1, e2)
-                if be:
-                    ty = self.twist(e1, y).coeffs
-                    for d, k in be.items():
-                        A.mul_into(blocks.setdefault(d, {}), x, ty, k if c is None else f.mul(c, k))
+        distinct: dict = {}  # a right block's items -> the first block with them
+        right = {e: distinct.setdefault(frozenset(y.items()), A.element_class(A, y))
+                 for e, y in _blocks(b).items()}
+        for e1, x in _blocks(a).items():
+            products = {}  # id of a distinct right block y -> x twist(e1, y)
+            row = B._product_rows.get(e1) or B._row(e1)
+            for e2, z in (row.items() if keyed else right.items()):
+                y, be = (right.get(e2), z) if keyed else (z, row.get(e2))
+                if y is None:  # keyed, and e2 is not in b
+                    continue
+                if be is None:
+                    be = row[e2] = B._entry(e1, e2)
+                xy = products.get(id(y))
+                if xy is None:
+                    xy = products[id(y)] = A.mul_into({}, x, self.twist(e1, y).coeffs)
+                for d, k in be.items() if isinstance(be, dict) else ((be, f.one),):
+                    add_into(f, blocks.setdefault(d, {}), xy, k if c is None else f.mul(c, k))
         out.clear()
         out.update(((l, d), v) for d, block in blocks.items() for l, v in block.items())
         return out

@@ -13,8 +13,8 @@ here is a composition of public pieces of the package:
   on the quotient context.
 
 The rest are plain references that tests compare the package against:
-averaging images of invariants, associativity on basis triples, subgroup
-intersection and permutation inverse.
+averaging images of invariants, the all-pairs product, associativity on basis
+triples, subgroup intersection and permutation inverse.
 """
 
 from skewhecke import linalg
@@ -92,6 +92,22 @@ def averaging_image(A, S_elements, action, degree=None):
         if span.insert(img.to_vector(labels)):
             out.append(img)
     return out
+
+
+def reference_mul(x, y):
+    """All-pairs product: every (l1, l2) through product_cached, keys ignored."""
+    A = x.alg
+    f = A.field
+    out = {}
+    for l1, c1 in x.coeffs.items():
+        for l2, c2 in y.coeffs.items():
+            for l3, c3 in A.product_cached(l1, l2).items():
+                s = f.add(out.get(l3, f.zero), f.mul(f.mul(c1, c2), c3))
+                if f.is_zero(s):
+                    out.pop(l3, None)
+                else:
+                    out[l3] = s
+    return A.element(out)
 
 
 def check_associativity(A, degree_cap=None, max_triples=None, rng=None):

@@ -34,7 +34,7 @@ from skewhecke.hecke import HeckeContext
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra
 
-from reference_shapes import averaging_image, check_associativity
+from reference_shapes import averaging_image, check_associativity, reference_mul
 
 Q = Rationals()
 S3 = symmetric_group(3)
@@ -410,22 +410,6 @@ def test_element_inverse_graded_tensor_product():
 # -- fast paths against plain references ----------------------------------------
 
 
-def reference_mul(x, y):
-    """All-pairs product: every (l1, l2) through product_cached, keys ignored."""
-    A = x.alg
-    f = A.field
-    out = {}
-    for l1, c1 in x.coeffs.items():
-        for l2, c2 in y.coeffs.items():
-            for l3, c3 in A.product_cached(l1, l2).items():
-                s = f.add(out.get(l3, f.zero), f.mul(f.mul(c1, c2), c3))
-                if f.is_zero(s):
-                    out.pop(l3, None)
-                else:
-                    out[l3] = s
-    return A.element(out)
-
-
 def random_algebra_element(A, labels, rng, density=0.6):
     f = A.field
     return A.element({
@@ -474,17 +458,36 @@ def test_declared_product_keys():
     assert GroupAlgebra(Q, S3).product_keys is None
 
 
+def mixed_structure_constants(field):
+    """A structure-constant algebra whose basis products are one coefficient-one
+    label, one label with another coefficient, several terms, or zero (given
+    as {} or missing), so its rows hold both kinds of entry."""
+    n = field.from_int
+    table = {(0, j): {j: n(1)} for j in range(3)}
+    table.update({(1, 0): {1: n(1)}, (2, 0): {2: n(1)}, (1, 1): {0: n(1), 2: n(3)},
+                  (1, 2): {}, (2, 1): {1: n(2)}})
+    return StructureConstantAlgebra(field, 3, table, {0: n(1)})
+
+
 def mul_into_cases(field):
-    """name -> (algebra, labels): every keyed_algebras family, a structure-constant
-    algebra whose basis products have several terms (and one is zero), a skew
-    group algebra, and the matrix model of a context whose coefficients are a
-    tensor product, so that block products nest one kernel in another."""
+    """name -> (algebra, labels): every keyed_algebras family, structure-constant
+    algebras whose basis products have several terms (and one is zero) or mix
+    one-label, multi-term and zero products, polynomial labels above the
+    enumeration cap, the opposite of a function algebra, a skew group algebra,
+    and the matrix model of a context whose coefficients are a tensor product,
+    so that block products nest one kernel in another."""
     cases = {name: (A, A.labels_up_to(cap)) for name, (A, cap) in keyed_algebras(field).items()}
     n = field.from_int
     table = {(i, j): {(i + j) % 3: n(1), (i * j + 1) % 3: n(2 + i), 2: n(j - 1)}
              for i in range(3) for j in range(3) if (i, j) != (2, 2)}
     sc = StructureConstantAlgebra(field, 3, table, {0: n(1)})
     cases["structure_constants"] = (sc, sc.labels())
+    mixed = mixed_structure_constants(field)
+    cases["structure_constants_mixed"] = (mixed, mixed.labels())
+    poly = PolynomialAlgebra(field, 2, 2)
+    cases["polynomial_above_cap"] = (poly, poly.labels_up_to(2) + [(3, 0), (2, 2), (0, 5)])
+    op = OppositeAlgebra(FunctionAlgebra(field, S3))
+    cases["opposite_functions"] = (op, op.labels())
     F = FunctionAlgebra(field, S3)
     sga = SkewGroupAlgebra(F, S3, left_translation_action(S3, F))
     cases["skew_group"] = (sga, sga.labels())
@@ -511,15 +514,18 @@ def _algebras_within(A):
 @pytest.mark.parametrize("name", list(mul_into_cases(Q)))
 def test_mul_into_matches_the_all_pairs_product(field, name):
     """out += c (x y) against reference_mul, for c in {None, 0, 1, -1, 3}, onto
-    an empty and a non-empty out, and onto -c (x y), which cancels to {}."""
+    an empty and a non-empty out, and onto -c (x y), which cancels to {}.  Some
+    right factors are one label or zero, shorter than a keyed algebra's rows."""
     A, labels = mul_into_cases(field)[name]
     rng = random.Random(13)
     density = min(0.6, 20 / len(labels))
     cs = [None] + [field.from_int(c) for c in (0, 1, -1, 3)]
     runs = []  # (x, y, z, c, c x y into {}, z + c x y into z)
     for c in cs:
-        for _ in range(4):
+        for kind in ("random",) * 4 + ("one label", "zero"):
             x, y, z = (random_algebra_element(A, labels, rng, density) for _ in range(3))
+            if kind != "random":
+                y = A.basis_element(rng.choice(labels)) if kind == "one label" else A.zero()
             out = {}
             assert A.mul_into(out, x.coeffs, y.coeffs, c) is out
             onto = A.mul_into(dict(z.coeffs), x.coeffs, y.coeffs, c)
@@ -539,26 +545,38 @@ def test_mul_into_matches_the_all_pairs_product(field, name):
 
 
 def test_product_rows_share_the_product_cache():
-    """Every row entry is the _product_cache dict of its pair, also for labels
-    above a graded algebra's enumeration cap and through an opposite algebra."""
+    """Rows hold no product of their own: an entry is the label l3 when the
+    _product_cache dict of its pair is {l3: 1}, and that dict itself otherwise,
+    also for labels above a graded algebra's enumeration cap and through an
+    opposite algebra, whose cached products are A's (l2, l1) dicts."""
     poly = PolynomialAlgebra(Q, 2, 2)
     M = MatrixAlgebra(Q, 3)
     op = OppositeAlgebra(M)
+    mixed = mixed_structure_constants(Q)
     rng = random.Random(3)
     high = [(3, 0), (2, 2), (0, 5)]  # degrees past the cap of 2
-    for A, labels in ((poly, poly.labels_up_to(2) + high), (op, op.labels())):
+    for A, labels in ((poly, poly.labels_up_to(2) + high), (op, op.labels()),
+                      (mixed, mixed.labels())):
         for _ in range(10):
             x = random_algebra_element(A, labels, rng)
             y = random_algebra_element(A, labels, rng)
             assert x * y == reference_mul(x, y)
     assert any(sum(l1) > 2 for l1 in poly._product_rows)
-    for A in (poly, op):
+    kinds = set()
+    for A in (poly, op, mixed):
         assert A._product_rows
         for l1, row in A._product_rows.items():
             for l2, p in row.items():
-                assert p is A._product_cache[(l1, l2)]
+                cached = A._product_cache[(l1, l2)]
+                if isinstance(p, dict):
+                    assert p is cached
+                    assert len(cached) != 1 or Q.one not in cached.values()
+                else:
+                    assert cached == {p: Q.one}
+                kinds.add((A is mixed, isinstance(p, dict)))
                 if A is op:
-                    assert p is M._product_cache[(l2, l1)]
+                    assert cached is M._product_cache[(l2, l1)]
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def reference_apply(act, g, x):

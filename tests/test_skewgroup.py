@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -12,15 +13,19 @@ from skewhecke.algebras import (
     scalar_algebra,
     trivial_action,
 )
+from skewhecke.cli import build_context, parse_config
 from skewhecke.groups import (
     subgroup_from_generators,
     symmetric_group,
     trivial_subgroup,
 )
+from skewhecke.isomorphisms import corner_lift, to_matrix
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
-from skewhecke.skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent
+from skewhecke.skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent, subgroup_sum
 
-from reference_shapes import check_associativity
+from reference_shapes import check_associativity, reference_mul
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 Q = Rationals()
 S3 = symmetric_group(3)
@@ -192,3 +197,39 @@ def test_twisted_product_passes_the_generic_associativity_check(family):
     # A x| G is a BasedAlgebra, so the checker every algebra family uses applies
     sga = skew_fixture(family)
     assert check_associativity(sga, max_triples=500, rng=random.Random(5)) == []
+
+
+# ---------------------------------------------------------------------------
+# products whose right factor repeats an A-block under several group labels
+
+
+@pytest.mark.parametrize("name", ["functions_s3", "group_algebra_conjugation", "functions_s3_gf5"])
+def test_repeated_blocks_match_the_label_product(name):
+    """The block loop forms x_g alpha_g(y) once per left group label g and
+    distinct right block y, and adds it to every target; each product is
+    checked against the label-by-label product_on_basis sum.  The corner lift
+    repeats each value |H| times, E = sum_h 1 . h repeats 1_A, and ``repeated``
+    puts one block that alpha moves, and twice it, under every group label."""
+    ctx = build_context(parse_config((GOLDEN / f"{name}.cfg").read_text()))
+    sga = SkewGroupAlgebra(ctx.A, ctx.G, ctx.action)
+    A, G, f = ctx.A, ctx.G, ctx.field
+    rng = random.Random(17)
+    lifts = [corner_lift(ctx, sga, ctx.random_element(rng)) for _ in range(3)]
+    E = subgroup_sum(sga, ctx.H)
+    y = A.combination((A.basis_element(l), f.from_int(c))
+                      for l, c in zip(A.labels(), (1, -2, 0, 3, 1, 0)) if c)
+    assert any(ctx.action.apply(g, y) != y for g in range(G.order))
+    repeated = sga.from_components({g: y.scale(f.from_int(1 + g % 2)) for g in range(G.order)})
+    pairs = [(x, z) for x in lifts for z in lifts]
+    terms = [sga.term(A.basis_element(l), g) for l in A.labels()[:2] for g in (1, 3)]
+    pairs += [(E, t) for t in terms] + [(E * t, E) for t in terms]
+    pairs += [(x, repeated) for x in lifts + [repeated, random_element(sga, rng)]]
+    for x, z in pairs:
+        assert x * z == reference_mul(x, z)
+
+
+def test_matrix_model_product_matches_the_label_product():
+    ctx = build_context(parse_config((GOLDEN / "functions_s3.cfg").read_text()))
+    rng = random.Random(19)
+    x, z = (to_matrix(ctx.random_element(rng)) for _ in range(2))
+    assert x * z == reference_mul(x, z)
