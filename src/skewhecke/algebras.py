@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -185,22 +186,19 @@ class BasedAlgebra:
         row = self._product_rows[l1] = {l2: self._entry(l1, l2) for l2 in partners}
         return row
 
-    def mul_into(self, out: dict, a: dict, b: dict, c=None) -> dict:
-        """out += c * (a b) in place on coefficient maps (c None means 1): the
-        one loop that multiplies basis labels, under ``add_into``'s contract.
+    def accumulate(self, out: dict, a: dict, b: dict, c=None) -> dict:
+        """out += c * (a b) in place on coefficient maps (c None means 1), in raw
+        values (see ``scalars``): the one loop that multiplies basis labels.
         With product_keys each l2 of l1's row is looked up in b, else each l2 of
-        b in the row; a one-label entry costs one multiply and one accumulate."""
-        f = self.field
-        one, mul, add, is_zero = f.one, f.mul, f.add, f.is_zero
-        if c is not None:
-            if c == f.zero:
-                return out
-            if c == one:
-                c = None
+        b in the row; a one-label entry costs one multiply and one add."""
+        if c == self.field.zero:
+            return out
+        if c == self.field.one:
+            c = None
         rows, keyed, get = self._product_rows, self.product_keys is not None, b.get
         for l1, c1 in a.items():
             if c is not None:
-                c1 = mul(c, c1)
+                c1 = c * c1
             row = rows.get(l1) or self._row(l1)  # an empty row is rebuilt, losing nothing
             for l2, v in (row.items() if keyed else b.items()):
                 c2 = get(l2) if keyed else v
@@ -209,24 +207,17 @@ class BasedAlgebra:
                 p = v if keyed else row.get(l2)
                 if p is None:  # not keyed: the pair's first product
                     p = row[l2] = self._entry(l1, l2)
-                c12 = mul(c1, c2)
-                if not isinstance(p, dict):  # l1 l2 is the label p
-                    if p not in out:
-                        out[p] = c12
-                    elif is_zero(x := add(out[p], c12)):
-                        del out[p]
-                    else:
-                        out[p] = x
+                x = c1 * c2
+                if type(p) is not dict:  # l1 l2 is the label p
+                    out[p] = out[p] + x if p in out else x
                     continue
                 for l3, k in p.items():
-                    x = c12 if k == one else mul(c12, k)
-                    if l3 in out:
-                        x = add(out[l3], x)
-                        if is_zero(x):
-                            del out[l3]
-                            continue
-                    out[l3] = x
+                    out[l3] = out[l3] + x * k if l3 in out else x * k
         return out
+
+    def mul_into(self, out: dict, a: dict, b: dict, c=None) -> dict:
+        """out += c * (a b) in place and canonical: ``accumulate``, then ``reduce_into``."""
+        return self.field.reduce_into(self.accumulate(out, a, b, c))
 
     def one_coeffs(self) -> dict:
         raise NotImplementedError
@@ -481,10 +472,11 @@ class TensorAlgebra(BasedAlgebra):
         """b y = twist(b, y) b: y moved from the right of b to its left."""
         return y
 
-    def mul_into(self, out, a, b, c=None):
-        """out += c (a b) by A-blocks: (sum_b x_b (x) b)(sum_e y_e (x) e) is the
-        sum over b, e of x_b twist(b, y_e) (x) be, over the pairs of B's rows; x_b
-        twist(b, y) is formed once per distinct block y and added to each target."""
+    def accumulate(self, out, a, b, c=None):
+        """out += c (a b) by A-blocks, in raw values: (sum_b x_b (x) b)(sum_e y_e (x) e)
+        is the sum over b, e of x_b twist(b, y_e) (x) be, over the pairs of B's rows.
+        A right block met once, with be one label, is multiplied straight into its
+        target; x_b twist(b, y) of any other distinct y is formed once and added."""
         A, B, f, keyed = self.A, self.B, self.field, self.B.product_keys is not None
         if c == f.zero:
             return out
@@ -492,8 +484,9 @@ class TensorAlgebra(BasedAlgebra):
         distinct: dict = {}  # a right block's items -> the first block with them
         right = {e: distinct.setdefault(frozenset(y.items()), A.element_class(A, y))
                  for e, y in _blocks(b).items()}
+        uses = Counter(map(id, right.values()))
         for e1, x in _blocks(a).items():
-            products = {}  # id of a distinct right block y -> x twist(e1, y)
+            products = {}  # id of a shared right block y -> x twist(e1, y)
             row = B._product_rows.get(e1) or B._row(e1)
             for e2, z in (row.items() if keyed else right.items()):
                 y, be = (right.get(e2), z) if keyed else (z, row.get(e2))
@@ -501,11 +494,16 @@ class TensorAlgebra(BasedAlgebra):
                     continue
                 if be is None:
                     be = row[e2] = B._entry(e1, e2)
+                if uses[id(y)] == 1 and not isinstance(be, dict):
+                    A.accumulate(blocks.setdefault(be, {}), x, self.twist(e1, y).coeffs, c)
+                    continue
                 xy = products.get(id(y))
                 if xy is None:
-                    xy = products[id(y)] = A.mul_into({}, x, self.twist(e1, y).coeffs)
+                    xy = products[id(y)] = A.accumulate({}, x, self.twist(e1, y).coeffs)
                 for d, k in be.items() if isinstance(be, dict) else ((be, f.one),):
-                    add_into(f, blocks.setdefault(d, {}), xy, k if c is None else f.mul(c, k))
+                    k, block = k if c is None else c * k, blocks.setdefault(d, {})
+                    for l, v in xy.items():
+                        block[l] = block[l] + k * v if l in block else k * v
         out.clear()
         out.update(((l, d), v) for d, block in blocks.items() for l, v in block.items())
         return out
@@ -525,7 +523,7 @@ class TensorAlgebra(BasedAlgebra):
         return out
 
     def product_on_basis(self, l1, l2):
-        """The basis product label by label, independent of the block loop of mul_into."""
+        """The basis product label by label, independent of the block loop of accumulate."""
         A, B = self.A, self.B
         pb = B.product_cached(l1[1], l2[1])
         if not pb:
@@ -605,7 +603,7 @@ class StructureConstantAlgebra(BasedAlgebra):
         super().__init__(field)
         self.size = size
         # (i, j) -> {k: c}, missing means zero; zero entries are dropped, as
-        # mul_into needs every product_cached dict free of stored zeros
+        # a product_cached dict is a coefficient map and stores no zeros
         self._products = {
             key: {k: c for k, c in row.items() if not field.is_zero(c)}
             for key, row in products.items()

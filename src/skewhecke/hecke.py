@@ -232,11 +232,11 @@ class _Images(dict):
 
 
 def _skeleton_sum(A: BasedAlgebra, total: dict, terms, left: _Images, right: _Images) -> dict:
-    """total += sum alpha_h(v) alpha_m(w) over the (h, m) of one skeleton
-    entry, v and w the values whose images ``left`` and ``right`` hold."""
+    """total += sum alpha_h(v) alpha_m(w) over the (h, m) of one skeleton entry
+    (v, w the values whose images ``left``, ``right`` hold), reduced once at the end."""
     for h, m in terms:
-        A.mul_into(total, left[h].coeffs, right[m].coeffs)
-    return total
+        A.accumulate(total, left[h].coeffs, right[m].coeffs)
+    return A.field.reduce_into(total)
 
 
 class HeckeElement:

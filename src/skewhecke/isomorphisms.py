@@ -155,7 +155,7 @@ class Transport:
 
 
 class HeckeMatrix(TensorElement):
-    """An element of a context's ``MatrixModel``; it multiplies by ``TensorAlgebra.mul_into``."""
+    """An element of a context's ``MatrixModel``; it multiplies by ``TensorAlgebra.accumulate``."""
 
     __slots__ = ()
 

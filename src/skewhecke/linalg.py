@@ -15,26 +15,19 @@ from __future__ import annotations
 def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
     """out += c * coeffs in place (c None means 1); neither dict stores zeros.
 
-    The data decides the work: c == 0 returns at once, a factor of one (c or
-    an entry of coeffs) costs no multiply, and a label new to ``out`` is stored
-    with no zero test, since a field has no zero divisors.  Only a sum onto an
-    existing entry is tested, and dropped when it cancels.
+    c == 0 returns at once and c == 1 costs no multiply.  The sums are raw
+    (see ``scalars``), and only the keys of coeffs are reduced, once, so a
+    label new to ``out`` costs no field call and a cancelled one is dropped.
     """
-    if c is not None:
-        if c == field.zero:
-            return out
-        if c == field.one:
-            c = None
+    if c == field.zero:
+        return out
+    if c == field.one:
+        c = None
     for l, x in coeffs.items():
         if c is not None:
-            x = c if x == field.one else field.mul(c, x)
-        if l in out:
-            x = field.add(out[l], x)
-            if field.is_zero(x):
-                del out[l]
-                continue
-        out[l] = x
-    return out
+            x = c * x
+        out[l] = out[l] + x if l in out else x
+    return field.reduce_into(out, coeffs)
 
 
 def rref(field, rows):

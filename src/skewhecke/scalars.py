@@ -6,6 +6,12 @@ and the equal ``Fraction`` compare equal, hash the same and print the same, so
 the split shows only in speed); a prime-field value is an ``int`` in
 ``[0, p)``.  Field objects supply the arithmetic so that the rest of the
 library is generic over the coefficient field.
+
+Hot loops may skip the field methods: on values of either field, Python's own
+``+``, ``-`` and ``*`` compute the field operation up to reduction, exactly
+over Q and mod p over GF(p).  Such raw values live only in a coefficient map
+under construction; ``reduce_into`` is the one place a coefficient map is
+brought back to canonical form, its zeros deleted.
 """
 
 from __future__ import annotations
@@ -87,6 +93,24 @@ class Rationals:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def reduce_into(self, out: dict, keys=None) -> dict:
+        """``out`` canonical at ``keys`` (None: everywhere) in place, zeros
+        deleted; a map of nonzero ints, the common case, costs one scan."""
+        if keys is None:
+            for x in out.values():
+                if type(x) is not int or not x:
+                    break
+            else:
+                return out
+            keys = [*out]
+        for k in keys:
+            x = out[k]
+            if type(x) is not int and x.denominator == 1:
+                x = out[k] = x.numerator
+            if not x:
+                del out[k]
+        return out
+
     def parse(self, s: str):
         try:
             return _canonical(Fraction(s.strip()))
@@ -142,6 +166,16 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def reduce_into(self, out: dict, keys=None) -> dict:
+        """``out`` reduced mod p at ``keys`` (None: everywhere) in place, zeros deleted."""
+        p = self.p
+        for k in [*out] if keys is None else keys:
+            if x := out[k] % p:
+                out[k] = x
+            else:
+                del out[k]
+        return out
 
     def parse(self, s: str) -> int:
         """An integer literal ``a`` or a fraction ``a/b``, read as a b^-1 mod p."""

@@ -21,7 +21,7 @@ from .scalars import NotAUnitError
 
 
 class SkewGroupElement(TensorElement):
-    """An element of A x| G; it multiplies by ``TensorAlgebra.mul_into``, twisted."""
+    """An element of A x| G; it multiplies by ``TensorAlgebra.accumulate``, twisted."""
 
     __slots__ = ()
 

@@ -14,8 +14,11 @@ here is a composition of public pieces of the package:
 
 The rest are plain references that tests compare the package against:
 averaging images of invariants, the all-pairs product, associativity on basis
-triples, subgroup intersection and permutation inverse.
+triples, subgroup intersection, permutation inverse and the canonical form of a
+scalar.
 """
+
+from fractions import Fraction
 
 from skewhecke import linalg
 from skewhecke.algebras import TensorAlgebra
@@ -142,3 +145,13 @@ def perm_inverse(p):
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def assert_canonical(x, field=None):
+    """x is a scalar in canonical form: over GF(p) an int in [0, p); over Q
+    (field None or Rationals) an int when integral, a Fraction otherwise."""
+    if getattr(field, "characteristic", 0):
+        assert type(x) is int and 0 <= x < field.p
+    else:
+        assert type(x) in (int, Fraction)
+        assert (type(x) is int) == (Fraction(x).denominator == 1)

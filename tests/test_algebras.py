@@ -34,7 +34,12 @@ from skewhecke.hecke import HeckeContext
 from skewhecke.scalars import NotAUnitError, PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra
 
-from reference_shapes import averaging_image, check_associativity, reference_mul
+from reference_shapes import (
+    assert_canonical,
+    averaging_image,
+    check_associativity,
+    reference_mul,
+)
 
 Q = Rationals()
 S3 = symmetric_group(3)
@@ -513,13 +518,14 @@ def _algebras_within(A):
 @pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "GF5"])
 @pytest.mark.parametrize("name", list(mul_into_cases(Q)))
 def test_mul_into_matches_the_all_pairs_product(field, name):
-    """out += c (x y) against reference_mul, for c in {None, 0, 1, -1, 3}, onto
-    an empty and a non-empty out, and onto -c (x y), which cancels to {}.  Some
+    """out += c (x y) against reference_mul, for c in {None, 0, 1, -1, 3, 1/2},
+    onto an empty and a non-empty out, and onto -c (x y), which cancels to {};
+    every coefficient comes out canonical.  Some
     right factors are one label or zero, shorter than a keyed algebra's rows."""
     A, labels = mul_into_cases(field)[name]
     rng = random.Random(13)
     density = min(0.6, 20 / len(labels))
-    cs = [None] + [field.from_int(c) for c in (0, 1, -1, 3)]
+    cs = [None] + [field.from_int(c) for c in (0, 1, -1, 3)] + [field.parse("1/2")]
     runs = []  # (x, y, z, c, c x y into {}, z + c x y into z)
     for c in cs:
         for kind in ("random",) * 4 + ("one label", "zero"):
@@ -540,6 +546,8 @@ def test_mul_into_matches_the_all_pairs_product(field, name):
         expected = reference_mul(x, y).scale(field.one if c is None else c)
         assert out == expected.coeffs
         assert onto == (z + expected).coeffs
+        for v in (*out.values(), *onto.values()):  # no raw value escapes the kernel
+            assert_canonical(v, field)
         if not expected.is_zero:
             assert A.mul_into(dict((-expected).coeffs), x.coeffs, y.coeffs, c) == {}
 

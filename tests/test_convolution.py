@@ -251,7 +251,7 @@ def test_skeleton_built_lazily_once():
 
 GROUPS = {"symmetric(3)": S3, "dihedral(4)": D4, "cyclic(4)": cyclic_group(4)}
 FIELDS = ("prime_field(5)", "rationals")
-PRIMES = (2, 3, 5, 7)
+PRIMES = (2, 3, 5, 7, 2 ** 61 - 1)  # the last makes raw sums pass 2^64
 FAMILIES = ("functions", "conjugation", "matrix_trivial", "scalar", "polynomial")
 
 

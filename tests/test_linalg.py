@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from skewhecke import linalg
 from skewhecke.scalars import PrimeField, Rationals
 
+from reference_shapes import assert_canonical
+
 Q = Rationals()
 F2 = PrimeField(2)
 F7 = PrimeField(7)
@@ -244,6 +246,8 @@ def test_add_into_matches_a_naive_sum(field, data):
     assert result is out
     assert result == expected
     assert not any(field.is_zero(x) for x in result.values())
+    for x in result.values():
+        assert_canonical(x, field)
 
 
 def test_empty_matrix_nullspace_is_everything():

@@ -11,6 +11,8 @@ from skewhecke.scalars import (
     is_prime,
 )
 
+from reference_shapes import assert_canonical
+
 Q = Rationals()
 F5 = PrimeField(5)
 F97 = PrimeField(97)
@@ -57,11 +59,6 @@ def canonical(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def assert_canonical(x):
-    assert type(x) in (int, Fraction)
-    assert (type(x) is int) == (Fraction(x).denominator == 1)
-
-
 # canonical rationals, integral ones included, and ints past 64 bits
 rational_values = st.one_of(
     rationals, st.integers(min_value=-(10 ** 30), max_value=10 ** 30)
@@ -91,6 +88,56 @@ def test_rationals_match_fraction_and_stay_canonical(a, b):
         assert_canonical(got)
     for constant in (Q.zero, Q.one):
         assert type(constant) is int
+
+
+P61 = PrimeField(2 ** 61 - 1)
+
+
+@st.composite
+def raw_sums(draw, field):
+    """(raw, expected): a raw value built with Python's + - * from canonical
+    values, and the same expression through the field's methods."""
+    value = rational_values if field.characteristic == 0 else mod_elements(field)
+    a, b, c, d, e = (draw(value) for _ in range(5))
+    f = field
+    kind = draw(st.sampled_from(["a*b + c*d - e", "cancels", "integral product"]))
+    if kind == "cancels":  # e is a*b + c*d through the field
+        e = f.add(f.mul(a, b), f.mul(c, d))
+    elif kind == "integral product":  # a Fraction times its denominator
+        if type(a) is not int:
+            b = a.denominator * draw(st.integers(-5, 5))
+        return a * b, f.mul(a, b)
+    return a * b + c * d - e, f.sub(f.add(f.mul(a, b), f.mul(c, d)), e)
+
+
+@settings(max_examples=200)
+@pytest.mark.parametrize("field", [Q, F5, P61], ids=["Q", "GF5", "GF2^61-1"])
+@given(data=st.data())
+def test_reduce_into_keeps_the_field_contract(field, data):
+    """Python's + - * on canonical values are the field's operations up to
+    reduction, and reduce_into turns a map of raw values into what the field
+    methods give: canonical, with no zeros; with keys it touches no other key.
+    The contract needs numbers: on tuple values + would concatenate."""
+    sums = data.draw(st.dictionaries(st.integers(0, 9), raw_sums(field), max_size=6))
+    raw = {l: r for l, (r, _) in sums.items()}
+    expected = {l: x for l, (_, x) in sums.items() if not field.is_zero(x)}
+    out = dict(raw)
+    assert field.reduce_into(out) is out
+    assert out == expected
+    for x in out.values():
+        assert_canonical(x, field)
+        assert not field.is_zero(x)
+    keys = data.draw(st.sets(st.sampled_from(sorted(raw)))) if raw else set()
+    part = dict(raw)
+    assert field.reduce_into(part, {k: None for k in keys}) is part
+    for l, x in raw.items():
+        if l not in keys:
+            assert type(part[l]) is type(x) and part[l] == x
+        elif l in expected:
+            assert part[l] == expected[l]
+            assert_canonical(part[l], field)
+        else:
+            assert l not in part
 
 
 @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
