@@ -13,13 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
 from . import linalg
 from .groups import full_subgroup
-from .linalg import add_into
+from .linalg import add_into, add_raw
 from .scalars import NotAUnitError
 
 
@@ -474,9 +473,8 @@ class TensorAlgebra(BasedAlgebra):
 
     def accumulate(self, out, a, b, c=None):
         """out += c (a b) by A-blocks, in raw values: (sum_b x_b (x) b)(sum_e y_e (x) e)
-        is the sum over b, e of x_b twist(b, y_e) (x) be, over the pairs of B's rows.
-        A right block met once, with be one label, is multiplied straight into its
-        target; x_b twist(b, y) of any other distinct y is formed once and added."""
+        is the sum over b, e of x_b twist(b, y_e) (x) be, over the pairs of B's rows;
+        x_b twist(b, y) is formed once per distinct block y and added to each target."""
         A, B, f, keyed = self.A, self.B, self.field, self.B.product_keys is not None
         if c == f.zero:
             return out
@@ -484,9 +482,8 @@ class TensorAlgebra(BasedAlgebra):
         distinct: dict = {}  # a right block's items -> the first block with them
         right = {e: distinct.setdefault(frozenset(y.items()), A.element_class(A, y))
                  for e, y in _blocks(b).items()}
-        uses = Counter(map(id, right.values()))
         for e1, x in _blocks(a).items():
-            products = {}  # id of a shared right block y -> x twist(e1, y)
+            products = {}  # id of a distinct right block y -> x twist(e1, y)
             row = B._product_rows.get(e1) or B._row(e1)
             for e2, z in (row.items() if keyed else right.items()):
                 y, be = (right.get(e2), z) if keyed else (z, row.get(e2))
@@ -494,16 +491,12 @@ class TensorAlgebra(BasedAlgebra):
                     continue
                 if be is None:
                     be = row[e2] = B._entry(e1, e2)
-                if uses[id(y)] == 1 and not isinstance(be, dict):
-                    A.accumulate(blocks.setdefault(be, {}), x, self.twist(e1, y).coeffs, c)
-                    continue
                 xy = products.get(id(y))
                 if xy is None:
                     xy = products[id(y)] = A.accumulate({}, x, self.twist(e1, y).coeffs)
                 for d, k in be.items() if isinstance(be, dict) else ((be, f.one),):
-                    k, block = k if c is None else c * k, blocks.setdefault(d, {})
-                    for l, v in xy.items():
-                        block[l] = block[l] + k * v if l in block else k * v
+                    k = k if c is None else c * k
+                    add_raw(blocks.setdefault(d, {}), xy, None if k == f.one else k)
         out.clear()
         out.update(((l, d), v) for d, block in blocks.items() for l, v in block.items())
         return out

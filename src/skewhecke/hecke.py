@@ -233,10 +233,11 @@ class _Images(dict):
 
 def _skeleton_sum(A: BasedAlgebra, total: dict, terms, left: _Images, right: _Images) -> dict:
     """total += sum alpha_h(v) alpha_m(w) over the (h, m) of one skeleton entry
-    (v, w the values whose images ``left``, ``right`` hold), reduced once at the end."""
+    (v, w the values whose images ``left``, ``right`` hold), in raw values: the
+    caller reduces each total once, when it is complete."""
     for h, m in terms:
         A.accumulate(total, left[h].coeffs, right[m].coeffs)
-    return A.field.reduce_into(total)
+    return total
 
 
 class HeckeElement:
@@ -324,7 +325,7 @@ class HeckeElement:
                     _skeleton_sum(ctx.A, totals.setdefault(o, {}), terms, left, right)
         vals = {}
         for o in sorted(totals):
-            if totals[o]:
+            if ctx.A.field.reduce_into(totals[o]):
                 value = ctx.A.element_class(ctx.A, totals[o])
                 ctx.validate_value(o, value)
                 vals[o] = value
@@ -421,7 +422,7 @@ def structure_constants(ctx: HeckeContext):
             for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
                 for j, images_w in enumerate(right, start_j):
                     for o, terms in entries:
-                        total = _skeleton_sum(A, {}, terms, images_v, images_w)
+                        total = A.field.reduce_into(_skeleton_sum(A, {}, terms, images_v, images_w))
                         if not total:
                             continue
                         value = A.element_class(A, total)

@@ -1,7 +1,7 @@
 """Exact linear algebra over a scalar field: sparse sums and dense elimination.
 
 Sparse vectors are key -> value dicts with no stored zeros, summed by
-``add_into``.  Matrices are lists of rows; rows are lists of field values.
+``add_into``, or in raw values by ``add_raw``.  Matrices are lists of rows; rows are lists of field values.
 ``SpanBasis`` is the one Gaussian elimination: it reduces each incoming row
 against the rows kept so far, divides by the pivot, and keeps its rows fully
 reduced, all in exact arithmetic (fine at the dimensions this library works
@@ -12,22 +12,26 @@ matrix has one reduced row echelon form, so the result is reproducible.
 from __future__ import annotations
 
 
-def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
-    """out += c * coeffs in place (c None means 1); neither dict stores zeros.
-
-    c == 0 returns at once and c == 1 costs no multiply.  The sums are raw
-    (see ``scalars``), and only the keys of coeffs are reduced, once, so a
-    label new to ``out`` costs no field call and a cancelled one is dropped.
-    """
-    if c == field.zero:
-        return out
-    if c == field.one:
-        c = None
+def add_raw(out: dict, coeffs: dict, c=None) -> dict:
+    """out += c * coeffs in place (c None means 1) in raw values (see
+    ``scalars``): Python's own ``*`` and ``+``, nothing reduced."""
     for l, x in coeffs.items():
         if c is not None:
             x = c * x
         out[l] = out[l] + x if l in out else x
-    return field.reduce_into(out, coeffs)
+    return out
+
+
+def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
+    """out += c * coeffs in place (c None means 1); neither dict stores zeros.
+
+    c == 0 returns at once and c == 1 costs no multiply.  The sums are raw
+    (``add_raw``), and only the keys of coeffs are reduced, once, so a label
+    new to ``out`` costs no field call and a cancelled one is dropped.
+    """
+    if c == field.zero:
+        return out
+    return field.reduce_into(add_raw(out, coeffs, None if c == field.one else c), coeffs)
 
 
 def rref(field, rows):
