@@ -1,7 +1,8 @@
 """Exact linear algebra over a scalar field: sparse sums and dense elimination.
 
 Sparse vectors are key -> value dicts with no stored zeros, summed by
-``add_into``, or in raw values by ``add_raw``.  Matrices are lists of rows; rows are lists of field values.
+``add_into``, or in raw values by ``add_raw``.  Matrices are lists of rows;
+rows are lists of field values.
 ``SpanBasis`` is the one Gaussian elimination: it reduces each incoming row
 against the rows kept so far, divides by the pivot, and keeps its rows fully
 reduced, all in exact arithmetic (fine at the dimensions this library works
