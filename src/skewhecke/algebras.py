@@ -242,12 +242,11 @@ class BasedAlgebra:
 
     def combination(self, terms) -> "AlgebraElement":
         """sum of c * x over the pairs (x, c) of ``terms`` (c None means 1),
-        accumulated in place."""
-        f = self.field
+        accumulated in raw values and reduced once."""
         out: dict = {}
         for x, c in terms:
-            add_into(f, out, x.coeffs, c)
-        return self.element_class(self, out)
+            add_raw(out, x.coeffs, c)
+        return self.element_class(self, self.field.reduce_into(out))
 
     # -- printing -----------------------------------------------------------
 

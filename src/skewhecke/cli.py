@@ -150,7 +150,7 @@ def build_context(cfg: JobConfig) -> HeckeContext:
     elif sub == "full":
         H = full_subgroup(G)
     else:
-        gens = [G.element_by_name(t.strip()) for t in _split_top(cfg.subgroup, ",")]
+        gens = [G.element_by_name(t) for t in _split_top(cfg.subgroup, ",") if t]
         H = subgroup_from_generators(G, gens)
     if alg == "scalar":
         A = scalar_algebra(field)
@@ -180,50 +180,73 @@ def build_context(cfg: JobConfig) -> HeckeContext:
 
 
 def _split_top(s: str, seps: str):
-    """Split at top level, treating (...) and [...] as opaque."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in seps:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in (p.strip() for p in parts) if p]
+    """The parts of s between the characters of ``seps`` at top level, each
+    stripped: (...) and [...] are opaque, so a separator splits only where the
+    brackets before it balance.  Empty parts are kept; the callers refuse them.
+
+    One ``str.split`` at every separator (each mapped to the first), then a
+    part ends at the first separator after which its brackets balance; parts
+    are sliced from s, so a separator inside brackets is kept as written.
+    ``str`` methods compile nothing; a first ``re.split`` pattern would be
+    compiled in every process that builds a context."""
+    flat = s
+    for sep in seps[1:]:
+        flat = flat.replace(sep, seps[0])
+    parts, start, end, depth = [], 0, 0, 0
+    for piece in flat.split(seps[0]):
+        end += len(piece)  # the separator after piece, or len(s)
+        depth += _depth(piece)
+        if not depth:
+            parts.append(s[start:end].strip())
+            start = end + 1
+        end += 1
+    if depth:  # unbalanced to the end: the rest is one part
+        parts.append(s[start:].strip())
+    return parts
+
+
+def _depth(s: str) -> int:
+    """Opening minus closing brackets of s, (...) and [...] alike."""
+    return s.count("(") + s.count("[") - s.count(")") - s.count("]")
 
 
 _COEFF_RE = re.compile(r"^-?\d+(/\d+)?")
 
 
 def parse_algebra_element(A, s: str):
+    """The element of A written as terms ``c*label`` joined by ``+``: each term
+    a run of ``-`` signs, an optional coefficient ``a`` or ``a/b``, then a
+    label, ``*`` between the two; a bare coefficient (or ``1``) is a multiple
+    of the unit.  An empty term, a ``*`` with no label after it and a term of
+    signs alone are refused.  The terms are summed in raw values and reduced
+    once."""
     field = A.field
     s = s.strip()
-    if s in ("0", ""):
+    if s == "0":
         return A.zero()
-    terms = []
+    out: dict = {}
     for term in _split_top(s, "+"):
-        sign = field.one
-        term = term.strip()
-        while term.startswith("-"):
-            sign = field.neg(sign)
-            term = term[1:].strip()
-        m = _COEFF_RE.match(term)
-        coeff = field.one
+        if not term:
+            raise ValueError(f"empty term in the value {s!r}")
+        negate = False
         rest = term
-        if m and not term.startswith("x"):
-            coeff = field.parse(m.group(0))
-            rest = term[m.end():].strip()
+        while rest.startswith("-"):
+            negate = not negate
+            rest = rest[1:].strip()
+        m = _COEFF_RE.match(rest)
+        c = field.one
+        if m:
+            c = field.parse(m.group(0))
+            rest = rest[m.end():].strip()
             if rest.startswith("*"):
                 rest = rest[1:].strip()
-        b = A.one() if rest in ("", "1") else A.basis_element(A.parse_label(rest))
-        terms.append((b, field.mul(sign, coeff)))
-    return A.combination(terms)
+                if not rest:
+                    raise ValueError(f"no label after '*' in the term {term!r}")
+        elif not rest:
+            raise ValueError(f"the term {term!r} has no coefficient or label")
+        coeffs = A.one_coeffs() if rest in ("", "1") else {A.parse_label(rest): field.one}
+        linalg.add_raw(out, coeffs, -c if negate else c)
+    return A.element_class(A, field.reduce_into(out))
 
 
 def parse_hecke_element(ctx: HeckeContext, s: str) -> HeckeElement:
@@ -231,6 +254,9 @@ def parse_hecke_element(ctx: HeckeContext, s: str) -> HeckeElement:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError("Hecke element literal must be parenthesised")
     parts = _split_top(s[1:-1], ";,")
+    for i, p in enumerate(parts):
+        if not p:
+            raise ValueError(f"double-coset value {i + 1} of {len(parts)} is empty")
     if len(parts) != len(ctx.orbits):
         raise ValueError(
             f"expected {len(ctx.orbits)} double-coset values, got {len(parts)}"

@@ -112,6 +112,12 @@ class Rationals:
         return out
 
     def parse(self, s: str):
+        """An integer literal ``a`` or a fraction ``a/b``: ``int`` reads the
+        integers, the common case, and ``Fraction`` the rest."""
+        try:
+            return int(s)
+        except ValueError:
+            pass
         try:
             return _canonical(Fraction(s.strip()))
         except ZeroDivisionError:

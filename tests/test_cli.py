@@ -7,12 +7,14 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewhecke import cli
 from skewhecke.linalg import add_into
 from skewhecke.cli import (
     ConfigError,
     JobConfig,
+    _split_top,
     build_context,
     format_hecke_element,
     main,
@@ -32,6 +34,7 @@ from skewhecke.scalars import Rationals
 from skewhecke.skewgroup import SkewGroupElement
 
 from reference_convolution import classical_structure_constants_counting
+from reference_parsing import reference_split_top
 
 CLASSICAL = """\
 field = rationals
@@ -120,6 +123,7 @@ def test_hecke_literal_roundtrip():
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+LARGE = GOLDEN.parent / "large"
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.cfg")))
@@ -154,6 +158,21 @@ def test_algebra_literal_roundtrip(field, group):
                 for l in labels}))
         for x in samples:
             assert parse_algebra_element(A, str(x)) == x, (algebra, str(x))
+
+
+def test_hecke_literal_roundtrip_on_s5():
+    # a dense element on the mul-s5 config: 734 terms over 7 double cosets
+    ctx = build_context(parse_config((LARGE / "functions_s5.cfg").read_text()))
+    x = ctx.random_element(random.Random(0))
+    assert sum(len(v.coeffs) for v in x.values.values()) > 600
+    assert parse_hecke_element(ctx, format_hecke_element(x)) == x
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="()[];,+ x1", max_size=40), st.sampled_from([";,", "+", ","]))
+def test_split_top_matches_the_per_character_reference(s, seps):
+    # unbalanced brackets included: a separator splits only at depth 0
+    assert _split_top(s, seps) == reference_split_top(s, seps)
 
 
 def test_hecke_literal_wrong_arity():
@@ -452,17 +471,24 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("config, phi", [
-    pytest.param(POLY, "(0; y1)", id="unknown_variable"),
-    pytest.param(STONE, "(1/0*delta[()]; 0)", id="zero_denominator_coefficient"),
-    pytest.param(CLASSICAL, "(0; 1/0)", id="zero_denominator_scalar"),
-    pytest.param(STONE_GF5, "(0; 2/5)", id="denominator_zero_mod_p"),
+@pytest.mark.parametrize("config, phi, bad", [
+    pytest.param(POLY, "(0; y1)", "'y1'", id="unknown_variable"),
+    pytest.param(STONE, "(1/0*delta[()]; 0)", "'1/0'", id="zero_denominator_coefficient"),
+    pytest.param(CLASSICAL, "(0; 1/0)", "'1/0'", id="zero_denominator_scalar"),
+    pytest.param(STONE_GF5, "(0; 2/5)", "'2/5'", id="denominator_zero_mod_p"),
+    # malformed, not a value: not 2*1, -1, 1 + 1, 1, nor (1; 0)
+    pytest.param(STONE, "(2*; 0)", "'2*'", id="coefficient_star_without_label"),
+    pytest.param(STONE, "(-; 0)", "'-'", id="sign_alone"),
+    pytest.param(STONE, "(1 + + 1; 0)", "'1 + + 1'", id="empty_term"),
+    pytest.param(STONE, "(1 +; 0)", "'1 +'", id="trailing_plus"),
+    pytest.param(STONE, "(1;;0)", "value 2 of 3", id="empty_value"),
 ])
-def test_bad_literal_exits_2(capsys, cfg_file, config, phi):
+def test_bad_literal_exits_2(capsys, cfg_file, config, phi, bad):
     code = main(["mul", phi, "(0; 1)", "--config", cfg_file(config)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    assert bad in err
 
 
 def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):

@@ -32,6 +32,7 @@ from skewhecke.groups import (
     full_subgroup,
 )
 
+from reference_parsing import reference_element_by_name
 from reference_shapes import intersection, perm_inverse
 
 S3 = symmetric_group(3)
@@ -208,6 +209,35 @@ def test_element_by_name():
     g = S3.element_by_name("(1 2 3)")
     assert S3.perms[g] == (1, 2, 0)
     assert S3.element_by_name("id") == 0
+
+
+S5 = symmetric_group(5)
+
+
+@pytest.mark.parametrize("G", [S5, dihedral_group(4), cyclic_group(4), power_group(S3, 2)[0]],
+                         ids=["S5", "D4", "C4", "S3^2"])
+def test_element_by_name_is_the_linear_scan(G):
+    for name in G.names:
+        assert G.element_by_name(name) == reference_element_by_name(G, name)
+
+
+@pytest.mark.parametrize("name", ["(2 1)", "(3 1 2)", " (12) ", "(5 4)(2 1 3)",
+                                  "(1,2)", "(1 2)(1 2)", "()", "e"])
+def test_element_by_name_reads_other_spellings_of_s5_cycles(name):
+    g = S5.element_by_name(name)
+    assert g == reference_element_by_name(S5, name)
+    assert S5.perms[g] == parse_cycles(name, 5)
+
+
+@pytest.mark.parametrize("G, name", [
+    (S5, "(1 6)"), (S5, "(1 1)"), (S5, "x"), (dihedral_group(4), "(1 2)"),
+    (cyclic_group(4), "t^4"), (cyclic_group(4), "g4"), (FiniteGroup([[0]]), "g1"),
+])
+def test_element_by_name_keeps_its_errors(G, name):
+    with pytest.raises(ValueError) as expected:
+        reference_element_by_name(G, name)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        G.element_by_name(name)
 
 
 def test_direct_product_structure():

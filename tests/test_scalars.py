@@ -156,6 +156,33 @@ def test_prime_field_parse_format_roundtrip(a):
     assert F5.parse(F5.format(a)) == a
 
 
+@st.composite
+def number_literals(draw):
+    """Integer and fraction literals as users type them: a sign or none,
+    leading zeros, whitespace around."""
+    def digits(least):
+        return "0" * draw(st.integers(0, 3)) + str(draw(st.integers(least, 10**30)))
+
+    text = draw(st.sampled_from(["", "-", "+"])) + digits(0)
+    if draw(st.booleans()):
+        text += "/" + digits(1)
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+@settings(max_examples=500)
+@given(number_literals())
+def test_parse_agrees_with_fraction(text):
+    value = Fraction(text)
+    assert Q.parse(text) == value
+    assert_canonical(Q.parse(text))
+    written_denominator = int(text.partition("/")[2] or 1)
+    for F in (F5, F97):  # GF(p) refuses a written denominator of 0 mod p
+        if written_denominator % F.p:
+            x = F.parse(text)
+            assert_canonical(x, F)
+            assert x == value.numerator * pow(value.denominator, -1, F.p) % F.p
+
+
 @pytest.mark.parametrize("text, value", [
     ("1/2", 3), (" -3/4 ", 3), ("7/3", 4), ("10/2", 0), ("4", 4), ("-1", 4), ("2/-3", 1),
 ])
