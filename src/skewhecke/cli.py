@@ -218,13 +218,12 @@ def parse_algebra_element(A, s: str):
     a run of ``-`` signs, an optional coefficient ``a`` or ``a/b``, then a
     label, ``*`` between the two; a bare coefficient (or ``1``) is a multiple
     of the unit.  An empty term, a ``*`` with no label after it and a term of
-    signs alone are refused.  The terms are summed in raw values and reduced
-    once."""
+    signs alone are refused."""
     field = A.field
     s = s.strip()
     if s == "0":
         return A.zero()
-    out: dict = {}
+    terms = []
     for term in _split_top(s, "+"):
         if not term:
             raise ValueError(f"empty term in the value {s!r}")
@@ -244,9 +243,9 @@ def parse_algebra_element(A, s: str):
                     raise ValueError(f"no label after '*' in the term {term!r}")
         elif not rest:
             raise ValueError(f"the term {term!r} has no coefficient or label")
-        coeffs = A.one_coeffs() if rest in ("", "1") else {A.parse_label(rest): field.one}
-        linalg.add_raw(out, coeffs, -c if negate else c)
-    return A.element_class(A, field.reduce_into(out))
+        b = A.one() if rest in ("", "1") else A.basis_element(A.parse_label(rest))
+        terms.append((b, field.neg(c) if negate else c))
+    return A.combination(terms)
 
 
 def parse_hecke_element(ctx: HeckeContext, s: str) -> HeckeElement:

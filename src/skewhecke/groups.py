@@ -91,11 +91,6 @@ def parse_cycles(s: str, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _first_index(items) -> dict:
-    """item -> the index of its first occurrence in ``items``."""
-    return dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
-
-
 class FiniteGroup:
     def __init__(self, table, names=None, perms=None, check=True):
         self.table = tuple(tuple(row) for row in table)
@@ -139,13 +134,9 @@ class FiniteGroup:
 
     @functools.cached_property
     def _name_index(self) -> dict:
-        """name -> its first index."""
-        return _first_index(self.names)
-
-    @functools.cached_property
-    def _perm_index(self) -> dict:
-        """permutation -> its first index."""
-        return _first_index(self.perms)
+        """name -> the index of its first occurrence in ``names``."""
+        names = self.names
+        return dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
 
     def element_by_name(self, name: str) -> int:
         name = name.strip()
@@ -153,12 +144,12 @@ class FiniteGroup:
         if i is not None:
             return i
         if self.perms is not None:
-            i = self._perm_index.get(parse_cycles(name, len(self.perms[0])))
-            if i is None:
+            p = parse_cycles(name, len(self.perms[0]))
+            if p not in self.perms:
                 raise ValueError(
                     f"element {name!r} is not in this group of order {self.order}"
                 )
-            return i
+            return self.perms.index(p)
         if name.startswith("g") and name[1:].isdigit() and int(name[1:]) < self.order:
             return int(name[1:])
         raise ValueError(f"unknown element {name!r}")

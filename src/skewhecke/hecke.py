@@ -28,7 +28,7 @@ from .algebras import (
     trivial_action,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup
-from .linalg import add_raw
+from .linalg import add_into
 
 
 class StabilizerInvarianceError(ValueError):
@@ -163,15 +163,14 @@ class HeckeContext:
         return HeckeElement(self, {})
 
     def combination(self, terms) -> "HeckeElement":
-        """sum of c * phi over the pairs (phi, c) of ``terms``, accumulated in
-        raw values and reduced once per orbit."""
+        """sum of c * phi over the pairs (phi, c) of ``terms``, accumulated in place."""
+        f = self.field
         acc: dict = {}
         for phi, c in terms:
             for oi, v in phi.values.items():
-                add_raw(acc.setdefault(oi, {}), v.coeffs, c)
-        A, reduce_into = self.A, self.field.reduce_into
+                add_into(f, acc.setdefault(oi, {}), v.coeffs, c)
         return HeckeElement(
-            self, {oi: A.element_class(A, reduce_into(coeffs)) for oi, coeffs in acc.items()}
+            self, {oi: self.A.element_class(self.A, coeffs) for oi, coeffs in acc.items()}
         )
 
     def identity(self) -> "HeckeElement":

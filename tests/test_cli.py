@@ -481,7 +481,9 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     pytest.param(STONE, "(-; 0)", "'-'", id="sign_alone"),
     pytest.param(STONE, "(1 + + 1; 0)", "'1 + + 1'", id="empty_term"),
     pytest.param(STONE, "(1 +; 0)", "'1 +'", id="trailing_plus"),
+    pytest.param(STONE, "(+1; 0)", "'+1'", id="leading_plus"),
     pytest.param(STONE, "(1;;0)", "value 2 of 3", id="empty_value"),
+    pytest.param(STONE, "(1; 0;)", "value 3 of 3", id="trailing_semicolon"),
 ])
 def test_bad_literal_exits_2(capsys, cfg_file, config, phi, bad):
     code = main(["mul", phi, "(0; 1)", "--config", cfg_file(config)])
