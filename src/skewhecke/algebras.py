@@ -77,10 +77,6 @@ class AlgebraElement:
             return degs.pop()
         return None
 
-    def to_vector(self, labels):
-        f = self.alg.field
-        return [self.coeffs.get(l, f.zero) for l in labels]
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -265,6 +261,11 @@ class BasedAlgebra:
 # ---------------------------------------------------------------------------
 # algebra families
 
+# label literals, compiled once: parse_label runs once per term of a literal
+_DELTA_RE = re.compile(r"delta\[(.*)\]")
+_MONOMIAL_FACTOR_RE = re.compile(r"x(\d+)(\^(\d+))?")
+_MATRIX_UNIT_RE = re.compile(r"E\[(\d+),(\d+)\]")
+
 
 class GroupAlgebra(BasedAlgebra):
     """R[K]: basis indexed by group elements, product from the group table."""
@@ -316,7 +317,7 @@ class FunctionAlgebra(BasedAlgebra):
         return f"delta[{self.G.name(label)}]"
 
     def parse_label(self, s):
-        m = re.fullmatch(r"delta\[(.*)\]", s)
+        m = _DELTA_RE.fullmatch(s)
         if not m:
             raise ValueError(f"bad indicator-function label {s!r}")
         return self.G.element_by_name(m.group(1))
@@ -386,7 +387,7 @@ class PolynomialAlgebra(BasedAlgebra):
         exps = [0] * self.nvars
         for factor in s.split("*"):
             factor = factor.strip()
-            m = re.fullmatch(r"x(\d+)(\^(\d+))?", factor)
+            m = _MONOMIAL_FACTOR_RE.fullmatch(factor)
             if not m:
                 raise ValueError(f"bad monomial factor {factor!r}")
             i = int(m.group(1))
@@ -427,7 +428,7 @@ class MatrixAlgebra(BasedAlgebra):
         return f"E[{i + 1},{j + 1}]"
 
     def parse_label(self, s):
-        m = re.fullmatch(r"E\[(\d+),(\d+)\]", s)
+        m = _MATRIX_UNIT_RE.fullmatch(s)
         if not m:
             raise ValueError(f"bad matrix-unit label {s!r}")
         i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
@@ -906,6 +907,16 @@ def restricted_action(K, embed, act: GroupAction) -> GroupAction:
     )
 
 
+def _transpose(index, images):
+    """The rows, as maps over the columns j, of the matrix whose column j is
+    the j-th of ``images``; ``index`` numbers the labels, one row each."""
+    rows = [{} for _ in index]
+    for j, x in enumerate(images):
+        for l, c in x.coeffs.items():
+            rows[index[l]][j] = c
+    return rows
+
+
 def element_inverse(a: AlgebraElement) -> AlgebraElement:
     """Inverse of a unit, by exact linear solve over a finite basis.
 
@@ -917,15 +928,13 @@ def element_inverse(a: AlgebraElement) -> AlgebraElement:
     if A.graded and any(A.degree(l) for l in a.coeffs):
         raise ValueError("a graded element is inverted only in degree 0")
     labels = A.basis_labels(0)
-    f = A.field
-    # left-multiplication matrix: columns are a * e_j
-    cols = [(a * A.basis_element(l)).to_vector(labels) for l in labels]
-    rows = [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
-    rhs = A.one().to_vector(labels)
-    x = linalg.solve(f, rows, rhs)
+    index = {l: i for i, l in enumerate(labels)}
+    # left-multiplication matrix: column j is a * e_j
+    rows = _transpose(index, (a * A.basis_element(l) for l in labels))
+    x = linalg.solve(A.field, rows, {index[l]: c for l, c in A.one().coeffs.items()})
     if x is None:
         raise NotAUnitError("element is not a unit")
-    inv = A.element(dict(zip(labels, x)))
+    inv = A.element({labels[j]: c for j, c in x.items()})
     if a * inv != A.one() or inv * a != A.one():
         raise NotAUnitError("element has no two-sided inverse")
     return inv
@@ -1003,13 +1012,12 @@ class InvariantSpace:
             return
         rows = []
         for s in S_elements:
-            if s == 0:
-                continue
-            cols = [(action.on_label(s, l) - A.basis_element(l)).to_vector(labels)
-                    for l in labels]
-            rows.extend([col[i] for col in cols] for i in range(len(labels)))
+            if s != 0:
+                rows.extend(_transpose(self.index, (
+                    action.on_label(s, l) - A.basis_element(l) for l in labels)))
         self.solver = linalg.CoordinateSolver(A.field, rows, len(labels))
-        self.basis = [A.element(dict(zip(labels, v))) for v in self.solver.basis]
+        self.basis = [A.element({labels[j]: x for j, x in v.items()})
+                      for v in self.solver.basis]
 
     def coordinates(self, a: AlgebraElement):
         if self.solver is not None:

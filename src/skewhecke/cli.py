@@ -426,8 +426,7 @@ def suite_matrix(run: SuiteRun, ctx, rng):
                          lambda x, y: to_matrix(x * y) == to_matrix(x) * to_matrix(y))
     run.record("matrix.unit", to_matrix(ctx.identity()) == ctx.matrix_model.one())
     if not ctx.graded:
-        labels = ctx.matrix_model.labels()
-        vecs = [to_matrix(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
+        vecs = [to_matrix(b).coeffs for b in ctx.basis_hecke_elements()]
         r = linalg.rank(ctx.field, vecs)
         run.record("matrix.injective", r == ctx.dimension(), f"rank {r}")
 
@@ -473,8 +472,7 @@ def suite_stone(run: SuiteRun, ctx, rng):
     run.record("stone.size", n == ctx.cosets.n, f"n = {n} = [G:H]")
     _record_random_pairs(run, "stone.multiplicativity", ctx, rng,
                          lambda x, y: sm.apply(x * y) == sm.apply(x) * sm.apply(y))
-    labels = sm.matrices.labels()
-    vecs = [sm.apply(b).to_vector(labels) for b in ctx.basis_hecke_elements()]
+    vecs = [sm.apply(b).coeffs for b in ctx.basis_hecke_elements()]
     r = linalg.rank(ctx.field, vecs)
     run.record("stone.bijective", r == n * n and ctx.dimension() == n * n,
                f"rank {r}, dim {ctx.dimension()}, n^2 = {n * n}")
@@ -499,7 +497,7 @@ def _record_map(run, check, detail, basis, forward, one, target, rng, onto=True)
     A failed check is followed by one line per witness."""
     rep = verify_algebra_map(
         check, basis, forward, one, target.identity(), target.field,
-        vectorize=target.module_coordinates,
+        vectorize=lambda phi: dict(target.module_coordinate_terms(phi)),
         target_dim=target.dimension() if onto else None, rng=rng, max_pairs=60,
     )
     run.record(check, rep.ok, detail, rep.failures)

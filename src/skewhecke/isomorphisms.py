@@ -86,8 +86,8 @@ def verify_algebra_map(
     ``basis`` spans the domain; elements must support +, *, scale, ==.
     Checks: unit, linearity (on sampled combinations), multiplicativity on
     basis pairs (exhaustive unless max_pairs caps it, then seeded sampling),
-    and, if ``vectorize`` is given, injectivity by exact rank (plus
-    surjectivity when target_dim is known).  ``anti=True`` checks
+    and, if ``vectorize`` (image -> coefficient map) is given, injectivity by
+    exact rank (plus surjectivity when target_dim is known).  ``anti=True`` checks
     F(xy) = F(y)F(x) instead.  An image that is not a Hecke element (a value
     not fixed by its stabilizer) is an ``image`` failure and ends the checks.
     """

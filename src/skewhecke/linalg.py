@@ -1,13 +1,12 @@
-"""Exact linear algebra over a scalar field: sparse sums and dense elimination.
+"""Exact linear algebra over a scalar field, on coefficient maps.
 
-Sparse vectors are key -> value dicts with no stored zeros, summed by
-``add_into``, or in raw values by ``add_raw``.  Matrices are lists of rows;
-rows are lists of field values.
-``SpanBasis`` is the one Gaussian elimination: it reduces each incoming row
-against the rows kept so far, divides by the pivot, and keeps its rows fully
-reduced, all in exact arithmetic (fine at the dimensions this library works
-at, the low hundreds).  ``rref`` is its rows ordered by leading column; a
-matrix has one reduced row echelon form, so the result is reproducible.
+A vector is a map {column: value} with no stored zeros, summed by ``add_into``,
+or in raw values by ``add_raw``; a matrix is a list of them.  Columns must be
+mutually comparable: ints, or the labels of one algebra.  ``SpanBasis`` is the
+one Gaussian elimination, exact: a row's lead is its least column, and the
+rows are kept fully reduced, so a row costs its support, not the width of the
+space.  ``rref`` is its rows ordered by lead; a matrix has one reduced row
+echelon form, so the result is reproducible.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ def add_into(field, out: dict, coeffs: dict, c=None) -> dict:
 
 def rref(field, rows):
     """Reduced row echelon form: the rows of the ``SpanBasis`` of ``rows``,
-    ordered by leading column.  Returns (nonzero_rows, pivot_columns)."""
-    if not rows:
-        return [], []
-    sb = SpanBasis(field, len(rows[0]))
+    ordered by lead.  Returns (nonzero_rows, pivot_columns)."""
+    sb = SpanBasis(field)
     for r in rows:
         sb.insert(r)
     order = sorted(range(sb.dim), key=sb.lead.__getitem__)
@@ -52,63 +49,56 @@ def rank(field, rows):
 
 
 def solve(field, rows, rhs):
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(not field.is_zero(b) for b in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """One solution x of rows @ x = rhs as a map, or None if inconsistent; the
+    columns are ints, and rhs is a map {row position: value}."""
+    end = 1 + max((j for r in rows for j in r), default=-1)  # the rhs column
+    aug = [{**r, end: rhs[i]} if i in rhs else r for i, r in enumerate(rows)]
     m, pivots = rref(field, aug)
-    if ncols in pivots:
+    if end in pivots:
         return None
-    x = [field.zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = m[i][ncols]
-    return x
+    return {pc: row[end] for row, pc in zip(m, pivots) if end in row}
 
 
 class SpanBasis:
-    """Incrementally built echelon basis of a subspace of F^n, with membership
-    tests."""
+    """Incrementally built echelon basis of a span of maps, with membership
+    tests.  Each row is 1 at its lead, its least column, and 0 at the others'."""
 
-    def __init__(self, field, n):
+    def __init__(self, field):
         self.field = field
-        self.n = n
-        self.rows = []      # echelon rows, each with leading 1
+        self.rows = []      # echelon rows, each a {column: value}
         self.lead = []      # leading column of each row
 
     def _reduce(self, v):
+        """v minus its combination of the rows, as a new map: 0 at every lead."""
         f = self.field
-        v = list(v)
+        red = dict(v)
         for row, lc in zip(self.rows, self.lead):
-            c = v[lc]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
+            c = red.get(lc)
+            if c is not None:
+                add_into(f, red, row, f.neg(c))
+        return red
 
     def insert(self, v):
         """Insert a vector; returns True if it enlarged the span."""
         f = self.field
         red = self._reduce(v)
-        # red is 0 at every kept leading column, so only the others are tested
-        taken = set(self.lead)
-        lead = next((j for j in range(self.n)
-                     if j not in taken and not f.is_zero(red[j])), None)
-        if lead is None:
+        if not red:
             return False
+        # red is 0 at every kept lead, so its least column is a new one
+        lead = min(red)
         inv = f.inv(red[lead])
-        self.rows.append([f.mul(inv, x) for x in red])
-        self.lead.append(lead)
+        new = {j: f.mul(inv, x) for j, x in red.items()}
         # keep echelon rows fully reduced against each other
-        for i in range(len(self.rows) - 1):
-            c = self.rows[i][lead]
-            if not f.is_zero(c):
-                self.rows[i] = [
-                    f.sub(x, f.mul(c, y)) for x, y in zip(self.rows[i], self.rows[-1])
-                ]
+        for row in self.rows:
+            c = row.get(lead)
+            if c is not None:
+                add_into(f, row, new, f.neg(c))
+        self.rows.append(new)
+        self.lead.append(lead)
         return True
 
     def contains(self, v):
-        return all(self.field.is_zero(x) for x in self._reduce(v))
+        return not self._reduce(v)
 
     @property
     def dim(self):
@@ -118,10 +108,10 @@ class SpanBasis:
 class CoordinateSolver:
     """The kernel {v : rows @ v = 0} in F^ncols, with exact coordinates in its basis.
 
-    One ``rref`` of ``rows`` splits the columns into pivot and free ones.
-    Basis vector i is 1 at the free column free[i], 0 at every other free
-    column, and minus the reduced entry of its column at each pivot column; the
-    pivot entries of each basis vector are kept as a sparse {column: entry}.
+    One ``rref`` of ``rows`` (maps over the int columns 0..ncols-1) splits
+    the columns into pivot and free ones.  Basis vector i is the map
+    {free[i]: 1, pc: -entry of free[i] in pc's row} over the pivot columns
+    pc, in column order; its pivot entries alone are ``pivot_entries[i]``.
     So a kernel vector's coordinates are its entries at the free columns, and
     v is in the kernel exactly when v - sum c_i basis_i, which is 0 at every
     free column, is 0 at the pivot columns too.
@@ -133,24 +123,18 @@ class CoordinateSolver:
         pivot_set = set(pivots)
         self.free = [j for j in range(ncols) if j not in pivot_set]
         self.position = {j: i for i, j in enumerate(self.free)}
-        self.pivot_entries = [
-            {pc: field.neg(row[j]) for row, pc in zip(red, pivots)
-             if not field.is_zero(row[j])}
-            for j in self.free
-        ]
-        self.basis = []
-        for j, entries in zip(self.free, self.pivot_entries):
-            v = [field.zero] * ncols
-            v[j] = field.one
-            for pc, x in entries.items():
-                v[pc] = x
-            self.basis.append(v)
+        self.pivot_entries = [{} for _ in self.free]
+        for row, pc in zip(red, pivots):
+            for j, x in row.items():
+                if j != pc:  # a free column: the row is 0 at the other pivots
+                    self.pivot_entries[self.position[j]][pc] = field.neg(x)
+        self.basis = [dict(sorted({j: field.one, **entries}.items()))
+                      for j, entries in zip(self.free, self.pivot_entries)]
 
     def coordinates(self, terms):
         """The nonzero c_i of v = sum c_i basis_i as {i: c_i} (increasing i), or
         None if rows @ v != 0.  v is given by its (column, entry) pairs, in any
-        order; zero entries are skipped, so a dense v may be passed as
-        enumerate(v)."""
+        order, such as a map's items(); zero entries are skipped."""
         f = self.field
         position = self.position
         coords: dict = {}

@@ -90,13 +90,12 @@ def corner_basis(sga: SkewGroupAlgebra, e: SkewGroupElement):
     H = Subgroup(sga.G, {g for (_, g) in e.coeffs})
     E = subgroup_sum(sga, H)
     reps = [dc.rep_element for dc in CosetSpace(sga.G, H).double_cosets]
-    pairs = sga.labels()
-    span = linalg.SpanBasis(sga.field, len(pairs))
+    span = linalg.SpanBasis(sga.field)
     basis = []
     for l in sga.A.labels():
         b = sga.A.basis_element(l)
         for g in reps:
             x = E * sga.term(b, g) * E
-            if not x.is_zero and span.insert(x.to_vector(pairs)):
+            if span.insert(x.coeffs):
                 basis.append(x)
     return basis

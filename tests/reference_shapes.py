@@ -84,15 +84,14 @@ def special_case_normal_subgroup(ctx) -> Transport:
 
 def averaging_image(A, S_elements, action, degree=None):
     """Image basis of the averaging operator (1/|S|) sum alpha_s; needs |S| a unit."""
-    labels = A.basis_labels(degree)
     f = A.field
     S = list(S_elements)
     inv = f.inv(f.from_int(len(S)))
-    span = linalg.SpanBasis(f, len(labels))
+    span = linalg.SpanBasis(f)
     out = []
-    for l in labels:
+    for l in A.basis_labels(degree):
         img = A.combination((action.on_label(s, l), None) for s in S).scale(inv)
-        if span.insert(img.to_vector(labels)):
+        if span.insert(img.coeffs):
             out.append(img)
     return out
 

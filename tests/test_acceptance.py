@@ -104,6 +104,11 @@ def conjugation_context():
     return HeckeContext(S3, s2(), A, conjugation_action(S3, A))
 
 
+def coordinate_map(ctx):
+    """phi -> its module coordinates as a {position: value} map."""
+    return lambda phi: dict(ctx.module_coordinate_terms(phi))
+
+
 def random_invariant(ctx, rng, degrees=None):
     out = ctx.A.zero()
     if ctx.graded:
@@ -262,14 +267,9 @@ def _invariant_matrix_dimension(ctx):
                 src = (moved[i] * cs.n + moved[j]) * m
                 dst = (i * cs.n + j) * m
                 for t2, l2 in enumerate(labels):
-                    row = [ctx.field.zero] * nvar
-                    for t, l in enumerate(labels):
-                        c = action_cols[l].get(l2)
-                        if c is not None:
-                            row[src + t] = ctx.field.add(row[src + t], c)
-                    row[dst + t2] = ctx.field.add(
-                        row[dst + t2], ctx.field.neg(ctx.field.one)
-                    )
+                    row = {src + t: action_cols[l][l2] for t, l in enumerate(labels)
+                           if l2 in action_cols[l]}
+                    linalg.add_into(ctx.field, row, {dst + t2: ctx.field.neg(ctx.field.one)})
                     rows.append(row)
     return len(linalg.CoordinateSolver(ctx.field, rows, nvar).basis)
 
@@ -290,9 +290,7 @@ def test_acceptance_04_matrix_model():
                        for x, y in pairs)
             assert to_matrix(ctx.identity()) == ctx.matrix_model.one()
             # image = all G-invariant matrices: exact rank equality
-            labels = ctx.matrix_model.labels()
-            vecs = [to_matrix(b).to_vector(labels)
-                    for b in ctx.basis_hecke_elements()]
+            vecs = [to_matrix(b).coeffs for b in ctx.basis_hecke_elements()]
             r = linalg.rank(ctx.field, vecs)
             assert r == ctx.dimension() == _invariant_matrix_dimension(ctx)
 
@@ -320,9 +318,7 @@ def test_acceptance_05_corner_model():
                     to_corner(ctx, sga, x) * to_corner(ctx, sga, y)
                 )
         assert to_corner(ctx, sga, ctx.identity()) == e
-        pairs = sga.labels()
-        vecs = [to_corner(ctx, sga, b).to_vector(pairs)
-                for b in ctx.basis_hecke_elements()]
+        vecs = [to_corner(ctx, sga, b).coeffs for b in ctx.basis_hecke_elements()]
         assert linalg.rank(Q, vecs) == ctx.dimension()
         assert len(corner_basis(sga, e)) == ctx.dimension()
         # over GF(2) with |H| = 2 the model must be reported unavailable
@@ -391,7 +387,7 @@ def test_acceptance_07_special_cases():
         labels = tr.target.labels()
         rep = verify_algebra_map(
             "c", ctx_c.basis_hecke_elements(), tr.forward, ctx_c.identity(),
-            tr.target.one(), Q, vectorize=lambda x: x.to_vector(labels),
+            tr.target.one(), Q, vectorize=lambda x: x.coeffs,
             target_dim=len(labels), rng=rng,
         )
         assert rep.ok, str(rep)
@@ -401,17 +397,16 @@ def test_acceptance_07_special_cases():
         labels = tr.target.labels()
         rep = verify_algebra_map(
             "d", ctx_d.basis_hecke_elements(), tr.forward, ctx_d.identity(),
-            tr.target.one(), Q, vectorize=lambda x: x.to_vector(labels),
+            tr.target.one(), Q, vectorize=lambda x: x.coeffs,
             target_dim=len(labels), rng=rng,
         )
         assert rep.ok, str(rep)
         # (e) H = 1: the skew group algebra
         ctx_e = function_context(H=trivial_subgroup(S3))
         tr = special_case_trivial_subgroup(ctx_e)
-        pairs = tr.target.labels()
         rep = verify_algebra_map(
             "e", ctx_e.basis_hecke_elements(), tr.forward, ctx_e.identity(),
-            tr.target.one(), Q, vectorize=lambda x: x.to_vector(pairs),
+            tr.target.one(), Q, vectorize=lambda x: x.coeffs,
             target_dim=tr.target.dim, rng=rng, max_pairs=300,
         )
         assert rep.ok, str(rep)
@@ -420,10 +415,9 @@ def test_acceptance_07_special_cases():
         ctx_f = function_context(H=A3)
         tr = special_case_normal_subgroup(ctx_f)
         assert tr.info["quotient_order"] == 2
-        pairs = tr.target.labels()
         rep = verify_algebra_map(
             "f", ctx_f.basis_hecke_elements(), tr.forward, ctx_f.identity(),
-            tr.target.one(), Q, vectorize=lambda x: x.to_vector(pairs),
+            tr.target.one(), Q, vectorize=lambda x: x.coeffs,
             target_dim=tr.target.dim, rng=rng,
         )
         assert rep.ok, str(rep)
@@ -451,7 +445,7 @@ def test_acceptance_08_transports():
         assert tr.target.G.order == 6 and tr.target.H.order == 2
         rep = verify_algebra_map(
             "quotient", ctx.basis_hecke_elements(), tr.forward, ctx.identity(),
-            tr.target.identity(), Q, vectorize=tr.target.module_coordinates,
+            tr.target.identity(), Q, vectorize=coordinate_map(tr.target),
             target_dim=tr.target.dimension(), rng=rng,
         )
         assert rep.ok, str(rep)
@@ -463,7 +457,7 @@ def test_acceptance_08_transports():
         basis = [BT.basis_element(l) for l in BT.labels()]
         rep = verify_algebra_map(
             "product", basis, trp.forward, BT.one(), trp.target.identity(), Q,
-            vectorize=trp.target.module_coordinates,
+            vectorize=coordinate_map(trp.target),
             target_dim=trp.info["target_dim"], rng=rng, max_pairs=200,
         )
         assert rep.ok, str(rep)
@@ -477,7 +471,7 @@ def test_acceptance_08_transports():
         rep = verify_algebra_map(
             "intermediate", tre.source.basis_hecke_elements(), tre.forward,
             tre.source.identity(), ctx4.identity(), Q,
-            vectorize=ctx4.module_coordinates, rng=rng, max_pairs=60,
+            vectorize=coordinate_map(ctx4), rng=rng, max_pairs=60,
         )
         assert rep.ok, str(rep)
         # conjugation by s = (2 3)
@@ -486,7 +480,7 @@ def test_acceptance_08_transports():
         rep = verify_algebra_map(
             "conjugate", ctx3.basis_hecke_elements(), trc.forward,
             ctx3.identity(), trc.target.identity(), Q,
-            vectorize=trc.target.module_coordinates,
+            vectorize=coordinate_map(trc.target),
             target_dim=trc.target.dimension(), rng=rng,
         )
         assert rep.ok, str(rep)
@@ -506,7 +500,7 @@ def test_acceptance_08_transports():
         rep = verify_algebra_map(
             "semidirect", trs.source.basis_hecke_elements(), trs.forward,
             trs.source.identity(), trs.target.identity(), Q,
-            vectorize=trs.target.module_coordinates,
+            vectorize=coordinate_map(trs.target),
             target_dim=trs.target.dimension(), rng=rng,
         )
         assert rep.ok, str(rep)
@@ -530,7 +524,7 @@ def test_acceptance_09_cocycles():
         rep = verify_algebra_map(
             "coboundary", ctx.basis_hecke_elements(), tr.forward,
             ctx.identity(), tr.target.identity(), Q,
-            vectorize=tr.target.module_coordinates,
+            vectorize=coordinate_map(tr.target),
             target_dim=tr.target.dimension(), rng=rng, max_pairs=200,
         )
         assert rep.ok, str(rep)
@@ -541,7 +535,7 @@ def test_acceptance_09_cocycles():
         rep = verify_algebra_map(
             "inner", ctx_i.basis_hecke_elements(), tr_i.forward,
             ctx_i.identity(), tr_i.target.identity(), Q,
-            vectorize=tr_i.target.module_coordinates,
+            vectorize=coordinate_map(tr_i.target),
             target_dim=tr_i.target.dimension(), rng=rng, max_pairs=200,
         )
         assert rep.ok, str(rep)
@@ -652,10 +646,8 @@ def test_acceptance_13_relativise():
                         ctx.A, ctx.H.generators(), ctx.action, degree=d
                     )
                 ]
-                labels = ctx.matrix_model.labels_up_to(2 * ctx.degree_cap)
             else:
                 inv = invariants_compute(ctx.A, ctx.H.generators(), ctx.action)
-                labels = ctx.matrix_model.labels()
             for a in inv:
                 assert relativise(ctx, a) == to_matrix(ctx.embed_invariant(a))
                 for b in inv:
@@ -663,7 +655,7 @@ def test_acceptance_13_relativise():
                         relativise(ctx, a) * relativise(ctx, b)
                     )
             assert relativise(ctx, ctx.A.one()) == ctx.matrix_model.one()
-            vecs = [relativise(ctx, a).to_vector(labels) for a in inv]
+            vecs = [relativise(ctx, a).coeffs for a in inv]
             assert linalg.rank(ctx.field, vecs) == len(inv)
 
     report(13, "invariants embed diagonally: multiplicative, injective, factors through the matrix model", body)

@@ -78,7 +78,7 @@ def polynomial_context(cap=2):
 
 
 def hecke_vectorizer(ctx):
-    return lambda phi: ctx.module_coordinates(phi)
+    return lambda phi: dict(ctx.module_coordinate_terms(phi))
 
 
 # -- matrix model ------------------------------------------------------------
@@ -187,7 +187,6 @@ def test_stone_model_is_isomorphism():
     ctx = function_context()
     sm = StoneModel(ctx)
     basis = ctx.basis_hecke_elements()
-    labels = sm.matrices.labels()
     report = verify_algebra_map(
         "stone",
         basis,
@@ -195,7 +194,7 @@ def test_stone_model_is_isomorphism():
         ctx.identity(),
         sm.matrices.one(),
         Q,
-        vectorize=lambda m: m.to_vector(labels),
+        vectorize=lambda m: m.coeffs,
         target_dim=sm.n * sm.n,
         rng=random.Random(4),
     )
@@ -565,7 +564,7 @@ def test_special_case_trivial_action():
         ctx.identity(),
         T.one(),
         Q,
-        vectorize=lambda x: x.to_vector(labels),
+        vectorize=lambda x: x.coeffs,
         target_dim=len(labels),
         rng=random.Random(19),
     )
@@ -588,7 +587,7 @@ def test_special_case_full_subgroup():
         ctx.identity(),
         AG.one(),
         Q,
-        vectorize=lambda x: x.to_vector(labels),
+        vectorize=lambda x: x.coeffs,
         target_dim=len(labels),
         rng=random.Random(21),
     )
@@ -600,7 +599,6 @@ def test_special_case_trivial_subgroup():
     ctx = function_context(H=trivial_subgroup(S3))
     tr = special_case_trivial_subgroup(ctx)
     sga = tr.target
-    pairs = sga.labels()
     report = verify_algebra_map(
         "trivial_subgroup",
         ctx.basis_hecke_elements(),
@@ -608,7 +606,7 @@ def test_special_case_trivial_subgroup():
         ctx.identity(),
         sga.one(),
         Q,
-        vectorize=lambda x: x.to_vector(pairs),
+        vectorize=lambda x: x.coeffs,
         target_dim=sga.dim,
         rng=random.Random(22),
         max_pairs=200,
@@ -625,7 +623,6 @@ def test_special_case_normal_subgroup():
     ctx = function_context(H=A3)
     tr = special_case_normal_subgroup(ctx)
     sga = tr.target
-    pairs = sga.labels()
     report = verify_algebra_map(
         "normal_subgroup",
         ctx.basis_hecke_elements(),
@@ -633,7 +630,7 @@ def test_special_case_normal_subgroup():
         ctx.identity(),
         sga.one(),
         Q,
-        vectorize=lambda x: x.to_vector(pairs),
+        vectorize=lambda x: x.coeffs,
         target_dim=sga.dim,
         rng=random.Random(24),
     )

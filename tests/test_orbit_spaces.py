@@ -31,16 +31,19 @@ def solver_reference(A, S_elements, action, degree=None):
     """(index, solver, basis) of the fixed space by elimination: one block of
     rows alpha_s(l) - l per s, reduced by one CoordinateSolver."""
     labels = A.basis_labels(degree)
+    index = {l: j for j, l in enumerate(labels)}
     rows = []
     for s in S_elements:
         if s == 0:
             continue
-        cols = [(action.on_label(s, l) - A.basis_element(l)).to_vector(labels)
-                for l in labels]
-        rows.extend([col[i] for col in cols] for i in range(len(labels)))
+        block = {l: {} for l in labels}  # the rows of this s, one per label
+        for j, l in enumerate(labels):
+            for m, x in (action.on_label(s, l) - A.basis_element(l)).coeffs.items():
+                block[m][j] = x
+        rows.extend(block.values())
     solver = linalg.CoordinateSolver(A.field, rows, len(labels))
-    basis = [A.element(dict(zip(labels, v))) for v in solver.basis]
-    return {l: j for j, l in enumerate(labels)}, solver, basis
+    basis = [A.element({labels[j]: x for j, x in v.items()}) for v in solver.basis]
+    return index, solver, basis
 
 
 def probes(space, A, degree, rng):
