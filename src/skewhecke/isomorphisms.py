@@ -288,11 +288,11 @@ class StoneModel:
     """H_R(G, H, R^G, left translation) ~= M_n(R) with n = [G : H].
 
     The map evaluates each function entry of the matrix model at the group
-    identity; M_n(R) is the model's second tensor factor.  Its inverse is a
-    formula: write M = sum over k of delta_k (x) M_k.  The diagonal action
-    sends delta_k (x) E[a,b] to delta_{gk} (x) E[ga,gb], so M is fixed exactly
-    when M_{gk} = g.M_k for all g, k.  The only fixed M with M_e = m is then
-    sum over g of diagonal_g(delta_e (x) m), and ``from_matrix`` reads phi off it.
+    identity; M_n(R) is the model's second tensor factor.  As (alpha_g f)(y) =
+    f(g^-1 y), entry (a, b) of m = apply(phi) is phi(k_a^-1 k_b H)(k_a^-1).  The
+    inverse is phi(xH)(y) = m[y^-1 H, y^-1 xH]: for k_a = y^-1 h, k_b = y^-1 x h'
+    (h, h' in H), H-invariance gives phi(h^-1 xH)(h^-1 y) = phi(xH)(y).  It is
+    onto: if hxH = xH, y -> h^-1 y fixes both cosets, so h fixes phi(xH).
     """
 
     def __init__(self, ctx: HeckeContext):
@@ -315,16 +315,16 @@ class StoneModel:
             {ab: c for (l, ab), c in to_matrix(phi).coeffs.items() if l == 0})
 
     def preimage(self, m) -> HeckeElement:
-        """The phi with apply(phi) = m, through the fixed matrix with M_e = m."""
+        """The phi with apply(phi) = m: phi(xH)(y) = m[y^-1 H, y^-1 xH]."""
         ctx = self.ctx
-        model = ctx.matrix_model
-        seed = model.pure(ctx.A.basis_element(0), m)
-        fixed = model.combination((model.diagonal.apply(g, seed), None)
-                                  for g in range(ctx.G.order))
+        G, coset_of, zero = ctx.G, ctx.cosets.coset_of, ctx.field.zero
+        inverses = [(y, G.inverse(y)) for y in range(G.order)]
         try:
-            return from_matrix(fixed)
-        except ValueError as exc:
-            # the sum is fixed by construction: a witness means a defect
+            return ctx.from_values({oi: ctx.A.element({
+                y: m.coeffs.get((coset_of[yi], coset_of[G.mul(yi, orbit.rep_element)]), zero)
+                for y, yi in inverses}) for oi, orbit in enumerate(ctx.orbits)})
+        except StabilizerInvarianceError as exc:
+            # every value is stabilizer-fixed by the formula: a witness means a defect
             raise ArithmeticError("matrix is not in the image (bug: map is onto)") from exc
 
 

@@ -14,8 +14,8 @@ here is a composition of public pieces of the package:
 
 The rest are plain references that tests compare the package against:
 averaging images of invariants, the all-pairs product, associativity on basis
-triples, subgroup intersection, permutation inverse and the canonical form of a
-scalar.
+triples, the Stone inverse as a sum over the diagonal action, subgroup
+intersection, permutation inverse and the canonical form of a scalar.
 """
 
 from fractions import Fraction
@@ -24,7 +24,13 @@ from skewhecke import linalg
 from skewhecke.algebras import TensorAlgebra
 from skewhecke.groups import Subgroup
 from skewhecke.hecke import classical_context, hecke_as_based_algebra
-from skewhecke.isomorphisms import Transport, corner_lift, from_corner, quotient_transport
+from skewhecke.isomorphisms import (
+    Transport,
+    corner_lift,
+    from_corner,
+    from_matrix,
+    quotient_transport,
+)
 from skewhecke.skewgroup import SkewGroupAlgebra
 
 
@@ -132,6 +138,18 @@ def check_associativity(A, degree_cap=None, max_triples=None, rng=None):
         if (ea * eb) * ec != ea * (eb * ec):
             failures.append(("associativity", (la, lb, lc)))
     return failures
+
+
+def diagonal_sum_preimage(sm, m):
+    """The Stone inverse through the matrix model: the diagonal action sends
+    delta_k (x) E[a,b] to delta_{gk} (x) E[ga,gb], so the only fixed matrix with
+    entry m at delta_e is the sum over g of diagonal_g(delta_e (x) m), and
+    ``from_matrix`` reads phi off it."""
+    ctx = sm.ctx
+    model = ctx.matrix_model
+    seed = model.pure(ctx.A.basis_element(0), m)
+    return from_matrix(model.combination((model.diagonal.apply(g, seed), None)
+                                         for g in range(ctx.G.order)))
 
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:

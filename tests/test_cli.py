@@ -23,6 +23,7 @@ from skewhecke.cli import (
     parse_hecke_element,
 )
 from skewhecke.groups import CosetSpace
+from skewhecke.hecke import StabilizerInvarianceError
 from skewhecke.isomorphisms import (
     CocycleConditionError,
     conjugate_transport,
@@ -509,9 +510,12 @@ def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
 
 def test_stone_matrix_outside_the_image_exits_3(capsys, cfg_file, monkeypatch):
     # the Stone map is onto, so a matrix with no preimage is a defect, not bad input:
-    # force the invariance check of the inverse's matrix to report a witness
-    monkeypatch.setattr("skewhecke.isomorphisms.matrix_invariance_witness",
-                        lambda M: "s=(1 2) at E[0,0]")
+    # force the stabilizer check of the inverse's values to report a witness
+    # (within verify stone, only StoneModel.preimage calls from_values)
+    def moved_value(ctx, values):
+        raise StabilizerInvarianceError(1, 1, "(1 2)")
+
+    monkeypatch.setattr("skewhecke.hecke.HeckeContext.from_values", moved_value)
     code = main(["verify", "stone", "--config", cfg_file(STONE)])
     captured = capsys.readouterr()
     assert code == 3

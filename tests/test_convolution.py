@@ -3,9 +3,9 @@
 ``HeckeElement.convolve`` reads the product skeleton of the coset space; the
 reference loop in ``reference_convolution`` expands both factors and walks
 every coset.  They must agree for any choice of coset representatives, and
-so must every product rebuilt from ``structure_constants`` rows, the matrix
-and corner models, the opposite, quotient and cocycle transports, and the same
-integral product computed over Q and over GF(p) (extension of scalars).
+so must every product rebuilt from ``structure_constants`` rows, the matrix,
+corner and Stone models, the opposite, quotient and cocycle transports, and the
+same integral product computed over Q and over GF(p) (extension of scalars).
 """
 
 import functools
@@ -46,6 +46,7 @@ from skewhecke.hecke import (
     structure_constants,
 )
 from skewhecke.isomorphisms import (
+    StoneModel,
     coboundary_from_unit,
     cocycle_transport,
     opposite_transport,
@@ -329,6 +330,11 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
         assert all(diagonal.apply(s, to_matrix(b)) == to_matrix(b)
                    for b in ctx.basis_hecke_elements() for s in gens)
         assert fixed_matrix_count(ctx) == ctx.dimension()
+    if StoneModel.applies(ctx):
+        # R^G under left translation: the Stone model M_n(R) and its inverse
+        sm = StoneModel(ctx)
+        assert sm.apply(product) == sm.apply(x) * sm.apply(y)
+        assert sm.preimage(sm.apply(x)) == x
     p = ctx.field.characteristic
     if not ctx.graded and (p == 0 or ctx.H.order % p):
         # |H| is a unit: the corner model e_H (A x| G) e_H applies too

@@ -50,6 +50,7 @@ from skewhecke.scalars import PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, hecke_idempotent
 
 from reference_shapes import (
+    diagonal_sum_preimage,
     special_case_full_subgroup,
     special_case_normal_subgroup,
     special_case_trivial_action,
@@ -201,17 +202,24 @@ def test_stone_model_is_isomorphism():
     assert report.ok, str(report)
 
 
-@pytest.mark.parametrize("G, gens, field", [
+STONE_SHAPES = [
     pytest.param(S3, ["(1 2)"], Q, id="S3-S2-Q"),
     pytest.param(S3, ["(1 2)"], PrimeField(5), id="S3-S2-GF5"),
     pytest.param(S4, ["(1 2)", "(1 2 3)"], Q, id="S4-S3-Q"),
     pytest.param(S4, ["(1 2)"], PrimeField(3), id="S4-S2-GF3"),  # 3 divides |G|
-])
-def test_stone_inverse_round_trips(G, gens, field):
+]
+
+
+def stone_model(G, gens, field):
     A = FunctionAlgebra(field, G)
     H = subgroup_from_generators(G, [G.element_by_name(g) for g in gens])
-    ctx = HeckeContext(G, H, A, left_translation_action(G, A))
-    sm = StoneModel(ctx)
+    return StoneModel(HeckeContext(G, H, A, left_translation_action(G, A)))
+
+
+@pytest.mark.parametrize("G, gens, field", STONE_SHAPES)
+def test_stone_inverse_round_trips(G, gens, field):
+    sm = stone_model(G, gens, field)
+    ctx = sm.ctx
     labels = sm.matrices.labels()
     rng = random.Random(5)
     for _ in range(3):
@@ -219,6 +227,22 @@ def test_stone_inverse_round_trips(G, gens, field):
         assert sm.apply(sm.preimage(m)) == m
         phi = ctx.random_element(rng)
         assert sm.preimage(sm.apply(phi)) == phi
+
+
+@pytest.mark.parametrize("G, gens, field", STONE_SHAPES + [
+    pytest.param(S3, [], Q, id="S3-1-Q"),  # n = 6
+    pytest.param(S3, ["(1 2)", "(1 2 3)"], Q, id="S3-S3-Q"),  # n = 1
+])
+def test_stone_inverse_formula_equals_the_diagonal_sum(G, gens, field):
+    sm = stone_model(G, gens, field)
+    labels = sm.matrices.labels()
+    assert len(labels) == (G.order // sm.ctx.H.order) ** 2
+    rng = random.Random(6)
+    ms = [sm.matrices.basis_element(ab) for ab in labels]
+    ms += [sm.matrices.element({ab: field.from_int(rng.randint(-3, 3)) for ab in labels})
+           for _ in range(3)]
+    for m in ms:
+        assert sm.preimage(m) == diagonal_sum_preimage(sm, m)
 
 
 def test_stone_preimages_and_matrix_units():
