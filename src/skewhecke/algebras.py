@@ -55,9 +55,10 @@ class AlgebraElement:
         return type(self)(self.alg, {l: f.mul(c, x) for l, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
+        """The one element product; a factor from another algebra is NotImplemented."""
         alg = self.alg
+        if not isinstance(other, AlgebraElement) or other.alg is not alg:
+            return NotImplemented
         return alg.element_class(alg, alg.mul_into({}, self.coeffs, other.coeffs))
 
     def __eq__(self, other):
@@ -102,8 +103,8 @@ class BasedAlgebra:
     """Base class; subclasses define labels/products for each algebra family."""
 
     graded = False
-    # the class of this algebra's elements; a subclass whose elements multiply
-    # differently (TensorAlgebra) names an AlgebraElement subclass here
+    # the class of this algebra's elements; A x| G and the matrix model name
+    # empty AlgebraElement subclasses here, which multiply as every element does
     element_class = AlgebraElement
     # (left_key, right_key): the basis product l1 * l2 can be nonzero only if
     # left_key(l1) == right_key(l2).  None means any pair may multiply.
@@ -220,9 +221,8 @@ class BasedAlgebra:
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs) -> "AlgebraElement":
-        f = self.field
-        clean = {l: c for l, c in coeffs.items() if not f.is_zero(c)}
-        return self.element_class(self, clean)
+        """The element with these coefficients, brought to canonical form on a copy."""
+        return self.element_class(self, self.field.reduce_into(dict(coeffs)))
 
     def zero(self) -> "AlgebraElement":
         return self.element_class(self, {})
@@ -437,18 +437,6 @@ class MatrixAlgebra(BasedAlgebra):
         return (i, j)
 
 
-class TensorElement(AlgebraElement):
-    """An element of A (x) B (or of a twisted product, see ``TensorAlgebra``)."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement) or other.alg is not self.alg:
-            return NotImplemented
-        T = self.alg
-        return T.element_class(T, T.mul_into({}, self.coeffs, other.coeffs))
-
-
 class TensorAlgebra(BasedAlgebra):
     """A (x) B on pair labels (a, b); degrees add.
 
@@ -456,8 +444,6 @@ class TensorAlgebra(BasedAlgebra):
     identity here, giving the componentwise product; the skew group algebra
     A (x) R[G] twists by the action, twist(g, y) = alpha_g(y).
     """
-
-    element_class = TensorElement
 
     def __init__(self, A: BasedAlgebra, B: BasedAlgebra):
         if A.field != B.field:
@@ -545,7 +531,7 @@ class TensorAlgebra(BasedAlgebra):
         A = self.A
         return {b: A.element_class(A, coeffs) for b, coeffs in _blocks(x.coeffs).items()}
 
-    def from_components(self, blocks) -> TensorElement:
+    def from_components(self, blocks) -> AlgebraElement:
         """sum over b of blocks[b] (x) b, for a map b -> element of A."""
         return self.element_class(
             self, {(l, b): c for b, x in blocks.items() for l, c in x.coeffs.items()})
@@ -595,12 +581,9 @@ class StructureConstantAlgebra(BasedAlgebra):
     def __init__(self, field, size, products, one_coeffs_, names=None):
         super().__init__(field)
         self.size = size
-        # (i, j) -> {k: c}, missing means zero; zero entries are dropped, as
-        # a product_cached dict is a coefficient map and stores no zeros
-        self._products = {
-            key: {k: c for k, c in row.items() if not field.is_zero(c)}
-            for key, row in products.items()
-        }
+        # (i, j) -> {k: c}, missing means zero; each row is brought to
+        # canonical form on a copy, as a product_cached dict is a coefficient map
+        self._products = {key: field.reduce_into(dict(row)) for key, row in products.items()}
         self._one = dict(one_coeffs_)
         self.names = names or [f"b{i}" for i in range(size)]
 

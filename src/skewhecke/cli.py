@@ -385,8 +385,7 @@ def suite_decomp(run: SuiteRun, ctx, rng):
     # bijection: coordinates of a random element round-trip
     x = ctx.random_element(rng, degree=degree)
     coords = ctx.module_coordinates(x, degree=degree)
-    y = ctx.combination(
-        (HeckeElement(ctx, {oi: v}), c) for (oi, v), c in zip(basis, coords))
+    y = ctx.combination((HeckeElement(ctx, dict([basis[t]])), c) for t, c in coords.items())
     run.record("decomp.bijection_roundtrip", y == x)
     # bimodule law: delta_{H,a} * phi * delta_{H,a'} has values a v alpha_g a'
     a = _random_invariant(ctx, rng)
@@ -497,7 +496,7 @@ def _record_map(run, check, detail, basis, forward, one, target, rng, onto=True)
     A failed check is followed by one line per witness."""
     rep = verify_algebra_map(
         check, basis, forward, one, target.identity(), target.field,
-        vectorize=lambda phi: dict(target.module_coordinate_terms(phi)),
+        vectorize=target.module_coordinates,
         target_dim=target.dimension() if onto else None, rng=rng, max_pairs=60,
     )
     run.record(check, rep.ok, detail, rep.failures)

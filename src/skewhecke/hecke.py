@@ -11,8 +11,10 @@ v, w adding sum alpha_h(v) alpha_m(w) at a target orbit.  One helper,
 ``_skeleton_sum``, forms that sum from two image caches: ``convolve`` passes
 those of one product, each alpha_h(v) formed once per call, and
 ``structure_constants`` those of a whole pair of basis blocks, each image
-formed once per block pair.  Module coordinates are solved only on the
-orbits an element is carried by, at offsets laid out once per degree.
+formed once per block pair.  An element's module coordinates are one map
+{position: c}, solved only on the orbits the element is carried by, at offsets
+laid out once per degree.  A linear combination sums each orbit's values with
+``A.combination``, the algebra's one linear combination.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .algebras import (
     trivial_action,
 )
 from .groups import CosetSpace, FiniteGroup, Subgroup
-from .linalg import add_into
 
 
 class StabilizerInvarianceError(ValueError):
@@ -115,24 +116,17 @@ class HeckeContext:
     def dimension(self, degree=None) -> int:
         return len(self.module_basis(degree))
 
-    def module_coordinates(self, phi: "HeckeElement", degree=None):
-        """Coordinates of phi in the module basis (same order); exact."""
-        coords = [self.field.zero] * self.dimension(degree)
-        for t, c in self.module_coordinate_terms(phi, degree):
-            coords[t] = c
+    def module_coordinates(self, phi: "HeckeElement", degree=None) -> dict:
+        """Coordinates of phi in module_basis(degree) as {position: c}, nonzero,
+        positions increasing; only the orbits phi is carried by are solved."""
+        coords = {}
+        for oi in sorted(phi.values):
+            coords.update(self._value_terms(oi, phi.values[oi], degree))
         return coords
 
-    def module_coordinate_terms(self, phi: "HeckeElement", degree=None):
-        """Nonzero coordinates of phi as (position in module_basis(degree), c)
-        pairs, increasing; only the orbits phi is carried by are solved."""
-        terms = []
-        for oi in sorted(phi.values):
-            terms.extend(self._value_terms(oi, phi.values[oi], degree))
-        return terms
-
     def _value_terms(self, oi, v: AlgebraElement, degree=None):
-        """The module_coordinate_terms of the element with the single value v
-        at orbit oi."""
+        """The module coordinates of the element with the single value v at
+        orbit oi, as (position, c) pairs."""
         space, offset = self.coordinate_layout(degree)[oi]
         c = space.coordinates(v)
         if c is None:
@@ -163,15 +157,14 @@ class HeckeContext:
         return HeckeElement(self, {})
 
     def combination(self, terms) -> "HeckeElement":
-        """sum of c * phi over the pairs (phi, c) of ``terms``, accumulated in place."""
-        f = self.field
-        acc: dict = {}
+        """sum of c * phi over the pairs (phi, c) of ``terms``: the values at
+        each orbit summed by ``A.combination``."""
+        by_orbit: dict = {}
         for phi, c in terms:
             for oi, v in phi.values.items():
-                add_into(f, acc.setdefault(oi, {}), v.coeffs, c)
-        return HeckeElement(
-            self, {oi: self.A.element_class(self.A, coeffs) for oi, coeffs in acc.items()}
-        )
+                by_orbit.setdefault(oi, []).append((v, c))
+        A = self.A
+        return HeckeElement(self, {oi: A.combination(vc) for oi, vc in by_orbit.items()})
 
     def identity(self) -> "HeckeElement":
         """The unit: value 1_A at the identity coset H, zero elsewhere."""
@@ -445,7 +438,7 @@ def hecke_as_based_algebra(ctx: HeckeContext):
     products: dict = {}
     for i, j, k, c in rows:
         products.setdefault((i, j), {})[k] = c
-    one = dict(ctx.module_coordinate_terms(ctx.identity()))
+    one = ctx.module_coordinates(ctx.identity())
     names = []
     for oi, v, _ in basis:
         rep = ctx.orbits[oi].rep_element
@@ -457,6 +450,6 @@ def hecke_as_based_algebra(ctx: HeckeContext):
         return ctx.combination((elements[i], c) for i, c in x.coeffs.items())
 
     def from_hecke(phi):
-        return B.element(dict(ctx.module_coordinate_terms(phi)))
+        return B.element(ctx.module_coordinates(phi))
 
     return B, to_hecke, from_hecke

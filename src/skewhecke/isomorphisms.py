@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .algebras import (
+    AlgebraElement,
     GroupAction,
     GroupAlgebra,
     FunctionAlgebra,
@@ -21,7 +22,6 @@ from .algebras import (
     MatrixAlgebra,
     OppositeAlgebra,
     TensorAlgebra,
-    TensorElement,
     cocycle_perturbed_action,
     element_inverse,
     group_automorphism_action,
@@ -154,10 +154,12 @@ class Transport:
 # matrix model: phi |-> sum alpha_{k_a} phi(k_a^-1 k_b H) (x) E[a,b]
 
 
-class HeckeMatrix(TensorElement):
+class HeckeMatrix(AlgebraElement):
     """An element of a context's ``MatrixModel``; it multiplies by ``TensorAlgebra.accumulate``."""
 
     __slots__ = ()
+    # its own attribute, so a wrapper on it by name sees only matrix-model products
+    __mul__ = AlgebraElement.__mul__
 
 
 class MatrixModel(TensorAlgebra):

@@ -14,16 +14,17 @@ from .algebras import (
     GroupAction,
     GroupAlgebra,
     TensorAlgebra,
-    TensorElement,
 )
 from .groups import CosetSpace, Subgroup
 from .scalars import NotAUnitError
 
 
-class SkewGroupElement(TensorElement):
+class SkewGroupElement(AlgebraElement):
     """An element of A x| G; it multiplies by ``TensorAlgebra.accumulate``, twisted."""
 
     __slots__ = ()
+    # its own attribute, so a wrapper on it by name sees only A x| G products
+    __mul__ = AlgebraElement.__mul__
 
 
 class SkewGroupAlgebra(TensorAlgebra):

@@ -9,7 +9,7 @@ factors over every left coset and walks all cosets kH with representatives
 No product skeleton, no caching, no validation.
 
 ``reference_structure_constants`` is the multiplication table one basis pair
-at a time: ``convolve`` on each pair, then ``module_coordinate_terms``.
+at a time: ``convolve`` on each pair, then ``module_coordinates``.
 
 ``classical_structure_constants_counting`` is the table of H_R(G, H) by
 counting cosets, with no convolution at all.
@@ -58,7 +58,7 @@ def reference_structure_constants(ctx, degree_cap=None):
             prod = elements[i].convolve(elements[j])
             dk = di + dj if ctx.graded else None
             start = start_of.get(dk)
-            for t, c in ctx.module_coordinate_terms(prod, degree=dk):
+            for t, c in ctx.module_coordinates(prod, degree=dk).items():
                 k = ("deg", dk, t) if start is None else start + t
                 rows.append((i, j, k, c))
     return basis, rows

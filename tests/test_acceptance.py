@@ -106,7 +106,7 @@ def conjugation_context():
 
 def coordinate_map(ctx):
     """phi -> its module coordinates as a {position: value} map."""
-    return lambda phi: dict(ctx.module_coordinate_terms(phi))
+    return ctx.module_coordinates
 
 
 def random_invariant(ctx, rng, degrees=None):
@@ -205,8 +205,8 @@ def _check_decomposition_and_bimodule(ctx, rng):
         x = ctx.random_element(rng, degree=degree)
         coords = ctx.module_coordinates(x, degree=degree)
         y = ctx.zero()
-        for (oi, v), c in zip(basis, coords):
-            y = y + HeckeElement(ctx, {oi: v}).scale(c)
+        for t, c in coords.items():
+            y = y + HeckeElement(ctx, dict([basis[t]])).scale(c)
         assert y == x
     # bimodule law on every module-basis element
     a = random_invariant(ctx, rng)

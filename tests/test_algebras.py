@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,32 @@ def test_structure_constant_table_zeros_are_not_stored():
     x = A.element({0: 2, 1: 3})
     assert (x * x).coeffs == {0: 4, 1: 2}
     assert (A.basis_element(1) * A.basis_element(1)).coeffs == {}
+
+
+def test_element_and_table_values_are_canonical():
+    # element() and the structure-constant table reduce each value on a copy
+    F5 = PrimeField(5)
+    A = scalar_algebra(F5)
+    coeffs = {0: -1}
+    assert A.element(coeffs) == A.element({0: 4})
+    assert coeffs == {0: -1}
+    assert A.element({0: 6}).coeffs == {0: 1}
+    assert A.element({0: 10}).is_zero
+    half = scalar_algebra(Q).element({0: Fraction(4, 2)}).coeffs[0]
+    assert half == 2 and type(half) is int
+    B = StructureConstantAlgebra(F5, 1, {(0, 0): {0: 6}}, {0: -4})
+    assert B.product_on_basis(0, 0) == {0: 1}
+    assert B.one().coeffs == {0: 1}
+
+
+def test_factor_from_another_algebra_is_refused():
+    # the product reads the left factor's table, so a right factor from
+    # another algebra would be read as labels of the wrong group
+    A, B = GroupAlgebra(Q, S3), GroupAlgebra(Q, cyclic_group(6))
+    with pytest.raises(TypeError):
+        A.basis_element(1) * B.basis_element(1)
+    with pytest.raises(TypeError):
+        B.basis_element(1) * A.basis_element(1)
 
 
 def test_polynomial_associative(poly):

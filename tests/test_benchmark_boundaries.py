@@ -37,6 +37,20 @@ def test_traced_span_resolves(name, module, path):
     assert callable(owner), name
 
 
+METHOD_SPANS = [s for s in job.SPANS if "." in s[2]]
+
+
+@pytest.mark.parametrize("name,module,path", METHOD_SPANS, ids=[s[0] for s in METHOD_SPANS])
+def test_traced_method_is_defined_on_its_class(name, module, path):
+    # an inherited method is the base class's: wrapping it by name would nest
+    # the base's span inside this one and leave this span no self time
+    *outer, attr = path.split(".")
+    owner = importlib.import_module(f"skewhecke.{module}")
+    for cls in outer:
+        owner = getattr(owner, cls)
+    assert attr in vars(owner), name
+
+
 def test_counted_caches_and_field_ops_exist():
     assert callable(BasedAlgebra.product_cached)
     assert callable(GroupAction.on_label)

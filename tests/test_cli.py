@@ -269,6 +269,16 @@ def test_verify_all_graded_degree_cap_zero(capsys, cfg_file):
     assert "failed = 0" in out
 
 
+def test_degree_cap_flag_overrides_the_config(capsys):
+    path = str(GOLDEN / "polynomial_s3.cfg")  # degree_cap = 2 in the file
+    code, out = run_cli(capsys, "dims", "--config", path, "--degree-cap", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "dim (degrees 0..1) = 7"
+    code, out = run_cli(capsys, "verify", "assoc", "--config", path, "--degree-cap", "1")
+    assert code == 0
+    assert "  degree_cap = 1" in out.splitlines()
+
+
 def test_verify_stone_runs_on_function_config(capsys, cfg_file):
     code, out = run_cli(capsys, "verify", "stone", "--config", cfg_file(STONE))
     assert code == 0
@@ -432,13 +442,14 @@ def test_unwritable_out_path_exits_2(capsys, cfg_file, tmp_path, target):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
-def cli_process(args, stdout):
-    """``python -m skewhecke.cli <args>`` in a child process, its stderr piped."""
+def cli_process(args, stdout, entry=("-m", "skewhecke.cli")):
+    """``python <entry> <args>`` in a child process, its stderr piped; the
+    entry is the CLI module unless a script is named."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, "-m", "skewhecke.cli", *args],
+    return subprocess.Popen([sys.executable, *entry, *args],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
@@ -457,6 +468,24 @@ def test_closed_stdout_exits_2_with_one_error_line():
     assert proc.stdout.readline().startswith(b"# 0:")
     proc.stdout.close()
     assert_one_error_line(proc)
+
+
+PEAK_RSS = str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py")
+
+
+@pytest.mark.parametrize("bound, config, status", [
+    ("1000", "functions_s3.cfg", 0),
+    ("0", "functions_s3.cfg", 1),  # past the bound
+    ("1000", "missing.cfg", 2),  # the CLI's own code
+])
+def test_peak_rss_script_exits_with_the_cli_code_or_1_past_its_bound(bound, config, status):
+    proc = cli_process([bound, "dims", "--config", str(GOLDEN / config)],
+                       subprocess.PIPE, entry=(PEAK_RSS,))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == status
+    if status != 2:
+        assert out == (GOLDEN / "functions_s3.dims.txt").read_bytes()
+    assert re.search(rb"^peak RSS \d+\.\d MB\n\Z", err, re.M)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -181,7 +181,7 @@ def test_structure_constant_rows_rebuild_products(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_structure_constants_match_the_per_pair_reference(name):
-    # the block table against convolve and module_coordinate_terms on each
+    # the block table against convolve and module_coordinates on each
     # basis pair: same basis, same rows in the same order
     ctx = case(name)
     basis, rows = structure_constants(ctx)
@@ -362,6 +362,15 @@ def test_random_tuples_convolve_and_matrix_model(ctx, seed):
     cocycle = cocycle_transport(ctx, coboundary_from_unit(ctx, u))
     assert cocycle.forward(product) == cocycle.forward(x) * cocycle.forward(y)
     assert cocycle.backward(cocycle.forward(x)) == x
+    # module coordinates: nonzero, at increasing positions, summing back in each degree
+    rng = random.Random(seed)
+    for d in ctx.A.degrees(ctx.degree_cap):
+        phi = ctx.random_element(rng, degree=d)
+        coords = ctx.module_coordinates(phi, degree=d)
+        assert list(coords) == sorted(coords)
+        assert not any(ctx.field.is_zero(c) for c in coords.values())
+        basis = ctx.basis_hecke_elements(d)
+        assert sum((basis[t].scale(c) for t, c in coords.items()), ctx.zero()) == phi
 
 
 def integral_element(ctx, rng):

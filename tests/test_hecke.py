@@ -128,9 +128,10 @@ def test_module_coordinates_roundtrip():
     rng = random.Random(4)
     phi = ctx.random_element(rng)
     coords = ctx.module_coordinates(phi)
+    basis = ctx.basis_hecke_elements()
     rebuilt = ctx.zero()
-    for b, c in zip(ctx.basis_hecke_elements(), coords):
-        rebuilt = rebuilt + b.scale(c)
+    for t, c in coords.items():
+        rebuilt = rebuilt + basis[t].scale(c)
     assert rebuilt == phi
 
 

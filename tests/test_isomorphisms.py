@@ -8,7 +8,6 @@ from skewhecke.algebras import (
     GroupAlgebra,
     PolynomialAlgebra,
     TensorAlgebra,
-    TensorElement,
     conjugation_action,
     invariants_compute,
     left_translation_action,
@@ -79,7 +78,7 @@ def polynomial_context(cap=2):
 
 
 def hecke_vectorizer(ctx):
-    return lambda phi: dict(ctx.module_coordinate_terms(phi))
+    return ctx.module_coordinates
 
 
 # -- matrix model ------------------------------------------------------------
@@ -364,8 +363,8 @@ def test_product_transport():
 
 
 def test_tensor_values_multiply_through_the_grouped_product(monkeypatch):
-    """Hecke values in A (x) B are TensorElements: convolution, combinations and
-    random elements never reach the label-pair TensorAlgebra.product_on_basis."""
+    """Hecke values in A (x) B are elements of A (x) B: convolution, combinations
+    and random elements never reach the label-pair TensorAlgebra.product_on_basis."""
     C2 = cyclic_group(2)
     ctx2 = classical_context(Q, C2, trivial_subgroup(C2))
     T = product_transport(function_context(), ctx2).target
@@ -379,7 +378,7 @@ def test_tensor_values_multiply_through_the_grouped_product(monkeypatch):
     xy = x * y
     assert not xy.is_zero
     for phi in (x, y, xy, T.combination([(x, Q.one), (xy, Q.one)])):
-        assert all(type(v) is TensorElement for v in phi.values.values())
+        assert all(v.alg is T.A for v in phi.values.values())
 
 
 def test_intermediate_embed_chain_s2_s3_s4():
