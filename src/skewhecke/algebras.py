@@ -964,18 +964,18 @@ def invariants_compute(A: BasedAlgebra, S_elements, action: GroupAction, degree=
 class InvariantSpace:
     """A^S in one degree (all of A if degree is None): basis and exact coordinates.
 
-    ``index`` maps each label of the degree to its column.  ``coordinates(a)``
-    returns the nonzero {i: c} with part_d(a) = sum c basis[i], where part_d(a)
-    keeps the terms of a whose labels lie in the degree, or None when that part
-    is not S-fixed.  The data decides how:
+    ``index`` maps each label of the degree to its column.  ``coordinates(a)``,
+    a a coefficient map, returns the nonzero {i: c} with part_d(a) = sum c
+    basis[i], where part_d(a) keeps the terms of a whose labels lie in the
+    degree, or None when that part is not S-fixed.  The data decides how:
 
     - When every s in S_elements permutes the labels of the degree
       (``GroupAction.permutation``), A^S is spanned by the orbit sums of the
       labels, in any characteristic.  ``orbits`` lists each orbit's labels in
-      column order, the orbits ordered by their largest column; the basis is
-      their sums, and a's coordinate at an orbit is its entry at that column,
-      provided a is constant on the orbit.  This is the basis an elimination
-      finds: the largest column of each orbit is its free column.
+      column order, the orbits ordered by their largest column (the basis an
+      elimination finds: that column is each orbit's free one); the basis is
+      their sums.  One successor map sends each label to the next of its
+      orbit, cyclically, and to the orbit's index at that column, else None.
     - Otherwise the invariance conditions alpha_s(a) = a, one block of rows
       per s, are reduced once by a ``linalg.CoordinateSolver`` (``solver``),
       whose kernel basis is ``basis``.
@@ -984,12 +984,13 @@ class InvariantSpace:
     def __init__(self, A: BasedAlgebra, S_elements, action: GroupAction, degree=None):
         labels = A.basis_labels(degree)  # a graded A refuses degree None
         self.index = {l: j for j, l in enumerate(labels)}
-        self.field = A.field
         self.solver = None
         self.orbits = _label_orbits(labels, self.index, S_elements, action)
         if self.orbits is not None:
             one = A.field.one
-            self._orbit_of = {l: i for i, orbit in enumerate(self.orbits) for l in orbit}
+            self._successor = {l: (m, t if m == orbit[0] else None)  # m wraps after the last
+                               for t, orbit in enumerate(self.orbits)
+                               for l, m in zip(orbit, orbit[1:] + orbit[:1])}
             self.basis = [A.element_class(A, dict.fromkeys(orbit, one))
                           for orbit in self.orbits]
             return
@@ -1002,25 +1003,22 @@ class InvariantSpace:
         self.basis = [A.element({labels[j]: x for j, x in v.items()})
                       for v in self.solver.basis]
 
-    def coordinates(self, a: AlgebraElement):
+    def coordinates(self, a: dict):
         if self.solver is not None:
             index = self.index
-            return self.solver.coordinates(
-                (index[l], x) for l, x in a.coeffs.items() if l in index
-            )
-        coeffs, orbit_of, zero = a.coeffs, self._orbit_of, self.field.zero
-        out: dict = {}
-        for l in coeffs:
-            i = orbit_of.get(l)
-            if i is None or i in out:
-                continue
-            orbit = self.orbits[i]
-            c = coeffs.get(orbit[-1], zero)  # the entry at the largest column
-            for m in orbit:
-                if coeffs.get(m, zero) != c:
+            return self.solver.coordinates((index[l], x) for l, x in a.items() if l in index)
+        # No zeros are stored, so by induction round an orbit's cycle, a is
+        # constant on the orbit exactly when each of its labels there is followed
+        # by an equal coefficient: the largest column then holds it too.
+        successor, out = self._successor, []
+        for l, c in a.items():
+            step = successor.get(l)
+            if step is not None:  # else a label outside the degree
+                if a.get(step[0]) != c:
                     return None
-            out[i] = c
-        return {i: c for i, c in sorted(out.items()) if c != zero}
+                if step[1] is not None:
+                    out.append((step[1], c))
+        return dict(sorted(out))
 
 
 def _label_orbits(labels, index, S_elements, action: GroupAction):
@@ -1110,7 +1108,7 @@ class InvariantSubalgebra(BasedAlgebra):
             degrees = dict.fromkeys(self.A.degree(l) for l in a.coeffs)
         out: dict = {}
         for d in degrees:
-            coords = self.space(d).coordinates(a)
+            coords = self.space(d).coordinates(a.coeffs)
             if coords is None:
                 return None
             for i, c in coords.items():

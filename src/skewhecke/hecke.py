@@ -128,7 +128,7 @@ class HeckeContext:
         """The module coordinates of the element with the single value v at
         orbit oi, as (position, c) pairs."""
         space, offset = self.coordinate_layout(degree)[oi]
-        c = space.coordinates(v)
+        c = space.coordinates(v.coeffs)
         if c is None:
             # raises, naming the stabilizer generator that moves v's part
             self.validate_value(oi, self.A.element(
@@ -385,8 +385,10 @@ def structure_constants(ctx: HeckeContext):
     alpha_m to every right basis value once, and the dim_i x dim_j products
     are summed from those images by ``_skeleton_sum``, as ``convolve`` sums
     one product; the images are dropped after the pair.  Every product value
-    is solved in its orbit space, whose solve refuses a value that the orbit
-    stabilizer moves (``StabilizerInvarianceError``, naming the generator).
+    is solved, as a raw map, in its orbit space (looked up once per block
+    pair; an orbit-sum space reads it in one pass of its successor map).  Only
+    a value the orbit stabilizer moves is built as an element, to be refused
+    by ``_value_terms`` (``StabilizerInvarianceError``, naming the generator).
     """
     if ctx.graded and ctx.degree_cap is None:
         raise ValueError("graded context needs a degree cap")
@@ -400,7 +402,7 @@ def structure_constants(ctx: HeckeContext):
                 blocks.append((len(basis), oi, d, space.basis))
                 basis.extend((oi, v, d or 0) for v in space.basis)
     skeleton = ctx.cosets.product_skeleton()
-    apply, A = ctx.action.apply, ctx.A
+    apply, A, reduce_into = ctx.action.apply, ctx.A, ctx.field.reduce_into
     rows = []
     for start_i, oi, di, left_values in blocks:
         block_rows = [[] for _ in left_values]  # the rows of each i of the block
@@ -410,17 +412,22 @@ def structure_constants(ctx: HeckeContext):
                 continue
             dk = di + dj if ctx.graded else None
             start = start_of.get(dk)
+            layout = ctx.coordinate_layout(dk)  # targets: (o, terms, space, first position)
+            targets = [(o, terms, layout[o][0], (start or 0) + layout[o][1])
+                       for o, terms in entries]
             left = [_Images(apply, v) for v in left_values]
             right = [_Images(apply, w) for w in right_values]
             for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
                 for j, images_w in enumerate(right, start_j):
-                    for o, terms in entries:
-                        total = A.field.reduce_into(_skeleton_sum(A, {}, terms, images_v, images_w))
+                    for o, terms, space, base in targets:
+                        total = reduce_into(_skeleton_sum(A, {}, terms, images_v, images_w))
                         if not total:
                             continue
-                        value = A.element_class(A, total)
-                        out.extend((i, j, ("deg", dk, t) if start is None else start + t, c)
-                                   for t, c in ctx._value_terms(o, value, dk))
+                        coords = space.coordinates(total)
+                        if coords is None:  # raises, naming the generator
+                            ctx._value_terms(o, A.element_class(A, total), dk)
+                        out.extend((i, j, ("deg", dk, base + t) if start is None else base + t, c)
+                                   for t, c in coords.items())
         for out in block_rows:
             rows.extend(out)
     return basis, rows
@@ -434,6 +441,8 @@ def hecke_as_based_algebra(ctx: HeckeContext):
     """
     from .algebras import StructureConstantAlgebra
 
+    if ctx.graded:
+        raise ValueError("a graded context has no finite table: its products pass the degree cap")
     basis, rows = structure_constants(ctx)
     products: dict = {}
     for i, j, k, c in rows:

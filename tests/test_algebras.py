@@ -375,7 +375,7 @@ def test_graded_invariant_subalgebra_express_per_degree(poly):
         for moved in (poly.variable(1), poly.variable(1) * poly.variable(2)):
             assert inv.express(a + moved) is None
         # a degree-1 space reads only the degree-1 part of a
-        assert inv.space(1).coordinates(a) == {0: x.coeffs[(1, 0)]}
+        assert inv.space(1).coordinates(a.coeffs) == {0: x.coeffs[(1, 0)]}
 
 
 # -- unit inversion ----------------------------------------------------------

@@ -196,7 +196,8 @@ def test_structure_constants_match_the_per_pair_reference(name):
 @pytest.mark.parametrize("make", [
     lambda: functions(Q, S3, gens(S3, "(1 2)")),
     lambda: polynomial(Q, S3, gens(S3, "(1 2)"), 2),
-], ids=["functions", "polynomial_graded"])
+    lambda: conjugation(Q, S3, gens(S3, "(1 2)")),
+], ids=["functions", "polynomial_graded", "group_conjugation"])
 def test_table_refuses_a_product_outside_its_fixed_space(monkeypatch, make):
     # alpha_(2 3) doubled: some products at orbit 0 are no longer fixed by its
     # stabilizer <(1 2)>; the table must refuse them as convolve does

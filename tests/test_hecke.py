@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skewhecke import hecke
 from skewhecke.algebras import (
     FunctionAlgebra,
     GroupAction,
@@ -292,3 +293,13 @@ def test_materialized_algebra_roundtrip_and_associative():
         phi = ctx.random_element(rng)
         assert to_hecke(from_hecke(phi)) == phi
     assert to_hecke(B.one()) == ctx.identity()
+
+
+def test_materialized_algebra_refuses_a_graded_context(monkeypatch):
+    # refused before any table is built: a graded table points past its cap
+    def table(ctx):
+        raise AssertionError("structure constants built")
+
+    monkeypatch.setattr(hecke, "structure_constants", table)
+    with pytest.raises(ValueError, match="graded context has no finite table"):
+        hecke_as_based_algebra(polynomial_context())

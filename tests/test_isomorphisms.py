@@ -362,6 +362,14 @@ def test_product_transport():
     assert len(basis) == tr.info["target_dim"] == 18
 
 
+def test_product_transport_refuses_a_graded_factor():
+    C2 = cyclic_group(2)
+    finite = classical_context(Q, C2, trivial_subgroup(C2))
+    for ctx1, ctx2 in ((polynomial_context(), finite), (finite, polynomial_context())):
+        with pytest.raises(ValueError, match="graded context has no finite table"):
+            product_transport(ctx1, ctx2)
+
+
 def test_tensor_values_multiply_through_the_grouped_product(monkeypatch):
     """Hecke values in A (x) B are elements of A (x) B: convolution, combinations
     and random elements never reach the label-pair TensorAlgebra.product_on_basis."""

@@ -18,10 +18,15 @@ import random
 import pytest
 
 from skewhecke import linalg
-from skewhecke.algebras import GroupAction, InvariantSpace, PolynomialAlgebra
+from skewhecke.algebras import (
+    GroupAction,
+    InvariantSpace,
+    PolynomialAlgebra,
+    permutation_variable_action,
+)
 from skewhecke.cli import JobConfig, build_context, parse_config
 from skewhecke.groups import full_subgroup, symmetric_group
-from skewhecke.scalars import Rationals
+from skewhecke.scalars import PrimeField, Rationals
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
 Q = Rationals()
@@ -84,7 +89,7 @@ def assert_orbit_space_matches_solver(A, S_elements, action, degree, seed=0):
     for a in probes(space, A, degree, random.Random(seed)):
         expected = solver.coordinates(
             (index[l], x) for l, x in a.coeffs.items() if l in index)
-        got = space.coordinates(a)
+        got = space.coordinates(a.coeffs)
         assert got == expected
         if got is not None:
             assert list(got) == sorted(got)
@@ -138,6 +143,55 @@ def test_spaces_in_small_characteristic_match_solver(field, group, subgroup, alg
     assert_context_matches_solver(ctx)
 
 
+# -- the successor check, one kind of probe at a time ---------------------------
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(5)], ids=str)
+def test_successor_check_probe_by_probe(field):
+    # <(1 2)> on the quadratic monomials in x1, x2, x3: the orbits
+    # {x1^2, x2^2} and {x1 x3, x2 x3}, and the singletons {x1 x2} and {x3^2}
+    S3 = symmetric_group(3)
+    A = PolynomialAlgebra(field, 3, 2)
+    act = permutation_variable_action(S3, A)
+    gens = [S3.element_by_name("(1 2)")]
+    space = InvariantSpace(A, gens, act, 2)
+    index, solver, _ = solver_reference(A, gens, act, 2)
+    assert sorted(map(len, space.orbits)) == [1, 1, 2, 2]
+
+    def coordinates(coeffs):
+        got = space.coordinates(coeffs)
+        assert got == solver.coordinates(
+            (index[l], x) for l, x in coeffs.items() if l in index)
+        return got
+
+    def value(t):  # nonzero in each field; other(t) differs from it
+        return field.from_int(1 + t % 2)
+
+    def other(t):
+        return field.from_int(2 - t % 2)
+
+    fixed = {l: value(t) for t, orbit in enumerate(space.orbits) for l in orbit}
+    expected = {t: value(t) for t in range(len(space.orbits))}
+    assert coordinates({}) == {}
+    assert coordinates(fixed) == expected
+    for t, orbit in enumerate(space.orbits):
+        for l in orbit:
+            changed = {**fixed, l: other(t)}
+            dropped = {m: x for m, x in fixed.items() if m != l}
+            if len(orbit) == 1:  # any value of a singleton orbit is fixed
+                assert coordinates(changed) == {**expected, t: other(t)}
+                assert coordinates(dropped) == {s: x for s, x in expected.items() if s != t}
+            else:
+                assert coordinates(changed) is None
+                assert coordinates(dropped) is None
+    # labels of degrees 0 and 1, x1 alone among them moved, are read past
+    others = {(0, 0, 0): field.one, (1, 0, 0): other(0)}
+    assert coordinates({**others, **fixed}) == expected
+    assert coordinates({**fixed, **others}) == expected
+    t, orbit = next((t, orbit) for t, orbit in enumerate(space.orbits) if len(orbit) > 1)
+    assert coordinates({**others, **fixed, orbit[0]: other(t)}) is None
+
+
 # -- actions that do not permute the labels keep the solver ---------------------
 
 
@@ -165,7 +219,8 @@ def test_signed_monomial_action_builds_a_solver():
     assert isinstance(odd.solver, linalg.CoordinateSolver)
     # x1 - x2 is fixed: (1 2) sends it to -(x2 - x1)
     x = A.variable(1) - A.variable(2)
-    assert odd.coordinates(x) is not None and odd.coordinates(A.variable(3)) is None
+    assert odd.coordinates(x.coeffs) is not None \
+        and odd.coordinates(A.variable(3).coeffs) is None
     assert len(odd.basis) == 1
     # in degree 2 the sign squares to 1: the labels are permuted again
     assert_orbit_space_matches_solver(A, gens, act, 2)
