@@ -19,6 +19,7 @@ indicator functions ``delta[(1 2)]``, matrix units ``E[1,2]``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import random
@@ -49,8 +50,9 @@ from .groups import (
 from .hecke import (
     HeckeContext,
     HeckeElement,
+    StabilizerInvarianceError,
     classical_context,
-    structure_constants,
+    structure_constant_blocks,
 )
 from .scalars import NotAUnitError, field_make
 from .skewgroup import SkewGroupAlgebra, corner_basis, hecke_idempotent, subgroup_sum
@@ -303,22 +305,39 @@ def cmd_dims(ctx: HeckeContext, write):
     return 0
 
 
+@contextlib.contextmanager
+def _refused_product_is_a_defect():
+    """A product of stabilizer-fixed values under a verified action is fixed,
+    so its refusal is a defect (exit 3), not bad input (exit 2)."""
+    try:
+        yield
+    except StabilizerInvarianceError as exc:
+        raise ArithmeticError(f"product refused: {exc} (bug: the action was verified)") from exc
+
+
 def cmd_mul(ctx: HeckeContext, lit1: str, lit2: str, write):
     phi = parse_hecke_element(ctx, lit1)
     psi = parse_hecke_element(ctx, lit2)
-    write(format_hecke_element(phi.convolve(psi)))
+    with _refused_product_is_a_defect():
+        product = phi.convolve(psi)
+    write(format_hecke_element(product))
     return 0
 
 
 def cmd_sc(ctx: HeckeContext, write):
-    basis, rows = structure_constants(ctx)
+    """The basis lines, then one string per left block of the table: its rows
+    joined by newlines (the writer ends every string with one), so neither a
+    row list nor a string per row is kept."""
+    basis, blocks = structure_constant_blocks(ctx)
     for i, (oi, v, d) in enumerate(basis):
         rep = ctx.orbits[oi].rep_element
         deg = f", degree {d}" if ctx.graded else ""
         write(f"# {i}: orbit {oi} (rep {ctx.G.name(rep)}){deg}, value {v}")
-    f = ctx.field
-    for i, j, k, c in rows:
-        write(f"{i}\t{j}\t{k}\t{f.format(c)}")
+    fmt = ctx.field.format
+    with _refused_product_is_a_defect():
+        for rows in blocks:
+            if rows:
+                write("\n".join([f"{i}\t{j}\t{k}\t{fmt(c)}" for i, j, k, c in rows]))
     return 0
 
 

@@ -166,7 +166,22 @@ def _group_on(elements, mul, name, perms=None):
     element i is elements[i], printed as name(elements[i]), and index maps each
     element back to i."""
     index = {e: i for i, e in enumerate(elements)}
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    table = [None] * len(index)
+    generators, found = [], []
+    # Only the rows of a greedily chosen generating set are products by mul;
+    # every other row composes two known ones: row[s*a][b] = row[s][row[a][b]].
+    for g, e in enumerate(elements):
+        if table[g] is not None:
+            continue
+        table[g] = tuple([index[mul(e, b)] for b in elements])
+        generators.append(table[g])
+        found.append(g)
+        for a in found:  # grows while it is scanned
+            for row_s in generators:
+                sa = row_s[a]
+                if table[sa] is None:
+                    table[sa] = tuple(map(row_s.__getitem__, table[a]))
+                    found.append(sa)
     names = [name(e) for e in elements]
     return FiniteGroup(table, names=names, perms=perms, check=False), index
 

@@ -377,7 +377,21 @@ def structure_constants(ctx: HeckeContext):
     the order of i, then j, then k.  For graded contexts the basis covers
     degrees 0..ctx.degree_cap and outputs are expressed in the degree-(d_i + d_j)
     basis; a k past the basis is written ("deg", d, t), t the position in
-    module_basis(d).
+    module_basis(d).  The rows are the blocks of ``structure_constant_blocks``,
+    concatenated.
+    """
+    basis, blocks = structure_constant_blocks(ctx)
+    return basis, [row for block in blocks for row in block]
+
+
+def structure_constant_blocks(ctx: HeckeContext):
+    """The table of ``structure_constants`` one left block at a time.
+
+    Returns (basis, blocks): the basis descriptors, built before any product,
+    and a generator that yields, for each left block in basis order, the list
+    of its rows (i, j, k, coeff) in (i, j, k) order as soon as that block is
+    complete.  A block whose products all vanish yields an empty list.  So a
+    caller can write the table out block by block and never hold all of it.
 
     The basis falls into blocks, one per (orbit, degree).  For each pair of a
     left block at orbit oi and a right block at oj with a skeleton entry, each
@@ -401,36 +415,37 @@ def structure_constants(ctx: HeckeContext):
             if space.basis:
                 blocks.append((len(basis), oi, d, space.basis))
                 basis.extend((oi, v, d or 0) for v in space.basis)
-    skeleton = ctx.cosets.product_skeleton()
-    apply, A, reduce_into = ctx.action.apply, ctx.A, ctx.field.reduce_into
-    rows = []
-    for start_i, oi, di, left_values in blocks:
-        block_rows = [[] for _ in left_values]  # the rows of each i of the block
-        for start_j, oj, dj, right_values in blocks:
-            entries = skeleton.get((oi, oj))
-            if entries is None:
-                continue
-            dk = di + dj if ctx.graded else None
-            start = start_of.get(dk)
-            layout = ctx.coordinate_layout(dk)  # targets: (o, terms, space, first position)
-            targets = [(o, terms, layout[o][0], (start or 0) + layout[o][1])
-                       for o, terms in entries]
-            left = [_Images(apply, v) for v in left_values]
-            right = [_Images(apply, w) for w in right_values]
-            for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
-                for j, images_w in enumerate(right, start_j):
-                    for o, terms, space, base in targets:
-                        total = reduce_into(_skeleton_sum(A, {}, terms, images_v, images_w))
-                        if not total:
-                            continue
-                        coords = space.coordinates(total)
-                        if coords is None:  # raises, naming the generator
-                            ctx._value_terms(o, A.element_class(A, total), dk)
-                        out.extend((i, j, ("deg", dk, base + t) if start is None else base + t, c)
-                                   for t, c in coords.items())
-        for out in block_rows:
-            rows.extend(out)
-    return basis, rows
+
+    def rows_by_block():
+        skeleton = ctx.cosets.product_skeleton()
+        apply, A, reduce_into = ctx.action.apply, ctx.A, ctx.field.reduce_into
+        for start_i, oi, di, left_values in blocks:
+            block_rows = [[] for _ in left_values]  # the rows of each i of the block
+            for start_j, oj, dj, right_values in blocks:
+                entries = skeleton.get((oi, oj))
+                if entries is None:
+                    continue
+                dk = di + dj if ctx.graded else None
+                start = start_of.get(dk)
+                layout = ctx.coordinate_layout(dk)  # targets: (o, terms, space, first position)
+                targets = [(o, terms, layout[o][0], (start or 0) + layout[o][1])
+                           for o, terms in entries]
+                left = [_Images(apply, v) for v in left_values]
+                right = [_Images(apply, w) for w in right_values]
+                for i, (images_v, out) in enumerate(zip(left, block_rows), start_i):
+                    for j, images_w in enumerate(right, start_j):
+                        for o, terms, space, base in targets:
+                            total = reduce_into(_skeleton_sum(A, {}, terms, images_v, images_w))
+                            if not total:
+                                continue
+                            coords = space.coordinates(total)
+                            if coords is None:  # raises, naming the generator
+                                ctx._value_terms(o, A.element_class(A, total), dk)
+                            out.extend((i, j, ("deg", dk, base + t) if start is None else base + t, c)
+                                       for t, c in coords.items())
+            yield [row for out in block_rows for row in out]
+
+    return basis, rows_by_block()
 
 
 def hecke_as_based_algebra(ctx: HeckeContext):

@@ -523,18 +523,76 @@ def test_bad_literal_exits_2(capsys, cfg_file, config, phi, bad):
     assert bad in err
 
 
-def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
-    # a defect (not bad input, not a failed check) gets its own exit status
-    def broken(ctx, degree_cap=None):
-        raise ArithmeticError("fixed value outside its basis\n(bug)")
+def _fails_after_the_first_block(monkeypatch, exc):
+    """Patch the table ``cmd_sc`` streams to raise ``exc`` once its first
+    block has been yielded; returns the list of the blocks yielded."""
+    blocks_of = cli.structure_constant_blocks
+    yielded = []
 
-    monkeypatch.setattr("skewhecke.cli.structure_constants", broken)
+    def broken(ctx):
+        basis, blocks = blocks_of(ctx)
+
+        def failing():
+            yielded.append(next(blocks))
+            yield yielded[-1]
+            raise exc
+
+        return basis, failing()
+
+    monkeypatch.setattr("skewhecke.cli.structure_constant_blocks", broken)
+    return yielded
+
+
+def test_internal_error_exits_3(capsys, cfg_file, monkeypatch):
+    # a defect (not bad input, not a failed check) gets its own exit status,
+    # and the block written before it never reaches stdout
+    yielded = _fails_after_the_first_block(
+        monkeypatch, ArithmeticError("fixed value outside its basis\n(bug)"))
+    code = main(["sc", "--config", cfg_file(CLASSICAL)])
+    captured = capsys.readouterr()
+    assert yielded and yielded[0]
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: ArithmeticError: fixed value outside its basis (bug)\n")
+
+
+def test_product_refused_in_sc_exits_3(capsys, cfg_file, monkeypatch):
+    # the action was verified, so a table product its stabilizer moves is a
+    # defect of the program, not bad input
+    _fails_after_the_first_block(monkeypatch, StabilizerInvarianceError(1, 1, "(1 2)"))
     code = main(["sc", "--config", cfg_file(CLASSICAL)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == (
-        "internal error: ArithmeticError: fixed value outside its basis (bug)\n")
+        "internal error: ArithmeticError: product refused: value at double-coset "
+        "orbit 1 is not fixed by stabilizer element (1 2) (bug: the action was verified)\n")
+
+
+def test_product_refused_in_mul_exits_3(capsys, cfg_file, monkeypatch):
+    def moved(phi, psi):
+        raise StabilizerInvarianceError(0, 1, "(1 2)")
+
+    monkeypatch.setattr("skewhecke.hecke.HeckeElement.convolve", moved)
+    code = main(["mul", "(delta[id] + delta[(1 2)]; 0)", "(0; 1)",
+                 "--config", cfg_file(STONE)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: ArithmeticError: product refused: value at double-coset "
+        "orbit 0 is not fixed by stabilizer element (1 2) (bug: the action was verified)\n")
+
+
+def test_literal_its_stabilizer_moves_exits_2(capsys, cfg_file):
+    # the same refusal on an input value is bad input
+    code = main(["mul", "(delta[id]; 0)", "(0; 1)", "--config", cfg_file(STONE)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: value at double-coset orbit 0 is not fixed by "
+                            "stabilizer element (1 2)\n")
 
 
 def test_stone_matrix_outside_the_image_exits_3(capsys, cfg_file, monkeypatch):

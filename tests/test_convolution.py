@@ -43,6 +43,7 @@ from skewhecke.hecke import (
     HeckeElement,
     StabilizerInvarianceError,
     classical_context,
+    structure_constant_blocks,
     structure_constants,
 )
 from skewhecke.isomorphisms import (
@@ -191,6 +192,25 @@ def test_structure_constants_match_the_per_pair_reference(name):
     if name == "cocycle_perturbed":
         assert any(len(ctx.action.on_label(g, l).coeffs) > 1
                    for g in range(ctx.G.order) for l in ctx.A.labels())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_blocks_concatenate_to_the_table(name):
+    # one yielded list per left block, i.e. per run of basis entries with one
+    # (orbit, degree), holding only rows whose i lies in that run; graded keys
+    # ("deg", d, t) included
+    ctx = case(name)
+    basis, rows = structure_constants(ctx)
+    block_basis, blocks = structure_constant_blocks(ctx)
+    blocks = list(blocks)
+    assert block_basis == basis
+    runs = [i for i in range(len(basis)) if i == 0 or basis[i][::2] != basis[i - 1][::2]]
+    assert len(blocks) == len(runs)
+    for block, start, end in zip(blocks, runs, runs[1:] + [len(basis)]):
+        assert all(start <= i < end for i, _, _, _ in block)
+    assert [row for block in blocks for row in block] == rows
+    if ctx.graded:
+        assert any(isinstance(k, tuple) for _, _, k, _ in rows)
 
 
 @pytest.mark.parametrize("make", [

@@ -14,7 +14,8 @@ in the change log.
 ``s3_tables.txt``, one dot in its name, is the stdout of
 ``scripts/s3_tables.py``, which CI compares; it is not a CLI golden.
 The benchmark's ``sc`` on the group algebra of S4 under conjugation, 41 652
-lines, is pinned by the sha256 in ``perfbench/reference.json`` instead.
+lines, is pinned by the sha256 in ``perfbench/reference.json`` instead; its
+config is ``tests/data/large/conjugation_s4.cfg``.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ import pytest
 from skewhecke.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+LARGE = GOLDEN.parent / "large"
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 # command -> the arguments its goldens were recorded with
 ARGS = {"dims": [], "sc": [], "verify": ["all", "--seed", "0"]}
@@ -65,8 +67,10 @@ def test_stdout_prints_the_golden_too(capsys):
 
 
 def test_sc_s4_conjugation_matches_the_benchmark_reference(tmp_path):
-    config, out = tmp_path / "s4.cfg", tmp_path / "out.txt"
-    config.write_text(runpy.run_path(str(PERFBENCH / "workloads.py"))["S4_CONJUGATION"])
+    # CI runs the same file under a peak-RSS bound
+    config, out = LARGE / "conjugation_s4.cfg", tmp_path / "out.txt"
+    assert config.read_text() == \
+        runpy.run_path(str(PERFBENCH / "workloads.py"))["S4_CONJUGATION"]
     assert main(["sc", "--config", str(config), "--out", str(out)]) == 0
     # hashed as perfbench/run.py hashes it
     digest = hashlib.sha256(out.read_text(encoding="utf-8").encode()).hexdigest()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhecke.cli import build_context, parse_config
+from skewhecke import groups
 from skewhecke.groups import (
     MAX_GROUP_ORDER,
     CosetSpace,
@@ -191,6 +192,41 @@ def klein_four():
 def test_table_builders_keep_names_table_and_perms(build, digest):
     G = build()
     assert hashlib.sha256(repr((G.names, G.table, G.perms)).encode()).hexdigest() == digest
+
+
+def direct_group_on(elements, mul, name, perms=None):
+    """``groups._group_on`` with every one of the |G|^2 products taken by mul."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return FiniteGroup(table, names=[name(e) for e in elements], perms=perms,
+                       check=False), index
+
+
+def c4_on_c5():
+    """Z/5 x| Z/4, the generator of Z/4 acting as multiplication by 2."""
+    return semidirect_product(cyclic_group(5), cyclic_group(4),
+                              lambda k, n: n * pow(2, k, 5) % 5).group
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda n=n: symmetric_group(n), id=f"symmetric_{n}") for n in range(1, 7)),
+    *(pytest.param(lambda n=n: cyclic_group(n), id=f"cyclic_{n}") for n in (1, 2, 4, 5)),
+    *(pytest.param(lambda n=n: dihedral_group(n), id=f"dihedral_{n}") for n in (1, 2, 4, 5)),
+    pytest.param(lambda: direct_product(S3, cyclic_group(4))[0], id="S3_times_C4"),
+    pytest.param(lambda: power_group(cyclic_group(2), 3)[0], id="C2_cubed"),
+    pytest.param(c4_on_c5, id="C5_by_C4"),
+    pytest.param(cube_semidirect_s3, id="C2_cubed_by_S3"),
+    pytest.param(lambda: quotient_group(S4, klein_four())[0], id="S4_mod_V4"),
+    pytest.param(lambda: d4_subgroup().as_group()[0], id="D4_in_S4"),
+])
+def test_composed_rows_are_the_direct_table(build, monkeypatch):
+    # the rows composed from the generators' rows against all |G|^2 products
+    G = build()
+    monkeypatch.setattr(groups, "_group_on", direct_group_on)
+    direct = build()
+    assert all(type(row) is tuple for row in G.table)
+    assert G.table == direct.table
+    assert (G.names, G.perms, G.inv_table) == (direct.names, direct.perms, direct.inv_table)
 
 
 def test_bad_table_rejected():
