@@ -7,7 +7,10 @@ while every other test still passes.
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,31 @@ def test_counted_caches_and_field_ops_exist():
 
 def test_suite_names_match():
     assert tuple(cli.SUITES) == job.SUITES
+
+
+# (parent span, span) edges of a traced verify run: each suite calls these
+# functions itself, so a suite that binds one by name escapes the tracer
+SUITE_EDGES = [
+    ("cli.suite.matrix", "isomorphisms.to_matrix"),
+    ("cli.suite.corner", "isomorphisms.to_corner"),
+    ("cli.suite.corner", "skewgroup.corner_basis"),
+    ("cli.suite.corner", "skewgroup.idempotent"),
+    ("cli.suite.group_ops", "isomorphisms.verify_algebra_map"),
+    ("cli.suite.cocycle", "isomorphisms.verify_algebra_map"),
+    ("cli.suite.stone", "isomorphisms.stone_apply"),
+]
+
+
+def test_traced_verify_reaches_every_suite_and_its_spans(tmp_path):
+    root = JOB_PATH.parent.parent
+    stats = tmp_path / "stats.json"
+    subprocess.run(
+        [sys.executable, str(JOB_PATH), "trace", str(stats), "verify", "all", "--seed", "0",
+         "--config", str(root / "tests/data/golden/functions_s3.cfg"),
+         "--out", str(tmp_path / "report.txt")],
+        cwd=root, check=True, timeout=120)
+    spans = json.loads(stats.read_text())["spans"]
+    names = {s["name"] for s in spans}
+    assert {f"cli.suite.{suite}" for suite in job.SUITES} <= names
+    edges = {(s["parent"], s["name"]) for s in spans}
+    assert [e for e in SUITE_EDGES if e not in edges] == []

@@ -101,6 +101,8 @@ def test_parse_config_errors():
         parse_config("field rationals\n")
     with pytest.raises(ConfigError, match="integer"):
         parse_config("degree_cap = two\n")
+    with pytest.raises(ConfigError, match="^line 3: key 'group' given twice$"):
+        parse_config("group = symmetric(3)\nfield = rationals\nGroup = cyclic(2)\n")
 
 
 def test_build_context_rejects_bad_specs():
@@ -327,6 +329,7 @@ def _config(group, subgroup, algebra, action):
 @pytest.mark.parametrize("text", [
     pytest.param("group = monster(1)\n", id="unknown_group"),
     pytest.param("colour = blue\n", id="unknown_key"),
+    pytest.param("group = symmetric(3)\ngroup = cyclic(2)\n", id="repeated_key"),
     pytest.param(_config("symmetric(3)", "(1 2)", "scalar", "left_translation"),
                  id="left_translation_on_scalar"),
     pytest.param(_config("symmetric(3)", "(1 2)", "functions", "permute_variables"),
@@ -626,7 +629,7 @@ def untwisted_to_matrix(phi):
 
 def test_untwisted_matrix_image_fails_invariance_with_a_witness(capsys, cfg_file,
                                                                 monkeypatch):
-    monkeypatch.setattr("skewhecke.cli.to_matrix", untwisted_to_matrix)
+    monkeypatch.setattr("skewhecke.isomorphisms.to_matrix", untwisted_to_matrix)
     code, out = run_cli(capsys, "verify", "matrix", "--config", cfg_file(STONE))
     assert code == 1
     assert "matrix.roundtrip: FAIL (image not G-invariant)\n" \
@@ -670,7 +673,7 @@ def test_untwisted_skew_product_fails_corner_multiplicativity(capsys, cfg_file,
 def test_corner_lift_reading_the_wrong_coset_fails(capsys, cfg_file, monkeypatch,
                                                    config):
     # only the integral checks use corner_lift; to_corner is left intact
-    monkeypatch.setattr("skewhecke.cli.corner_lift", corner_lift_wrong_coset)
+    monkeypatch.setattr("skewhecke.verify.corner_lift", corner_lift_wrong_coset)
     code, out = run_cli(capsys, "verify", "corner", "--config", cfg_file(config))
     assert code == 1
     assert "corner.roundtrip: PASS" in out and "corner.unit: PASS" in out
@@ -687,7 +690,7 @@ def test_doubled_semidirect_forward_prints_the_unit_witness(capsys, cfg_file,
         two = tr.target.field.from_int(2)
         return replace(tr, forward=lambda phi: tr.forward(phi).scale(two))
 
-    monkeypatch.setattr("skewhecke.cli.semidirect_transport", doubled)
+    monkeypatch.setattr("skewhecke.verify.semidirect_transport", doubled)
     code, out = run_cli(capsys, "verify", "group_ops", "--config", cfg_file(STONE))
     assert code == 1
     assert "group_ops.semidirect: FAIL (dim 14 = 14)\n  FAIL unit: witness F(1) != 1\n" \
@@ -704,7 +707,7 @@ def test_conjugate_forward_without_alpha_is_a_failed_check(capsys, cfg_file,
         forward = pull_map(tr.target, lambda at, x: at(G.mul(G.mul(si, x), s)))
         return replace(tr, forward=forward)
 
-    monkeypatch.setattr("skewhecke.cli.conjugate_transport", untwisted)
+    monkeypatch.setattr("skewhecke.verify.conjugate_transport", untwisted)
     code, out = run_cli(capsys, "verify", "group_ops", "--config", cfg_file(STONE))
     assert code == 1
     assert "group_ops.conjugate: FAIL" in out
@@ -720,7 +723,7 @@ def test_opposite_forward_that_keeps_the_order_names_a_witness_pair(capsys, cfg_
         return replace(opposite_transport(ctx), target=ctx,
                        forward=lambda x: x, backward=lambda x: x)
 
-    monkeypatch.setattr("skewhecke.cli.opposite_transport", unreversed)
+    monkeypatch.setattr("skewhecke.verify.opposite_transport", unreversed)
     code, out = run_cli(capsys, "verify", "opposite", "--config", cfg_file(STONE))
     assert code == 1
     assert re.search(r"^opposite\.anti_multiplicative: FAIL \(witness pair \d+\)$",
@@ -748,7 +751,7 @@ def test_cocycle_condition_error_prints_its_witnesses(capsys, cfg_file, monkeypa
     def violated(ctx, chi):
         raise CocycleConditionError([("cocycle", ("(1 2)", "(1 3)"))])
 
-    monkeypatch.setattr("skewhecke.cli.cocycle_transport", violated)
+    monkeypatch.setattr("skewhecke.verify.cocycle_transport", violated)
     code, out = run_cli(capsys, "verify", "cocycle", "--config", cfg_file(CLASSICAL))
     assert code == 1
     assert "cocycle.inner_fixture: FAIL (cocycle conditions violated)\n" \

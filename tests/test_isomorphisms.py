@@ -14,7 +14,7 @@ from skewhecke.algebras import (
     permutation_variable_action,
     trivial_action,
 )
-from skewhecke.cli import JobConfig, SuiteRun, build_context, suite_stone
+from skewhecke.cli import JobConfig, build_context
 from skewhecke.groups import (
     Subgroup,
     cyclic_group,
@@ -47,6 +47,7 @@ from skewhecke.isomorphisms import (
 )
 from skewhecke.scalars import PrimeField, Rationals
 from skewhecke.skewgroup import SkewGroupAlgebra, hecke_idempotent
+from skewhecke.verify import SuiteRun, suite_stone
 
 from reference_shapes import (
     diagonal_sum_preimage,
